@@ -14,9 +14,11 @@ blocks for torus symmetry, parity classes for the two-point stabilizer,
 matrix types for full sl2.  Torus and parity blocks are truncated at a
 PBW depth; the truncation is a subcomplex (the boundary raises word
 length by at most one while the budget drops by one per wedge degree),
-and the whole computation is repeated at depth+1 — disagreement raises
-WindowTooSmall instead of returning a guess.  Type blocks are finite and
-exact as they stand.
+so each block is assembled once, at depth+1, and restricted to depth;
+homology at the two depths must agree, and disagreement raises
+WindowTooSmall instead of returning a guess.  By default each weight
+block gets its own depth, from the distance of its weight to the module
+weights.  Type blocks are finite and exact as they stand.
 
 ``derived_p`` is the homology of this complex after the coefficient
 module is twisted by the top exterior power of the quotient;
@@ -192,20 +194,29 @@ def _boundary_matrix(cols_hi: Mapping, cols_lo: Mapping,
 # the three block models
 
 
-def _torus_blocks(pair: PairData, mod: HModule, window: Window,
-                  cut: int) -> dict[Weight, ChainBlock]:
+def _torus_blocks(pair: PairData, mod: HModule,
+                  depths: Mapping[Weight, int],
+                  ) -> dict[Weight, tuple[list[dict], ChainBlock]]:
+    """Weight-block complexes, block n truncated at PBW depth depths[n].
+
+    Returns each block with its basis keys per degree, for ``_restrict``.
+    The product of a monomial with a wedge leg does not depend on the
+    block, so it is straightened once per (monomial, leg) for the whole
+    call; only the evaluation of its Cartan letters is per block.
+    """
     info = torus_info(pair)
     if pair.l_group.torus_indices != tuple(range(info.rank)):
         raise UnsupportedK("stabilizer torus must use all K coordinates in order")
     wedge = _wedge_data(pair)
     free = _nonreduced_indices(info)
-    buckets = _monos_by_weight(info, free, cut, pair.lie.dim)
+    buckets = _monos_by_weight(info, free, max(depths.values()), pair.lie.dim)
     leg_u = [UElt.from_vec(pair.lie, xi) for xi in pair.hl_basis]
     leg_w = [pair.h_weight_of(xi) for xi in pair.hl_basis]
     acts = [_act_matrix(pair, mod, xi) for xi in pair.hl_basis]
     top = pair.hl_dim()
-    blocks: dict[Weight, ChainBlock] = {}
-    for n in window.points():
+    prods: dict[tuple[Mono, int], Mapping[Mono, Fraction]] = {}
+    blocks: dict[Weight, tuple[list[dict], ChainBlock]] = {}
+    for n, cut in depths.items():
         cols: list[dict] = []
         for d in range(top + 1):
             cd: dict = {}
@@ -222,24 +233,28 @@ def _torus_blocks(pair: PairData, mod: HModule, window: Window,
             cols.append(cd)
 
         def rmul(mono: Mono, leg: int, _n: Weight = n) -> list:
-            prod = UElt(pair.lie, {mono: ONE}) * leg_u[leg]
-            return list(_reduce_block(info, _n, prod.terms).items())
+            terms = prods.get((mono, leg))
+            if terms is None:
+                terms = (UElt(pair.lie, {mono: ONE}) * leg_u[leg]).terms
+                prods[(mono, leg)] = terms
+            return list(_reduce_block(info, _n, terms).items())
 
         bnds = tuple(_boundary_matrix(cols[d + 1], cols[d], rmul, acts,
                                       wedge.brackets) for d in range(top))
-        blocks[n] = ChainBlock(tuple(len(c) for c in cols), bnds)
+        blocks[n] = (cols, ChainBlock(tuple(len(c) for c in cols), bnds))
     return blocks
 
 
 def _open_blocks(pair: PairData, mod: HModule,
-                 cut: int) -> dict[int, ChainBlock]:
+                 cut: int) -> dict[int, tuple[list[dict], ChainBlock]]:
     """Parity-class complexes for the two-point stabilizer.
 
     Straightening in the adapted order never produces a letter from the
     compact part (checked at runtime), so one complex per parity class
     serves every weight block of that class.  The nontrivial stabilizer
     component is central, hence acts trivially on the wedge legs, and
-    the parity bookkeeping reduces to the module slots alone.
+    the parity bookkeeping reduces to the module slots alone.  Each class
+    comes with its basis keys per degree, for ``_restrict``.
     """
     adapted = pair.adapted()
     kp = pair.k_part
@@ -264,7 +279,7 @@ def _open_blocks(pair: PairData, mod: HModule,
                 raise ArithmeticError("Cartan letter appeared in the adapted boundary")
         return list(prod.terms.items())
 
-    blocks: dict[int, ChainBlock] = {}
+    blocks: dict[int, tuple[list[dict], ChainBlock]] = {}
     for p in (0, 1):
         ts = [t for t in range(mod.dim) if mod.parity[t] == p]
         if not ts:
@@ -280,8 +295,37 @@ def _open_blocks(pair: PairData, mod: HModule,
             cols.append(cd)
         bnds = tuple(_boundary_matrix(cols[d + 1], cols[d], rmul, acts,
                                       wedge.brackets) for d in range(top))
-        blocks[p] = ChainBlock(tuple(len(c) for c in cols), bnds)
+        blocks[p] = (cols, ChainBlock(tuple(len(c) for c in cols), bnds))
     return blocks
+
+
+def _restrict(key, cols: Sequence[Mapping], blk: ChainBlock,
+              cut: int) -> ChainBlock:
+    """The truncation at depth cut of a block built at a greater depth.
+
+    ``cols[d]`` maps the basis keys (algebra part, legs, slot) of degree d
+    to their indices; the kept keys are those whose algebra part has
+    degree at most cut - d.  Because the truncation is a subcomplex, no
+    kept column may have an entry in a dropped row; one that does raises
+    StructureError naming the block and the degree.
+    """
+    index = [{i: j for j, i in enumerate(i for (mono, _, _), i in cd.items()
+                                         if sum(mono) <= cut - d)}
+             for d, cd in enumerate(cols)]
+    bnds = []
+    for d, b in enumerate(blk.boundaries):
+        rows, kept = index[d], index[d + 1]
+        entries = []
+        for r, c, v in b.entries():
+            if c not in kept:
+                continue
+            if r not in rows:
+                raise StructureError(
+                    f"block {key}: boundary of degree {d + 1} leaves the "
+                    f"truncation at depth {cut}")
+            entries.append((rows[r], kept[c], v))
+        bnds.append(SparseMatrix(len(rows), len(kept), entries))
+    return ChainBlock(tuple(len(ix) for ix in index), tuple(bnds))
 
 
 def _sl2_blocks(pair: PairData, mod: HModule,
@@ -401,13 +445,14 @@ def _homology_characters(model: str, blocks: dict, window: Window | None,
     return tuple(out)
 
 
+def _block_cut(pair: PairData, mod: HModule, n: Weight, margin: int) -> int:
+    gap = max((sum(abs(a - b) for a, b in zip(n, lw)) // 2
+               for lw in mod.l_weights), default=0)
+    return gap + 2 * pair.hl_dim() + margin
+
+
 def _depth_cut(pair: PairData, mod: HModule, window: Window, margin: int) -> int:
-    base = 0
-    for n in window.points():
-        for t in range(mod.dim):
-            gap = sum(abs(a - b) for a, b in zip(n, mod.l_weights[t]))
-            base = max(base, gap // 2)
-    return base + 2 * pair.hl_dim() + margin
+    return max(_block_cut(pair, mod, n, margin) for n in window.points())
 
 
 def build_standard_complex(pair: PairData, v: HModule,
@@ -419,9 +464,11 @@ def build_standard_complex(pair: PairData, v: HModule,
 
     The twist by the top exterior power of (ambient / isotropy) is part
     of the functor and is applied here; pass the untwisted module.  For
-    torus symmetry supply a window (and optionally a depth cut); for
-    full sl2 supply max_type.  Truncated models are built at two depths
-    and must agree on homology, otherwise WindowTooSmall is raised.
+    torus symmetry supply a window (and optionally a depth cut for every
+    block; by default each weight block gets its own); for full sl2
+    supply max_type.  Truncated models are built once at depth cut+1 and
+    restricted to cut; the two must agree on homology, otherwise
+    WindowTooSmall is raised.
     """
     w = tensor_onedim(v, lambda_top(pair))
     check_module_compatible(pair, w)
@@ -437,11 +484,15 @@ def build_standard_complex(pair: PairData, v: HModule,
     model = "open" if len(pair.l_group.torus_indices) == 0 else "torus"
     c = cut if cut is not None else _depth_cut(pair, w, window, margin)
     if model == "open":
-        blocks = _open_blocks(pair, w, c)
-        deeper = _open_blocks(pair, w, c + 1)
+        cuts = {0: c, 1: c}
+        deep = _open_blocks(pair, w, c + 1)
     else:
-        blocks = _torus_blocks(pair, w, window, c)
-        deeper = _torus_blocks(pair, w, window, c + 1)
+        cuts = {n: c if cut is not None else _block_cut(pair, w, n, margin)
+                for n in window.points()}
+        deep = _torus_blocks(pair, w, {n: k + 1 for n, k in cuts.items()})
+    blocks = {key: _restrict(key, cols, blk, cuts[key])
+              for key, (cols, blk) in deep.items()}
+    deeper = {key: blk for key, (_, blk) in deep.items()}
     hom = _homology_characters(model, blocks, window, top)
     hom2 = _homology_characters(model, deeper, window, top)
     if hom != hom2:

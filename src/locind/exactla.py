@@ -30,14 +30,6 @@ def scalar(x: int | str | Fraction) -> Fraction:
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
-def scalar_to_string(x: Fraction) -> str:
-    return str(x)
-
-
-def scalar_from_string(s: str) -> Fraction:
-    return Fraction(s)
-
-
 class SparseMatrix:
     """Immutable sparse matrix over the rationals."""
 

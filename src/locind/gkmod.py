@@ -379,18 +379,6 @@ class Character:
         return (isinstance(other, Character) and self.kind == other.kind
                 and self.data == other.data and self.parity == other.parity)
 
-    def pretty(self) -> str:
-        if not self.data:
-            body = "0"
-        elif self.kind == "torus-weight":
-            def show(w: Weight) -> str:
-                return str(w[0]) if len(w) == 1 else str(w)
-            body = " ".join(f"{show(w)}:{m}" for w, m in sorted(self.data.items()))
-        else:
-            body = " ".join(f"V{n}:{m}" for n, m in sorted(self.data.items()))
-        tag = "" if self.parity is None else f" (parity {self.parity})"
-        return f"{self.kind}{{{body}}}{tag}"
-
     def to_jsonable(self) -> dict:
         if self.kind == "torus-weight":
             data = {",".join(map(str, w)): m for w, m in sorted(self.data.items())}

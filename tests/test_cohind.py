@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from locind.cohind import (ChainBlock, build_standard_complex, derived_i,
-                           derived_p, euler_characteristic)
+from locind.cohind import (ChainBlock, _restrict, _torus_blocks,
+                           build_standard_complex, derived_i, derived_p,
+                           euler_characteristic)
 from locind.exactla import ONE, SparseMatrix
 from locind.gkmod import (Character, HModule, Window, WindowTooSmall,
                           dual_module, lambda_top, one_dim_module,
@@ -53,6 +54,58 @@ def test_chain_block_basics():
         ChainBlock((2, 2), (SparseMatrix.zero(1, 2),))
     with pytest.raises(StructureError, match="boundary"):
         ChainBlock((2, 2), ())
+
+
+def test_restriction_refuses_a_non_subcomplex():
+    # the degree-1 key survives depth 1, but its boundary lands on a
+    # degree-0 key that depth 1 drops
+    cols = [{((2,), (), 0): 0}, {((0,), (0,), 0): 0}]
+    blk = ChainBlock((1, 1), (SparseMatrix.from_rows([[1]]),))
+    with pytest.raises(StructureError, match=r"block \(3,\).*degree 1"):
+        _restrict((3,), cols, blk, 1)
+    assert _restrict((3,), cols, blk, 2) == blk
+    assert _restrict((3,), cols, blk, 0).dims == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# truncation: one build at depth+1, a depth per weight block
+
+
+@pytest.mark.parametrize("fam, values, win, keys", [
+    ("A", (-4, 0), WIN, [(-12,), (-3,), (0,), (12,)]),
+    ("D", (-2, 0, -3, 0), Window.box((-4, -4), (4, 4)),
+     [(-4, -4), (0, 0), (3, -1), (4, 4)]),
+])
+def test_restricted_blocks_match_direct_builds(fam, values, win, keys):
+    pair = pair_by_name(fam)
+    v = one_dim_module(pair, values)
+    w = tensor_onedim(v, lambda_top(pair))
+    blocks = build_standard_complex(pair, v, win).blocks
+    for n in keys:
+        point = Window.box(n, n)
+        cut = build_standard_complex(pair, v, point).cut
+        direct = _torus_blocks(pair, w, {n: cut})[n][1]
+        explicit = build_standard_complex(pair, v, point, cut=cut).blocks[n]
+        for blk in (blocks[n], explicit):
+            assert blk.dims == direct.dims
+            assert [blk.homology(d) for d in range(blk.top + 1)] == \
+                [direct.homology(d) for d in range(direct.top + 1)]
+            assert blk == direct
+
+
+def test_block_cuts_match_the_window_wide_cut(pa, pd):
+    def size(cx):
+        return sum(sum(blk.dims) for blk in cx.blocks.values())
+
+    cases = [(pa, (-5, 0), WIN),
+             (pd, (-4, 0, -2, 0), Window.box((-4, -4), (4, 4)))]
+    for pair, values, win in cases:
+        v = one_dim_module(pair, values)
+        own = build_standard_complex(pair, v, win)
+        wide = build_standard_complex(pair, v, win, cut=own.cut)
+        assert own.homology_characters() == wide.homology_characters()
+        assert own.cut == wide.cut
+        assert size(own) < size(wide)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 and the command line driver."""
 
 import json
+import random
 
 import pytest
 
@@ -98,6 +99,21 @@ def test_run_case_product():
     assert r.verdict == "exact-match"
     assert r.side_a == [((a, b), 1) for a in range(0, 5, 2)
                         for b in range(0, 5, 2)]
+
+
+def test_run_case_off_grid():
+    # seeded twists away from the stock grids: every family must still
+    # match exactly
+    rng = random.Random(20121207)
+    cases = [VerificationCase("A", rng.randint(-40, 40)) for _ in range(4)]
+    cases += [VerificationCase("B", rng.randint(-40, 40), parity=p)
+              for p in (0, 1, 0, 1)]
+    cases += [VerificationCase("C", rng.randint(-30, 30)) for _ in range(4)]
+    cases += [VerificationCase("D", (rng.randint(-6, 2), rng.randint(-6, 2)),
+                               window=Window.box((-4, -4), (4, 4)))
+              for _ in range(3)]
+    for c in cases:
+        assert run_case(c).verdict == "exact-match", c.case_id
 
 
 # ---------------------------------------------------------------------------
