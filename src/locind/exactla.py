@@ -2,13 +2,23 @@
 
 Scalars are ``fractions.Fraction`` (always lowest terms, positive
 denominator), matrices are sparse maps (row, col) -> Fraction.  Rank,
-kernel and homology dimensions are computed by exact Gaussian
-elimination, so every result is an integer with no tolerance attached.
+kernel and homology dimensions are computed by exact elimination, so
+every result is an integer with no tolerance attached.
+
+``rank`` runs one fraction-free forward pass on Python ints: each row
+is scaled to integers by the lcm of its denominators (which leaves the
+rank unchanged), then cross-multiplied against pivot rows keyed by
+their leading column, and divided by its content after every step, so
+its entries stay bounded; there is no back-substitution.  The rank is
+kept on the (immutable) matrix, so a boundary shared by two homology
+degrees is eliminated once.  ``kernel_basis``, ``solve`` and
+``inverse`` use the Fraction reduced row echelon form ``rref``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction
@@ -33,7 +43,7 @@ def scalar(x: int | str | Fraction) -> Fraction:
 class SparseMatrix:
     """Immutable sparse matrix over the rationals."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_rank")
 
     def __init__(self, rows: int, cols: int,
                  entries: Iterable[tuple[int, int, int | str | Fraction]] = ()):
@@ -51,6 +61,7 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         self._data = data
+        self._rank: int | None = None
 
     # -- construction helpers ------------------------------------------
 
@@ -194,10 +205,43 @@ class SparseMatrix:
         return [reduced[i] for i in order], [pivots[i] for i in order]
 
 
-def rank(m: SparseMatrix) -> int:
-    """Rank over the rationals by exact elimination."""
-    _, pivots = m.rref()
+def _int_rank(m: SparseMatrix) -> int:
+    """Rank by fraction-free forward elimination on integer rows."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (r, c), v in m._data.items():
+        rows.setdefault(r, {})[c] = v
+    pivots: dict[int, dict[int, int]] = {}   # leading column -> pivot row
+    for frow in rows.values():
+        den = lcm(*(v.denominator for v in frow.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in frow.items()}
+        while row:
+            g = gcd(*row.values())
+            if g != 1:
+                row = {c: v // g for c, v in row.items()}
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = row
+                break
+            # row <- a*row - b*prow clears the lead column
+            g = gcd(prow[lead], row[lead])
+            a, b = prow[lead] // g, row[lead] // g
+            new = {c: a * v for c, v in row.items()}
+            for c, v in prow.items():
+                w = new.get(c, 0) - b * v
+                if w:
+                    new[c] = w
+                else:
+                    del new[c]
+            row = new
     return len(pivots)
+
+
+def rank(m: SparseMatrix) -> int:
+    """Rank over the rationals, computed once and kept on the matrix."""
+    if m._rank is None:
+        m._rank = _int_rank(m)
+    return m._rank
 
 
 def kernel_basis(m: SparseMatrix) -> list[tuple[Fraction, ...]]:

@@ -311,7 +311,7 @@ def _check_boundary_squares() -> Report:
         cx = _small_complex(fam)
         for key in sorted(cx.blocks):
             blk = cx.blocks[key]
-            for d in range(len(blk.boundaries) - 1):
+            for d in range(1, blk.top):
                 comp = blk.boundary(d).mul(blk.boundary(d + 1))
                 if not comp.is_zero():
                     return _report("boundary-squares-zero", False,

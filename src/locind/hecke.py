@@ -305,7 +305,9 @@ def irrep_matrices(n: int) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
     return e, h, f
 
 
+@lru_cache(maxsize=None)
 def rep_of_vec(v: Vec, n: int) -> SparseMatrix:
+    """Image of a Lie algebra vector on the type-n irreducible (immutable, so cached)."""
     mats = irrep_matrices(n)
     out = SparseMatrix.zero(n + 1, n + 1)
     for i, c in enumerate(v):

@@ -72,6 +72,13 @@ class LieAlg:
             if not vec_is_zero(v):
                 table[(i, j)] = v
         self._table = table
+        # every ordered pair, antisymmetric and zero on the diagonal, so
+        # bracket_basis (the innermost call of PBW straightening) is a lookup
+        zero = self.zero()
+        self._full = {(i, j): zero for i in range(self.dim) for j in range(self.dim)}
+        for (i, j), v in table.items():
+            self._full[(i, j)] = v
+            self._full[(j, i)] = vec_scale(-1, v)
         self._check_jacobi()
 
     def basis_vector(self, i: int) -> Vec:
@@ -81,11 +88,7 @@ class LieAlg:
         return tuple(scalar(0) for _ in range(self.dim))
 
     def bracket_basis(self, i: int, j: int) -> Vec:
-        if i == j:
-            return self.zero()
-        if i < j:
-            return self._table.get((i, j), self.zero())
-        return vec_scale(-1, self._table.get((j, i), self.zero()))
+        return self._full[(i, j)]
 
     def bracket(self, a: Vec, b: Vec) -> Vec:
         out = self.zero()

@@ -100,3 +100,53 @@ def test_homology_dim_exact_and_nonexact():
         homology_dim(d_out, SparseMatrix.from_rows([[1], [0]]))
     with pytest.raises(ValueError):
         homology_dim(d_out, SparseMatrix.zero(3, 1))
+
+
+def test_integer_rank_matches_rref():
+    rng = random.Random(7)
+    big = 10 ** 30
+    for _ in range(40):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        base = [[rng.choice((0, 0, rng.randint(-big, big), rng.randint(-3, 3)))
+                 for _ in range(cols)] for _ in range(rows)]
+        # append dependent rows (integer combinations) and a zero row
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.randint(-5, 5), rng.randint(-big, big)
+            i, j = rng.randrange(rows), rng.randrange(rows)
+            base.append([a * x + b * y for x, y in zip(base[i], base[j])])
+        base.append([0] * cols)
+        m = SparseMatrix.from_rows(base)
+        assert rank(m) == len(SparseMatrix.from_rows(base).rref()[1]) <= min(rows, cols)
+        assert rank(m.transpose()) == rank(m)
+    for shape in ((0, 5), (5, 0), (0, 0)):
+        assert rank(SparseMatrix.zero(*shape)) == 0
+
+
+def test_rank_of_non_integral_matrix_matches_rref():
+    rng = random.Random(11)
+    half = SparseMatrix.from_rows([[Fraction(1, 2), 1], [1, 2], [0, Fraction(2, 3)]])
+    assert rank(half) == len(half.rref()[1]) == 2
+    for _ in range(40):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        base = [[rng.choice((0, Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+                 for _ in range(cols)] for _ in range(rows)]
+        i, j = rng.randrange(rows), rng.randrange(rows)
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+        base.append([x + q * y for x, y in zip(base[i], base[j])])
+        m = SparseMatrix.from_rows(base)
+        assert rank(m) == len(SparseMatrix.from_rows(base).rref()[1])
+
+
+def test_rank_is_kept_on_the_matrix(monkeypatch):
+    m = SparseMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    assert rank(m) == 2
+
+    def boom(*_):
+        raise AssertionError("rank recomputed")
+
+    monkeypatch.setattr(SparseMatrix, "rref", boom)
+    monkeypatch.setattr("locind.exactla._int_rank", boom)
+    assert rank(m) == 2
+    # a new matrix with equal entries starts without a stored rank
+    with pytest.raises(AssertionError):
+        rank(SparseMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]]))

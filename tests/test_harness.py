@@ -3,9 +3,13 @@ and the command line driver."""
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from locind import harness
+from locind.cohind import ChainBlock
+from locind.exactla import SparseMatrix, kernel_basis, rank
 from locind.gkmod import Character, Window
 from locind.harness import (LEDGER, Report, VerificationCase, default_cases,
                             main, run_case, selftest)
@@ -163,6 +167,24 @@ def test_selftest_all_green():
     assert "triples" in by_name["hecke-associativity"].note
     assert by_name["negative-boundary-sign"].note == "corruption detected"
     assert "Jacobi" in by_name["negative-jacobi"].note
+
+
+def test_boundary_squares_check_compares_inner_boundaries(monkeypatch):
+    # 1 -> 1 -> 1 with both maps the identity: d1 . d2 = 1, not 0
+    one = SparseMatrix.identity(1)
+    bad = SimpleNamespace(blocks={(0,): ChainBlock((1, 1, 1), (one, one))})
+    monkeypatch.setattr(harness, "_small_complex", lambda fam: bad)
+    rep = harness._check_boundary_squares()
+    assert rep.verdict == "mismatch"
+    assert rep.counterexample == (0,) and rep.note == "family A, degree 1"
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C", "D"])
+def test_small_complex_rank_nullity(fam):
+    cx = harness._small_complex(fam)
+    for blk in cx.blocks.values():
+        for b in blk.boundaries:
+            assert b.cols - rank(b) == len(kernel_basis(b))
 
 
 # ---------------------------------------------------------------------------
