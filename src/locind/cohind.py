@@ -20,6 +20,13 @@ WindowTooSmall instead of returning a guess.  By default each weight
 block gets its own depth, from the distance of its weight to the module
 weights.  Type blocks are finite and exact as they stand.
 
+One driver, ``_assemble``, lists the basis keys (algebra part, wedge
+legs, module slot) of each degree and builds the boundaries of every
+block.  Each of the three models gives it only two closures: the
+(part, slot) pairs that go with given legs in a degree, and the product
+of a part with a leg, reduced in the block.  A ``spread`` per model
+turns one number per block into a character.
+
 ``derived_p`` is the homology of this complex after the coefficient
 module is twisted by the top exterior power of the quotient;
 ``derived_i`` is obtained from it through the contragredient module, on
@@ -30,18 +37,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .exactla import ONE, ZERO, SparseMatrix, homology_dim, scalar
+from .exactla import ONE, ZERO, SparseMatrix, homology_dim
 from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
                     check_module_compatible, dual_module, lambda_top,
                     tensor_onedim, weight_add)
-from .hecke import (UnsupportedK, _bounded_monos, _monos_by_weight,
-                    _nonreduced_indices, _reduce_block, rep_of_vec,
-                    torus_info)
-from .liealg import PairData, StructureError, Vec
-from .pbw import Mono, UElt
+from .hecke import rep_of_vec, torus_info
+from .liealg import PairData, StructureError, UnsupportedK
+from .pbw import (Mono, UElt, bounded_monos, monos_by_weight, nonreduced_indices,
+                  reduce_block)
 
 __all__ = [
     "ChainBlock", "StdComplex", "build_standard_complex",
@@ -101,11 +108,16 @@ class ChainBlock:
 
 @dataclass(frozen=True)
 class _WedgeData:
+    """The wedge legs of one build: ascending leg subsets per degree,
+    the bracket classes of leg pairs, and each leg's action matrix on
+    the coefficient module."""
+
     subsets: tuple[tuple[tuple[int, ...], ...], ...]
     brackets: dict[tuple[int, int], tuple[Fraction, ...]]
+    acts: tuple[SparseMatrix, ...]
 
 
-def _wedge_data(pair: PairData) -> _WedgeData:
+def _wedge_data(pair: PairData, mod: HModule) -> _WedgeData:
     k = pair.hl_dim()
     subsets = tuple(tuple(combinations(range(k), d)) for d in range(k + 1))
     span = list(pair.hl_basis) + list(pair.l_basis)
@@ -121,21 +133,12 @@ def _wedge_data(pair: PairData) -> _WedgeData:
             cls = tuple(coords[:k])
             if any(c != 0 for c in cls):
                 brackets[(i, j)] = cls
-    return _WedgeData(subsets, brackets)
+    acts = tuple(mod.matrix_of(pair.h.coords(xi)) for xi in pair.hl_basis)
+    return _WedgeData(subsets, brackets, acts)
 
 
-def _act_matrix(pair: PairData, mod: HModule, xi: Vec) -> SparseMatrix:
-    act = SparseMatrix.zero(mod.dim, mod.dim)
-    for i, c in enumerate(pair.h.coords(xi)):
-        if c != 0:
-            act = act.add(mod.action[i].scale(c))
-    return act
-
-
-def _boundary_matrix(cols_hi: Mapping, cols_lo: Mapping,
-                     rmul: Callable, acts: Sequence[SparseMatrix],
-                     brackets: Mapping[tuple[int, int], tuple[Fraction, ...]],
-                     ) -> SparseMatrix:
+def _boundary_matrix(cols_hi: Mapping, cols_lo: Mapping, rmul: Callable,
+                     wedge: _WedgeData) -> SparseMatrix:
     """Assemble one boundary map between two reduced term bases.
 
     Keys are (algebra part, ascending wedge legs, module slot).  The
@@ -162,7 +165,7 @@ def _boundary_matrix(cols_hi: Mapping, cols_lo: Mapping,
                         raise StructureError("boundary image left the block basis")
                     continue
                 bump(row, col, sign * c)
-            act = acts[leg]
+            act = wedge.acts[leg]
             for s in range(act.rows):
                 v = act.entry(s, t)
                 if v != 0:
@@ -172,7 +175,7 @@ def _boundary_matrix(cols_hi: Mapping, cols_lo: Mapping,
                     bump(row, col, -sign * v)
         for p1 in range(len(legs)):
             for p2 in range(p1 + 1, len(legs)):
-                cls = brackets.get((legs[p1], legs[p2]))
+                cls = wedge.brackets.get((legs[p1], legs[p2]))
                 if cls is None:
                     continue
                 rem2 = tuple(x for q, x in enumerate(legs) if q not in (p1, p2))
@@ -191,7 +194,29 @@ def _boundary_matrix(cols_hi: Mapping, cols_lo: Mapping,
 
 
 # ---------------------------------------------------------------------------
-# the three block models
+# the driver and the three block models
+
+
+def _assemble(wedge: _WedgeData, parts: Callable, rmul: Callable,
+              ) -> tuple[list[dict], ChainBlock]:
+    """One block complex from the two closures of its model.
+
+    ``parts(d, legs)`` lists the (algebra part, module slot) pairs that
+    go with the wedge legs in degree d, and ``rmul(part, leg)`` gives the
+    (part, coefficient) terms of the part times the leg, reduced in the
+    block.  Returns the block with its basis keys (part, legs, slot) per
+    degree, numbered in the order listed, for ``_restrict``.
+    """
+    cols: list[dict] = []
+    for d, subsets in enumerate(wedge.subsets):
+        cd: dict = {}
+        for legs in subsets:
+            for part, t in parts(d, legs):
+                cd[(part, legs, t)] = len(cd)
+        cols.append(cd)
+    bnds = tuple(_boundary_matrix(cols[d + 1], cols[d], rmul, wedge)
+                 for d in range(len(cols) - 1))
+    return cols, ChainBlock(tuple(len(c) for c in cols), bnds)
 
 
 def _torus_blocks(pair: PairData, mod: HModule,
@@ -207,42 +232,33 @@ def _torus_blocks(pair: PairData, mod: HModule,
     info = torus_info(pair)
     if pair.l_group.torus_indices != tuple(range(info.rank)):
         raise UnsupportedK("stabilizer torus must use all K coordinates in order")
-    wedge = _wedge_data(pair)
-    free = _nonreduced_indices(info)
-    buckets = _monos_by_weight(info, free, max(depths.values()), pair.lie.dim)
+    wedge = _wedge_data(pair, mod)
+    buckets = monos_by_weight(nonreduced_indices(info.cartan_of),
+                              max(depths.values()), info.adj)
     leg_u = [UElt.from_vec(pair.lie, xi) for xi in pair.hl_basis]
     leg_w = [pair.h_weight_of(xi) for xi in pair.hl_basis]
-    acts = [_act_matrix(pair, mod, xi) for xi in pair.hl_basis]
-    top = pair.hl_dim()
     prods: dict[tuple[Mono, int], Mapping[Mono, Fraction]] = {}
-    blocks: dict[Weight, tuple[list[dict], ChainBlock]] = {}
-    for n, cut in depths.items():
-        cols: list[dict] = []
-        for d in range(top + 1):
-            cd: dict = {}
-            for legs in wedge.subsets[d]:
-                wi = (0,) * info.rank
-                for i in legs:
-                    wi = weight_add(wi, leg_w[i])
-                for t in range(mod.dim):
-                    need = tuple(a - b - c for a, b, c in
-                                 zip(n, wi, mod.l_weights[t]))
-                    for mono in buckets.get(need, ()):
-                        if sum(mono) <= cut - d:
-                            cd[(mono, legs, t)] = len(cd)
-            cols.append(cd)
 
-        def rmul(mono: Mono, leg: int, _n: Weight = n) -> list:
-            terms = prods.get((mono, leg))
-            if terms is None:
-                terms = (UElt(pair.lie, {mono: ONE}) * leg_u[leg]).terms
-                prods[(mono, leg)] = terms
-            return list(_reduce_block(info, _n, terms).items())
+    def parts(n: Weight, cut: int, d: int,
+              legs: tuple[int, ...]) -> Iterable[tuple[Mono, int]]:
+        wi = (0,) * info.rank
+        for i in legs:
+            wi = weight_add(wi, leg_w[i])
+        for t in range(mod.dim):
+            need = tuple(a - b - c for a, b, c in zip(n, wi, mod.l_weights[t]))
+            for mono in buckets.get(need, ()):
+                if sum(mono) <= cut - d:
+                    yield mono, t
 
-        bnds = tuple(_boundary_matrix(cols[d + 1], cols[d], rmul, acts,
-                                      wedge.brackets) for d in range(top))
-        blocks[n] = (cols, ChainBlock(tuple(len(c) for c in cols), bnds))
-    return blocks
+    def rmul(n: Weight, mono: Mono, leg: int) -> Iterable:
+        terms = prods.get((mono, leg))
+        if terms is None:
+            terms = (UElt(pair.lie, {mono: ONE}) * leg_u[leg]).terms
+            prods[(mono, leg)] = terms
+        return reduce_block(info.cartan_of, info.adj, n, terms).items()
+
+    return {n: _assemble(wedge, partial(parts, n, cut), partial(rmul, n))
+            for n, cut in depths.items()}
 
 
 def _open_blocks(pair: PairData, mod: HModule,
@@ -258,45 +274,24 @@ def _open_blocks(pair: PairData, mod: HModule,
     """
     adapted = pair.adapted()
     kp = pair.k_part
-    free = list(range(kp, adapted.dim))
-    hl_idx = []
-    for xi in pair.hl_basis:
-        coords = pair.lie.expand(xi, pair.adapted_vectors)
-        nz = [i for i, c in enumerate(coords) if c != 0]
-        if len(nz) != 1 or coords[nz[0]] != 1 or nz[0] < kp:
-            raise UnsupportedK("adapted basis must contain the isotropy complement")
-        hl_idx.append(nz[0])
-    wedge = _wedge_data(pair)
-    leg_u = [UElt.gen(adapted, j) for j in hl_idx]
-    acts = [_act_matrix(pair, mod, xi) for xi in pair.hl_basis]
-    monos = _bounded_monos(free, cut, adapted.dim)
-    top = pair.hl_dim()
+    leg_u = [UElt.gen(adapted, j) for j in pair.adapted_legs()]
+    wedge = _wedge_data(pair, mod)
+    monos = bounded_monos(range(kp, adapted.dim), cut, adapted.dim)
 
-    def rmul(mono: Mono, leg: int) -> list:
+    def rmul(mono: Mono, leg: int) -> Iterable:
         prod = UElt(adapted, {mono: ONE}) * leg_u[leg]
         for m2 in prod.terms:
             if any(m2[i] for i in range(kp)):
                 raise ArithmeticError("Cartan letter appeared in the adapted boundary")
-        return list(prod.terms.items())
+        return prod.terms.items()
 
-    blocks: dict[int, tuple[list[dict], ChainBlock]] = {}
-    for p in (0, 1):
-        ts = [t for t in range(mod.dim) if mod.parity[t] == p]
-        if not ts:
-            continue
-        cols = []
-        for d in range(top + 1):
-            cd: dict = {}
-            for legs in wedge.subsets[d]:
-                for mono in monos:
-                    if sum(mono) <= cut - d:
-                        for t in ts:
-                            cd[(mono, legs, t)] = len(cd)
-            cols.append(cd)
-        bnds = tuple(_boundary_matrix(cols[d + 1], cols[d], rmul, acts,
-                                      wedge.brackets) for d in range(top))
-        blocks[p] = (cols, ChainBlock(tuple(len(c) for c in cols), bnds))
-    return blocks
+    def parts(ts: list[int], d: int,
+              legs: tuple[int, ...]) -> list[tuple[Mono, int]]:
+        return [(mono, t) for mono in monos if sum(mono) <= cut - d for t in ts]
+
+    slots = {p: [t for t in range(mod.dim) if mod.parity[t] == p] for p in (0, 1)}
+    return {p: _assemble(wedge, partial(parts, ts), rmul)
+            for p, ts in slots.items() if ts}
 
 
 def _restrict(key, cols: Sequence[Mapping], blk: ChainBlock,
@@ -337,33 +332,22 @@ def _sl2_blocks(pair: PairData, mod: HModule,
     balancing the wedge and module gradings survive the l-part tensor,
     so each term is a short explicit list and no depth cut is needed.
     """
-    wedge = _wedge_data(pair)
+    wedge = _wedge_data(pair, mod)
     leg_w = [pair.h_weight_of(xi)[0] for xi in pair.hl_basis]
-    acts = [_act_matrix(pair, mod, xi) for xi in pair.hl_basis]
-    top = pair.hl_dim()
+
+    def parts(m: int, d: int, legs: tuple[int, ...]) -> list[tuple[int, int]]:
+        wi = sum(leg_w[i] for i in legs)
+        return [(b, t) for t in range(mod.dim) for b in range(m + 1)
+                if m - 2 * b == wi + mod.l_weights[t][0]]
+
+    def rmul(pms: list[SparseMatrix], b: int, leg: int) -> list:
+        pm = pms[leg]
+        return [(c, pm.entry(b, c)) for c in range(pm.cols) if pm.entry(b, c) != 0]
+
     blocks: dict[int, ChainBlock] = {}
     for m in range(max_type + 1):
         pms = [rep_of_vec(xi, m) for xi in pair.hl_basis]
-        cols = []
-        for d in range(top + 1):
-            cd: dict = {}
-            for legs in wedge.subsets[d]:
-                wi = sum(leg_w[i] for i in legs)
-                for t in range(mod.dim):
-                    mu = mod.l_weights[t][0]
-                    for b in range(m + 1):
-                        if m - 2 * b == wi + mu:
-                            cd[(b, legs, t)] = len(cd)
-            cols.append(cd)
-
-        def rmul(b: int, leg: int, _m: int = m, _pms: list = pms) -> list:
-            pm = _pms[leg]
-            return [(c, pm.entry(b, c)) for c in range(_m + 1)
-                    if pm.entry(b, c) != 0]
-
-        bnds = tuple(_boundary_matrix(cols[d + 1], cols[d], rmul, acts,
-                                      wedge.brackets) for d in range(top))
-        blocks[m] = ChainBlock(tuple(len(c) for c in cols), bnds)
+        blocks[m] = _assemble(wedge, partial(parts, m), partial(rmul, pms))[1]
     return blocks
 
 
@@ -371,32 +355,22 @@ def _sl2_blocks(pair: PairData, mod: HModule,
 # the assembled complex
 
 
-def _spread_parity(per: Mapping[int, int], window: Window) -> Character:
-    dims = {n: per[n[0] % 2] for n in window.points() if per.get(n[0] % 2)}
-    live = {p for p, v in per.items() if v}
-    parity = live.pop() if len(live) == 1 else None
-    return Character("torus-weight", dims, parity=parity)
-
-
 class StdComplex:
     """The reduced standard complex of a pair and a coefficient module.
 
-    ``model`` is "torus" (weight blocks), "open" (parity classes), or
-    "sl2" (matrix types); ``blocks`` maps the block key to its
-    ChainBlock.  Homology characters are computed once, at two depths
-    for the truncated models, and frozen.
+    ``blocks`` maps the block key (a weight, a parity class or a matrix
+    type) to its ChainBlock, and ``spread`` turns one number per block
+    into a Character.  Homology characters are computed once, at two
+    depths for the truncated models, and frozen.  ``cut`` is the largest
+    block depth of a truncated model and None for the type model.
     """
 
-    def __init__(self, pair: PairData, coefficients: HModule, model: str,
-                 blocks: dict, homology: tuple[Character, ...],
-                 window: Window | None = None, max_type: int | None = None,
-                 cut: int | None = None):
+    def __init__(self, pair: PairData, blocks: dict,
+                 spread: Callable[[Mapping], Character],
+                 homology: tuple[Character, ...], cut: int | None = None):
         self.pair = pair
-        self.coefficients = coefficients
-        self.model = model
         self.blocks = blocks
-        self.window = window
-        self.max_type = max_type
+        self.spread = spread
         self.cut = cut
         self._homology = homology
 
@@ -404,55 +378,28 @@ class StdComplex:
     def top_degree(self) -> int:
         return self.pair.hl_dim()
 
-    @property
-    def character_kind(self) -> str:
-        return "sl2-type" if self.model == "sl2" else "torus-weight"
-
     def term_character(self, d: int) -> Character:
         if d < 0 or d > self.top_degree:
-            return Character(self.character_kind, {})
-        if self.model == "sl2":
-            return Character("sl2-type",
-                             {m: blk.dims[d] for m, blk in self.blocks.items()})
-        if self.model == "open":
-            return _spread_parity({p: blk.dims[d] for p, blk in self.blocks.items()},
-                                  self.window)
-        return Character("torus-weight",
-                         {n: blk.dims[d] for n, blk in self.blocks.items()})
+            return self.spread({})
+        return self.spread({key: blk.dims[d] for key, blk in self.blocks.items()})
 
     def homology_character(self, d: int) -> Character:
         if d < 0 or d > self.top_degree:
-            return Character(self.character_kind, {})
+            return self.spread({})
         return self._homology[d]
 
     def homology_characters(self) -> tuple[Character, ...]:
         return self._homology
 
 
-def _homology_characters(model: str, blocks: dict, window: Window | None,
+def _homology_characters(blocks: dict, spread: Callable[[Mapping], Character],
                          top: int) -> tuple[Character, ...]:
-    out = []
-    for d in range(top + 1):
-        if model == "sl2":
-            out.append(Character("sl2-type",
-                                 {m: blk.homology(d) for m, blk in blocks.items()}))
-        elif model == "open":
-            out.append(_spread_parity(
-                {p: blk.homology(d) for p, blk in blocks.items()}, window))
-        else:
-            out.append(Character("torus-weight",
-                                 {n: blk.homology(d) for n, blk in blocks.items()}))
-    return tuple(out)
+    return tuple(spread({key: blk.homology(d) for key, blk in blocks.items()})
+                 for d in range(top + 1))
 
 
 def _block_cut(pair: PairData, mod: HModule, n: Weight, margin: int) -> int:
-    gap = max((sum(abs(a - b) for a, b in zip(n, lw)) // 2
-               for lw in mod.l_weights), default=0)
-    return gap + 2 * pair.hl_dim() + margin
-
-
-def _depth_cut(pair: PairData, mod: HModule, window: Window, margin: int) -> int:
-    return max(_block_cut(pair, mod, n, margin) for n in window.points())
+    return mod.weight_gap(n) + 2 * pair.hl_dim() + margin
 
 
 def build_standard_complex(pair: PairData, v: HModule,
@@ -477,27 +424,34 @@ def build_standard_complex(pair: PairData, v: HModule,
         if max_type is None:
             raise ValueError("sl2 symmetry needs max_type")
         blocks = _sl2_blocks(pair, w, max_type)
-        hom = _homology_characters("sl2", blocks, None, top)
-        return StdComplex(pair, w, "sl2", blocks, hom, max_type=max_type)
+        spread = partial(Character, "sl2-type")
+        return StdComplex(pair, blocks, spread,
+                          _homology_characters(blocks, spread, top))
     if window is None:
         raise ValueError("torus symmetry needs a window")
-    model = "open" if len(pair.l_group.torus_indices) == 0 else "torus"
-    c = cut if cut is not None else _depth_cut(pair, w, window, margin)
-    if model == "open":
-        cuts = {0: c, 1: c}
-        deep = _open_blocks(pair, w, c + 1)
-    else:
-        cuts = {n: c if cut is not None else _block_cut(pair, w, n, margin)
-                for n in window.points()}
+    cuts = {n: cut if cut is not None else _block_cut(pair, w, n, margin)
+            for n in window.points()}
+    if pair.l_group.torus_indices:
         deep = _torus_blocks(pair, w, {n: k + 1 for n, k in cuts.items()})
+        spread = partial(Character, "torus-weight")
+    else:
+        # a parity class serves every weight of its parity, so it is cut
+        # at the depth of the farthest one
+        cuts = dict.fromkeys((0, 1), max(cuts.values()))
+        deep = _open_blocks(pair, w, cuts[0] + 1)
+
+        def spread(per: Mapping[int, int]) -> Character:
+            dims = {n: per[n[0] % 2] for n in window.points() if per.get(n[0] % 2)}
+            live = {p for p, m in per.items() if m}
+            return Character("torus-weight", dims,
+                             parity=live.pop() if len(live) == 1 else None)
     blocks = {key: _restrict(key, cols, blk, cuts[key])
               for key, (cols, blk) in deep.items()}
     deeper = {key: blk for key, (_, blk) in deep.items()}
-    hom = _homology_characters(model, blocks, window, top)
-    hom2 = _homology_characters(model, deeper, window, top)
-    if hom != hom2:
+    hom = _homology_characters(blocks, spread, top)
+    if hom != _homology_characters(deeper, spread, top):
         raise WindowTooSmall("homology did not stabilize at depth +1; raise the cut")
-    return StdComplex(pair, w, model, blocks, hom, window=window, cut=c)
+    return StdComplex(pair, blocks, spread, hom, cut=max(cuts.values()))
 
 
 def derived_p(pair: PairData, v: HModule, j: int,
@@ -535,8 +489,8 @@ def euler_characteristic(c: StdComplex) -> Character:
     side cannot pass silently.  Multiplicities in the result may be
     negative (it is a virtual character).
     """
-    terms = Character(c.character_kind, {})
-    homs = Character(c.character_kind, {})
+    terms = c.spread({})
+    homs = c.spread({})
     for d in range(c.top_degree + 1):
         t = c.term_character(d)
         h = c.homology_character(d)

@@ -86,6 +86,16 @@ class SparseMatrix:
     def zero(cls, rows: int, cols: int) -> "SparseMatrix":
         return cls(rows, cols)
 
+    @classmethod
+    def combination(cls, rows: int, cols: int, mats: Sequence["SparseMatrix"],
+                    coords: Sequence[Fraction]) -> "SparseMatrix":
+        """The sum of coords[i] * mats[i], each matrix rows x cols."""
+        out = cls.zero(rows, cols)
+        for m, c in zip(mats, coords):
+            if c != 0:
+                out = out.add(m.scale(c))
+        return out
+
     # -- basic queries --------------------------------------------------
 
     def entry(self, r: int, c: int) -> Fraction:

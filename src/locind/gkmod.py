@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _iproduct
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .exactla import ONE, ZERO, SparseMatrix, scalar
+from .exactla import ZERO, SparseMatrix, scalar
 from .liealg import LieAlg, PairData, StructureError, Vec
 
 Weight = tuple[int, ...]
@@ -132,16 +132,13 @@ class HModule:
             for j in range(i + 1, self.halg.dim):
                 lhs = self.action[i].mul(self.action[j]).sub(
                     self.action[j].mul(self.action[i]))
-                rhs = SparseMatrix.zero(self.dim, self.dim)
-                for c, g in enumerate(self.halg.bracket_basis(i, j)):
-                    if g != 0:
-                        rhs = rhs.add(self.action[c].scale(g))
-                if lhs != rhs:
+                if lhs != self.matrix_of(self.halg.bracket_basis(i, j)):
                     raise StructureError(
                         f"action violates [{self.halg.labels[i]},{self.halg.labels[j]}]")
 
-    def act(self, i: int, col: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return self.action[i].apply(tuple(col))
+    def matrix_of(self, coords: Sequence[Fraction]) -> SparseMatrix:
+        """Matrix of the element with these coordinates in the halg basis."""
+        return SparseMatrix.combination(self.dim, self.dim, self.action, coords)
 
     def value(self, i: int) -> Fraction:
         """Scalar of generator i; only meaningful for one-dimensional modules."""
@@ -149,10 +146,10 @@ class HModule:
             raise StructureError("scalar value of a higher-dimensional module")
         return self.action[i].entry(0, 0)
 
-    def act_vec_scalar(self, coords: Sequence[Fraction]) -> Fraction:
-        """Scalar of a general element (given in halg coordinates), dim 1 only."""
-        return sum((scalar(c) * self.value(i) for i, c in enumerate(coords)),
-                   start=ZERO)
+    def weight_gap(self, n: Weight) -> int:
+        """Half the largest l1 distance from n to a basis weight, rounded down."""
+        return max((sum(abs(a - b) for a, b in zip(n, lw)) // 2
+                    for lw in self.l_weights), default=0)
 
 
 def _l_torus_generators(pair: PairData) -> list[Vec]:

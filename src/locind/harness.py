@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, Sequence
 
 from .cohind import build_standard_complex, derived_i, derived_p
@@ -176,47 +177,53 @@ def _product_character(a: Character, b: Character) -> Character:
     return Character("torus-weight", data)
 
 
+# Module values per family as functions of the twist, and the (geometric
+# degree s, algebraic degree j) pairs compared: family C matches H^0 of
+# the twisted bundle with algebraic degree 1 and H^1 with degree 0.
+_VALUES = {
+    "A": lambda lam: (lam, 0),
+    "B": lambda lam: (-lam, -lam),
+    "C": lambda lam: (lam, 0),
+    "D": lambda lam: (lam[0], 0, lam[1], 0),
+}
+_DEGREES = {"C": ((0, 1), (1, 0))}
+
+
+def _algebraic(c: VerificationCase) -> tuple[Character, ...]:
+    """Homology characters of the case's standard complex, by degree."""
+    pair = pair_by_name(c.family)
+    v = one_dim_module(pair, _VALUES[c.family](c.lambda0), parity=c.parity)
+    max_type = abs(c.lambda0) + 4 if c.family == "C" else None
+    return build_standard_complex(pair, v, window=c.resolved_window(), max_type=max_type,
+                                  margin=c.margin).homology_characters()
+
+
+def _geometric(c: VerificationCase) -> tuple[Character, ...]:
+    """Characters of the case's geometric side, by degree."""
+    win = c.resolved_window()
+    if c.family == "A":
+        return (delta_module(c.lambda0, win).character(),)
+    if c.family == "B":
+        return (laurent_module(c.lambda0, c.parity, win).character(),)
+    if c.family == "C":
+        return cech_cohomology_On(c.lambda0)
+    return (_product_character(
+        delta_module(c.lambda0[0], Window.segment(win.lo[0], win.hi[0])).character(),
+        delta_module(c.lambda0[1], Window.segment(win.lo[1], win.hi[1])).character()),)
+
+
 def run_case(c: VerificationCase) -> Report:
     """Run both engines for one case and compare characters exactly."""
-    pair = pair_by_name(c.family)
-    win = c.resolved_window()
-    comparisons: list[tuple[int, int, Character, Character]] = []
-    vanishing: list[tuple[int, Character]] = []
-    if c.family == "A":
-        v = one_dim_module(pair, (c.lambda0, 0))
-        cx = build_standard_complex(pair, v, window=win, margin=c.margin)
-        geo = delta_module(c.lambda0, win).character()
-        comparisons.append((0, 0, cx.homology_character(0), geo))
-        vanishing = [(j, cx.homology_character(j))
-                     for j in range(1, cx.top_degree + 1)]
-    elif c.family == "B":
-        v = one_dim_module(pair, (-c.lambda0, -c.lambda0), parity=c.parity)
-        cx = build_standard_complex(pair, v, window=win, margin=c.margin)
-        geo = laurent_module(c.lambda0, c.parity, win).character()
-        comparisons.append((0, 0, cx.homology_character(0), geo))
-        vanishing = [(j, cx.homology_character(j))
-                     for j in range(1, cx.top_degree + 1)]
-    elif c.family == "C":
-        mt = abs(c.lambda0) + 4
-        v = one_dim_module(pair, (c.lambda0, 0))
-        cx = build_standard_complex(pair, v, max_type=mt)
-        h0, h1 = cech_cohomology_On(c.lambda0)
-        comparisons.append((0, 1, cx.homology_character(1), h0))
-        comparisons.append((1, 0, cx.homology_character(0), h1))
-    else:
-        l1, l2 = c.lambda0
-        v = one_dim_module(pair, (l1, 0, l2, 0))
-        cx = build_standard_complex(pair, v, window=win, margin=c.margin)
-        geo = _product_character(
-            delta_module(l1, Window.segment(win.lo[0], win.hi[0])).character(),
-            delta_module(l2, Window.segment(win.lo[1], win.hi[1])).character())
-        comparisons.append((0, 0, cx.homology_character(0), geo))
-        vanishing = [(j, cx.homology_character(j))
-                     for j in range(1, cx.top_degree + 1)]
+    alg, geo = _algebraic(c), _geometric(c)
+    degrees = _DEGREES.get(c.family, ((0, 0),))
+    comparisons = tuple((s, j, alg[j], geo[s]) for s, j in degrees)
+    matched = {j for _, j in degrees}
+    # every algebraic degree without a geometric partner must vanish
+    vanishing = tuple((j, ch) for j, ch in enumerate(alg) if j not in matched)
     verdict, ce = "exact-match", None
-    for s, j, alg, geo in comparisons:
-        if not _char_equal(alg, geo):
-            verdict, ce = "mismatch", _first_difference(alg, geo)
+    for s, j, a, g in comparisons:
+        if not _char_equal(a, g):
+            verdict, ce = "mismatch", _first_difference(a, g)
             break
     if verdict == "exact-match":
         for j, ch in vanishing:
@@ -225,7 +232,7 @@ def run_case(c: VerificationCase) -> Report:
                 ce = _entry_key(sorted(ch.data)[0])
                 break
     return Report(case=c.case_id, family=c.family, lambda0=c.lambda0,
-                  comparisons=tuple(comparisons), vanishing=tuple(vanishing),
+                  comparisons=comparisons, vanishing=vanishing,
                   verdict=verdict, counterexample=ce,
                   note="recorded degenerate fixture" if c.expected == "fixture" else "")
 
@@ -511,34 +518,12 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.verdict == "exact-match" for r in reports) else 1
 
 
-def _cmd_induce(args) -> int:
+def _cmd_one_side(args, side: str, prefix: str, characters) -> int:
+    """Print one side's characters of each case, keyed by degree."""
     for c in _cases_from_args(args):
-        r = run_case(c)
-        chars = {f"j{j}": _character_json(_merge_entries([alg]))
-                 for _, j, alg, _ in r.comparisons}
-        for j, ch in r.vanishing:
-            chars[f"j{j}"] = _character_json(_merge_entries([ch]))
-        print(json.dumps({"case": r.case, "algebraic": chars},
-                         sort_keys=True, separators=(",", ":")))
-    return 0
-
-
-def _cmd_localize(args) -> int:
-    for c in _cases_from_args(args):
-        win = c.resolved_window()
-        if c.family == "A":
-            out = {"s0": delta_module(c.lambda0, win).character()}
-        elif c.family == "B":
-            out = {"s0": laurent_module(c.lambda0, c.parity, win).character()}
-        elif c.family == "C":
-            h0, h1 = cech_cohomology_On(c.lambda0)
-            out = {"s0": h0, "s1": h1}
-        else:
-            out = {"s0": _product_character(
-                delta_module(c.lambda0[0], Window.segment(win.lo[0], win.hi[0])).character(),
-                delta_module(c.lambda0[1], Window.segment(win.lo[1], win.hi[1])).character())}
-        body = {k: _character_json(_merge_entries([ch])) for k, ch in out.items()}
-        print(json.dumps({"case": c.case_id, "geometric": body},
+        body = {f"{prefix}{d}": _character_json(_merge_entries([ch]))
+                for d, ch in enumerate(characters(c))}
+        print(json.dumps({"case": c.case_id, side: body},
                          sort_keys=True, separators=(",", ":")))
     return 0
 
@@ -584,11 +569,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pi = sub.add_parser("induce", help="algebraic side only")
     common(pi, "twist; a,b for family D; omit for the default grid")
-    pi.set_defaults(fn=_cmd_induce)
+    pi.set_defaults(fn=partial(_cmd_one_side, side="algebraic", prefix="j",
+                               characters=_algebraic))
 
     pl = sub.add_parser("localize", help="geometric side only")
     common(pl, "twist; a,b for family D; omit for the default grid")
-    pl.set_defaults(fn=_cmd_localize)
+    pl.set_defaults(fn=partial(_cmd_one_side, side="geometric", prefix="s",
+                               characters=_geometric))
 
     ps = sub.add_parser("selftest", help="invariant suite with negative controls")
     ps.add_argument("--json", default=None, help="write merged JSON reports")

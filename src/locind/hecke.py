@@ -27,8 +27,9 @@ from typing import Iterable, Mapping, Sequence
 from .exactla import ONE, ZERO, SparseMatrix, inverse, kernel_basis, rank, scalar
 from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
                     as_weight, check_module_compatible, weight_add, weight_neg)
-from .liealg import PairData, StructureError, Vec
-from .pbw import Mono, UElt
+from .liealg import PairData, UnsupportedK, Vec
+from .pbw import (Mono, UElt, bounded_monos, monos_by_weight, nonreduced_indices,
+                  reduce_block)
 
 __all__ = [
     "UnsupportedK", "RKElt", "rk_mul", "RgKElt", "rgk_mul",
@@ -36,10 +37,6 @@ __all__ = [
     "adjoint_matrices", "invariant_form", "clebsch_gordan",
     "fn_times_dist", "formula_mul_gen", "sl2_embed", "p_deg0_oracle",
 ]
-
-
-class UnsupportedK(ValueError):
-    """The compact symmetry data falls outside the implemented models."""
 
 
 # ---------------------------------------------------------------------------
@@ -63,34 +60,6 @@ def torus_info(pair: PairData) -> TorusInfo:
             raise UnsupportedK("torus generators must be ambient basis vectors")
         cart[nz[0]] = coord
     return TorusInfo(pair.k.rank, tuple(cart), pair.k.adjoint_weights)
-
-
-def _reduce_block(info: TorusInfo, n: Weight,
-                  terms: Mapping[Mono, Fraction]) -> dict[Mono, Fraction]:
-    """Evaluate the Cartan letters of each monomial against block n.
-
-    A Cartan letter sees the block label shifted by the adjoint weight
-    of everything to its left, so walking the exponents in basis order
-    and accumulating that weight gives the exact scalar.
-    """
-    out: dict[Mono, Fraction] = {}
-    for mono, c in terms.items():
-        coeff = scalar(c)
-        acc = (0,) * info.rank
-        expo = [0] * len(mono)
-        for i, a in enumerate(mono):
-            if a == 0:
-                continue
-            kc = info.cartan_of[i]
-            if kc is None:
-                expo[i] = a
-                acc = tuple(x + a * y for x, y in zip(acc, info.adj[i]))
-            else:
-                coeff *= (scalar(n[kc]) - acc[kc]) ** a
-        if coeff != 0:
-            key = tuple(expo)
-            out[key] = out.get(key, ZERO) + coeff
-    return {m: c for m, c in out.items() if c != 0}
 
 
 class RKElt:
@@ -186,7 +155,8 @@ class RgKElt:
         clean: dict[tuple[Weight, Mono], Fraction] = {}
         for (n, mono), c in (terms or {}).items():
             n = as_weight(n, self.info.rank)
-            for m2, c2 in _reduce_block(self.info, n, {tuple(mono): scalar(c)}).items():
+            for m2, c2 in reduce_block(self.info.cartan_of, self.info.adj, n,
+                                        {tuple(mono): scalar(c)}).items():
                 key = (n, m2)
                 clean[key] = clean.get(key, ZERO) + c2
         self.terms = {k: v for k, v in clean.items() if v != 0}
@@ -223,9 +193,6 @@ class RgKElt:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> set[Weight]:
-        return {n for n, _ in self.terms}
-
     def _check(self, other: "RgKElt") -> None:
         if self.pair.name != other.pair.name:
             raise ValueError("elements attached to different pairs")
@@ -259,7 +226,7 @@ def rgk_mul(a: RgKElt, b: RgKElt) -> RgKElt:
             if n != weight_add(m, w1):
                 continue
             prod = UElt(lie, {m1: ONE}) * UElt(lie, {m2: ONE})
-            for m3, c3 in _reduce_block(a.info, n, prod.terms).items():
+            for m3, c3 in reduce_block(a.info.cartan_of, a.info.adj, n, prod.terms).items():
                 key = (n, m3)
                 out[key] = out.get(key, ZERO) + c1 * c2 * c3
     return RgKElt(a.pair, out)
@@ -308,12 +275,7 @@ def irrep_matrices(n: int) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
 @lru_cache(maxsize=None)
 def rep_of_vec(v: Vec, n: int) -> SparseMatrix:
     """Image of a Lie algebra vector on the type-n irreducible (immutable, so cached)."""
-    mats = irrep_matrices(n)
-    out = SparseMatrix.zero(n + 1, n + 1)
-    for i, c in enumerate(v):
-        if c != 0:
-            out = out.add(mats[i].scale(c))
-    return out
+    return SparseMatrix.combination(n + 1, n + 1, irrep_matrices(n), v)
 
 
 def rep_of_uelt(u: UElt, n: int) -> SparseMatrix:
@@ -503,58 +465,20 @@ def formula_mul_gen(xi: Sequence, x: RKElt,
 # degree-zero oracle
 
 
-def _nonreduced_indices(info: TorusInfo) -> list[int]:
-    return [i for i, kc in enumerate(info.cartan_of) if kc is None]
-
-
-def _bounded_monos(free: Sequence[int], cut: int, dim: int) -> list[Mono]:
-    """All monomials on the given letters with total degree at most cut."""
-    out: list[Mono] = []
-
-    def rec(pos: int, budget: int, expo: list[int]) -> None:
-        if pos == len(free):
-            mono = [0] * dim
-            for i, a in zip(free, expo):
-                mono[i] = a
-            out.append(tuple(mono))
-            return
-        for a in range(budget + 1):
-            rec(pos + 1, budget - a, expo + [a])
-
-    rec(0, cut, [])
-    return out
-
-
-def _monos_by_weight(info: TorusInfo, free: Sequence[int], cut: int,
-                     dim: int) -> dict[Weight, list[Mono]]:
-    buckets: dict[Weight, list[Mono]] = {}
-    for mono in _bounded_monos(free, cut, dim):
-        w = (0,) * info.rank
-        for i in free:
-            if mono[i]:
-                w = tuple(x + mono[i] * y for x, y in zip(w, info.adj[i]))
-        buckets.setdefault(w, []).append(mono)
-    return buckets
-
-
 def _oracle_torus_l(pair: PairData, mod: HModule, window: Window,
-                    cut: int) -> dict[Weight, int]:
+                    cut: int) -> Character:
     """Relation chase for pairs whose stabilizer meets K in the full torus."""
     info = torus_info(pair)
     if pair.l_group.torus_indices != tuple(range(info.rank)):
         raise UnsupportedK("stabilizer torus must use all K coordinates in order")
-    free = _nonreduced_indices(info)
-    buckets = _monos_by_weight(info, free, cut, pair.lie.dim)
+    buckets = monos_by_weight(nonreduced_indices(info.cartan_of), cut, info.adj)
     xi_data = []
     for xi in pair.hl_basis:
         ws = {pair.k.adjoint_weights[j] for j, c in enumerate(xi) if c != 0}
         if len(ws) != 1:
             raise UnsupportedK("isotropy complement must consist of weight vectors")
-        act = SparseMatrix.zero(mod.dim, mod.dim)
-        for i, c in enumerate(pair.h.coords(xi)):
-            if c != 0:
-                act = act.add(mod.action[i].scale(c))
-        xi_data.append((UElt.from_vec(pair.lie, xi), ws.pop(), act))
+        xi_data.append((UElt.from_vec(pair.lie, xi), ws.pop(),
+                        mod.matrix_of(pair.h.coords(xi))))
     dims: dict[Weight, int] = {}
     for n in window.points():
         cols: dict[tuple[Mono, int], int] = {}
@@ -574,7 +498,7 @@ def _oracle_torus_l(pair: PairData, mod: HModule, window: Window,
                         continue
                     row: dict[int, Fraction] = {}
                     prod = UElt(pair.lie, {mono: ONE}) * uxi
-                    for m2, c2 in _reduce_block(info, n, prod.terms).items():
+                    for m2, c2 in reduce_block(info.cartan_of, info.adj, n, prod.terms).items():
                         idx = cols.get((m2, t))
                         if idx is None:
                             # product escaped the cut; drop the relation
@@ -599,11 +523,11 @@ def _oracle_torus_l(pair: PairData, mod: HModule, window: Window,
         d = len(cols) - rank(mat)
         if d:
             dims[n] = d
-    return dims
+    return Character("torus-weight", dims)
 
 
 def _oracle_open(pair: PairData, mod: HModule, window: Window,
-                 cut: int) -> tuple[dict[Weight, int], int | None]:
+                 cut: int) -> Character:
     """Relation chase when K meets the stabilizer in two points only.
 
     Every block carries the same copy of the reduced enveloping algebra
@@ -612,16 +536,9 @@ def _oracle_open(pair: PairData, mod: HModule, window: Window,
     """
     adapted = pair.adapted()
     kp = pair.k_part
-    free = list(range(kp, adapted.dim))
-    hl_idx = []
-    for xi in pair.hl_basis:
-        coords = pair.lie.expand(xi, pair.adapted_vectors)
-        nz = [i for i, c in enumerate(coords) if c != 0]
-        if len(nz) != 1 or coords[nz[0]] != 1 or nz[0] < kp:
-            raise UnsupportedK("adapted basis must contain the isotropy complement")
-        hl_idx.append(nz[0])
+    hl_idx = pair.adapted_legs()
     per_parity: dict[int, int] = {}
-    monos = _bounded_monos(free, cut, adapted.dim)
+    monos = bounded_monos(range(kp, adapted.dim), cut, adapted.dim)
     for p in (0, 1):
         ts = [t for t in range(mod.dim) if mod.parity[t] == p]
         if not ts:
@@ -630,10 +547,7 @@ def _oracle_open(pair: PairData, mod: HModule, window: Window,
                 enumerate((m, t) for m in monos for t in ts)}
         rows = []
         for j, xi in zip(hl_idx, pair.hl_basis):
-            act = SparseMatrix.zero(mod.dim, mod.dim)
-            for i, c in enumerate(pair.h.coords(xi)):
-                if c != 0:
-                    act = act.add(mod.action[i].scale(c))
+            act = mod.matrix_of(pair.h.coords(xi))
             uxi = UElt.gen(adapted, j)
             for mono in monos:
                 if sum(mono) + 1 > cut:
@@ -670,7 +584,7 @@ def _oracle_open(pair: PairData, mod: HModule, window: Window,
             dims[n] = d
     seen = {p for p, d in per_parity.items() if d}
     parity = seen.pop() if len(seen) == 1 else None
-    return dims, parity
+    return Character("torus-weight", dims, parity=parity)
 
 
 def _oracle_sl2(pair: PairData, mod: HModule, max_type: int) -> dict[int, int]:
@@ -687,10 +601,7 @@ def _oracle_sl2(pair: PairData, mod: HModule, max_type: int) -> dict[int, int]:
         col = lambda d, t: d * mod.dim + t
         for xi in pair.h.basis:
             pm = rep_of_vec(xi, m)
-            act = SparseMatrix.zero(mod.dim, mod.dim)
-            for i, c in enumerate(pair.h.coords(xi)):
-                if c != 0:
-                    act = act.add(mod.action[i].scale(c))
+            act = mod.matrix_of(pair.h.coords(xi))
             for d in range(m + 1):
                 for t in range(mod.dim):
                     row: dict[int, Fraction] = {}
@@ -713,13 +624,8 @@ def _oracle_sl2(pair: PairData, mod: HModule, max_type: int) -> dict[int, int]:
     return types
 
 
-def _default_cut(pair: PairData, mod: HModule, window: Window, margin: int) -> int:
-    need = 0
-    for n in window.points():
-        for t in range(mod.dim):
-            gap = sum(abs(a - b) for a, b in zip(n, mod.l_weights[t]))
-            need = max(need, gap // 2)
-    return need + margin
+def _default_cut(mod: HModule, window: Window, margin: int) -> int:
+    return max((mod.weight_gap(n) for n in window.points()), default=0) + margin
 
 
 def p_deg0_oracle(pair: PairData, mod: HModule, window: Window | None = None,
@@ -740,15 +646,11 @@ def p_deg0_oracle(pair: PairData, mod: HModule, window: Window | None = None,
     if window is None:
         raise ValueError("torus symmetry needs a window")
     if len(pair.l_group.torus_indices) == 0:
-        c = cut if cut is not None else 4 + margin
-        dims, par = _oracle_open(pair, mod, window, c)
-        dims2, par2 = _oracle_open(pair, mod, window, c + 2)
-        if dims != dims2 or par != par2:
-            raise WindowTooSmall("chase did not stabilize; raise the cut")
-        return Character("torus-weight", dims, parity=par)
-    c = cut if cut is not None else _default_cut(pair, mod, window, margin)
-    dims = _oracle_torus_l(pair, mod, window, c)
-    dims2 = _oracle_torus_l(pair, mod, window, c + 2)
-    if dims != dims2:
+        chase, default = _oracle_open, 4 + margin
+    else:
+        chase, default = _oracle_torus_l, _default_cut(mod, window, margin)
+    c = cut if cut is not None else default
+    got = chase(pair, mod, window, c)
+    if got != chase(pair, mod, window, c + 2):
         raise WindowTooSmall("chase did not stabilize; raise the cut")
-    return Character("torus-weight", dims)
+    return got

@@ -25,6 +25,10 @@ class StructureError(ValueError):
     """Invalid structure constants or incompatible descriptor data."""
 
 
+class UnsupportedK(ValueError):
+    """The compact symmetry data falls outside the implemented models."""
+
+
 def _vec(coords: Sequence[int | str | Fraction], dim: int) -> Vec:
     if len(coords) != dim:
         raise StructureError(f"coordinate vector of length {len(coords)}, expected {dim}")
@@ -362,9 +366,20 @@ class PairData:
             raise StructureError("vector is not a K weight vector")
         return ws.pop()
 
+    def adapted_legs(self) -> tuple[int, ...]:
+        """Adapted-basis index of each vector of hl_basis.
 
-def _fr(*xs: int) -> Vec:
-    return tuple(scalar(x) for x in xs)
+        Each vector must be a single adapted basis vector outside the K
+        part, so a wedge leg is one letter of the adapted presentation.
+        """
+        out = []
+        for xi in self.hl_basis:
+            coords = self.lie.expand(xi, self.adapted_vectors)
+            nz = [i for i, c in enumerate(coords) if c != 0]
+            if len(nz) != 1 or coords[nz[0]] != 1 or nz[0] < self.k_part:
+                raise UnsupportedK("adapted basis must contain the isotropy complement")
+            out.append(nz[0])
+        return tuple(out)
 
 
 def closed_orbit_pair() -> PairData:

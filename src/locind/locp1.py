@@ -235,13 +235,6 @@ class TwistedRep:
     chart: str
     rho: dict[str, ChartOp]
 
-    def of_vec(self, coords: Sequence[Fraction]) -> ChartOp:
-        out = ChartOp.zero(self.chart)
-        for lab, c in zip(_LABELS, coords):
-            if c != 0:
-                out = out.add(self.rho[lab].scale(c))
-        return out
-
     def casimir(self) -> Fraction:
         """Scalar of e f + f e + h^2 / 2; constancy is asserted."""
         e, h, f = (self.rho[x] for x in _LABELS)

@@ -7,12 +7,17 @@ adapted presentations used by the induction engine (K part first).
 Straightening rewrites an arbitrary word into the ordered basis using
 the structure constants, with a per-algebra memo table since the same
 small words recur constantly in boundary assembly.
+
+The module also lists the monomials on chosen letters up to a total
+degree (grouped by their adjoint weight when there is a torus), and
+evaluates the Cartan letters of monomials against a torus weight block;
+the induction engine and the degree-zero oracle both use these.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Mapping, Sequence
 
 from .exactla import ONE, ZERO, scalar
 from .liealg import LieAlg, Vec
@@ -169,12 +174,6 @@ class UElt:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def monomials(self) -> Iterator[tuple[Mono, Fraction]]:
-        yield from sorted(self.terms.items())
-
-    def coefficient(self, expo: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(expo), ZERO)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -217,3 +216,75 @@ def antipode(u: UElt) -> UElt:
         for m, co in _straighten(u.lie, tuple(reversed(word))).items():
             acc[m] = acc.get(m, ZERO) + sign * c * co
     return UElt(u.lie, acc)
+
+
+# ---------------------------------------------------------------------------
+# monomial enumeration and Cartan-letter evaluation
+
+
+def nonreduced_indices(cartan_of: Sequence[int | None]) -> list[int]:
+    """Letters that are not Cartan letters (``cartan_of[i]`` is None)."""
+    return [i for i, kc in enumerate(cartan_of) if kc is None]
+
+
+def bounded_monos(free: Sequence[int], cut: int, dim: int) -> list[Mono]:
+    """All monomials on the given letters with total degree at most cut."""
+    out: list[Mono] = []
+
+    def rec(pos: int, budget: int, expo: list[int]) -> None:
+        if pos == len(free):
+            mono = [0] * dim
+            for i, a in zip(free, expo):
+                mono[i] = a
+            out.append(tuple(mono))
+            return
+        for a in range(budget + 1):
+            rec(pos + 1, budget - a, expo + [a])
+
+    rec(0, cut, [])
+    return out
+
+
+def monos_by_weight(free: Sequence[int], cut: int,
+                    adj: Sequence[tuple[int, ...]],
+                    ) -> dict[tuple[int, ...], list[Mono]]:
+    """``bounded_monos`` grouped by adjoint weight; adj[i] is letter i's."""
+    buckets: dict[tuple[int, ...], list[Mono]] = {}
+    for mono in bounded_monos(free, cut, len(adj)):
+        w = (0,) * len(adj[0])
+        for i in free:
+            if mono[i]:
+                w = tuple(x + mono[i] * y for x, y in zip(w, adj[i]))
+        buckets.setdefault(w, []).append(mono)
+    return buckets
+
+
+def reduce_block(cartan_of: Sequence[int | None], adj: Sequence[tuple[int, ...]],
+                 n: tuple[int, ...],
+                 terms: Mapping[Mono, Fraction]) -> dict[Mono, Fraction]:
+    """Evaluate the Cartan letters of each monomial against block n.
+
+    ``cartan_of[i]`` is the torus coordinate of letter i (None for the
+    other letters) and ``adj[i]`` its adjoint weight.  A Cartan letter
+    sees the block label shifted by the adjoint weight of everything to
+    its left, so walking the exponents in basis order and accumulating
+    that weight gives the exact scalar.
+    """
+    out: dict[Mono, Fraction] = {}
+    for mono, c in terms.items():
+        coeff = scalar(c)
+        acc = (0,) * len(n)
+        expo = [0] * len(mono)
+        for i, a in enumerate(mono):
+            if a == 0:
+                continue
+            kc = cartan_of[i]
+            if kc is None:
+                expo[i] = a
+                acc = tuple(x + a * y for x, y in zip(acc, adj[i]))
+            else:
+                coeff *= (scalar(n[kc]) - acc[kc]) ** a
+        if coeff != 0:
+            key = tuple(expo)
+            out[key] = out.get(key, ZERO) + coeff
+    return {m: c for m, c in out.items() if c != 0}

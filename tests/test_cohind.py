@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from locind.cohind import (ChainBlock, _restrict, _torus_blocks,
+from locind.cohind import (ChainBlock, _open_blocks, _restrict, _torus_blocks,
                            build_standard_complex, derived_i, derived_p,
                            euler_characteristic)
 from locind.exactla import ONE, SparseMatrix
@@ -75,18 +75,24 @@ def test_restriction_refuses_a_non_subcomplex():
     ("A", (-4, 0), WIN, [(-12,), (-3,), (0,), (12,)]),
     ("D", (-2, 0, -3, 0), Window.box((-4, -4), (4, 4)),
      [(-4, -4), (0, 0), (3, -1), (4, 4)]),
+    # a one-dimensional B module lives in one parity class, its only block
+    ("B", (-1, -1), Window.segment(-8, 8), [1]),
 ])
 def test_restricted_blocks_match_direct_builds(fam, values, win, keys):
     pair = pair_by_name(fam)
-    v = one_dim_module(pair, values)
+    v = one_dim_module(pair, values, parity=keys[0] if fam == "B" else None)
     w = tensor_onedim(v, lambda_top(pair))
-    blocks = build_standard_complex(pair, v, win).blocks
+    cx = build_standard_complex(pair, v, win)
     for n in keys:
-        point = Window.box(n, n)
-        cut = build_standard_complex(pair, v, point).cut
-        direct = _torus_blocks(pair, w, {n: cut})[n][1]
+        if fam == "B":      # one parity class serves the whole window
+            point, cut = win, cx.cut
+            direct = _open_blocks(pair, w, cut)[n][1]
+        else:
+            point = Window.box(n, n)
+            cut = build_standard_complex(pair, v, point).cut
+            direct = _torus_blocks(pair, w, {n: cut})[n][1]
         explicit = build_standard_complex(pair, v, point, cut=cut).blocks[n]
-        for blk in (blocks[n], explicit):
+        for blk in (cx.blocks[n], explicit):
             assert blk.dims == direct.dims
             assert [blk.homology(d) for d in range(blk.top + 1)] == \
                 [direct.homology(d) for d in range(direct.top + 1)]

@@ -247,6 +247,35 @@ def test_cli_induce_localize(capsys):
         [{"weight": [w], "mult": 1} for w in range(-2, 7, 2)]
 
 
+# one small case per family for the one-sided commands
+_SMALL_ARGS = {
+    "A": ["--lambda", "-3", "--window", "-6:6"],
+    "B": ["--lambda", "1", "--window", "-6:6"],
+    "C": ["--lambda", "2"],
+    "D": ["--lambda", "-2,-3", "--window", "-3:3"],
+}
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the other side ran")
+
+
+@pytest.mark.parametrize("fam", sorted(_SMALL_ARGS))
+def test_induce_and_localize_each_run_one_side(fam, monkeypatch, capsys):
+    expected = {}
+    for cmd in ("induce", "localize"):
+        assert main([cmd, "--family", fam] + _SMALL_ARGS[fam]) == 0
+        expected[cmd] = capsys.readouterr().out
+    for name in ("delta_module", "laurent_module", "cech_cohomology_On"):
+        monkeypatch.setattr(harness, name, _must_not_run)
+    assert main(["induce", "--family", fam] + _SMALL_ARGS[fam]) == 0
+    assert capsys.readouterr().out == expected["induce"]
+    monkeypatch.undo()
+    monkeypatch.setattr(harness, "build_standard_complex", _must_not_run)
+    assert main(["localize", "--family", fam] + _SMALL_ARGS[fam]) == 0
+    assert capsys.readouterr().out == expected["localize"]
+
+
 def test_cli_describe(capsys):
     assert main(["describe", "--family", "B"]) == 0
     out = capsys.readouterr().out
