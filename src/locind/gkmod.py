@@ -446,7 +446,6 @@ class GradedModule:
     dims: dict[Weight, int]
     ops: dict[str, tuple[Weight, dict[Weight, SparseMatrix]]] = field(default_factory=dict)
     parity: int | None = None
-    basis_names: dict[Weight, tuple[str, ...]] | None = None
 
     def __post_init__(self) -> None:
         self.dims = {as_weight(w, self.rank): int(d)

@@ -73,7 +73,11 @@ class VerificationCase:
             raise ValueError("families A, B, C take a single integer twist")
         if (self.parity is None) == (self.family == "B"):
             raise ValueError("parity is required exactly for family B")
+        if self.family == "C" and (self.window is not None or self.margin != 4):
+            raise ValueError("family C runs by K type and takes no window or margin")
         if self.window is not None:
+            if self.window.rank != (2 if self.family == "D" else 1):
+                raise ValueError("window rank must equal the number of twists")
             if any(a != -b for a, b in zip(self.window.lo, self.window.hi)):
                 raise ValueError("window must be symmetric about the origin")
         if self.expected not in ("match", "fixture"):
@@ -474,15 +478,14 @@ def _cases_from_args(args) -> list[VerificationCase]:
             cases = [replace(c, window=window) for c in cases]
         if args.margin != 4:
             cases = [replace(c, margin=args.margin) for c in cases]
-        if fam == "B" and args.parity is not None:
-            cases = [c for c in cases if c.parity == args.parity]
+        if args.parity is not None:     # keeps B's cases of that parity, rejects the rest
+            cases = [replace(c, parity=args.parity) for c in cases
+                     if c.parity in (None, args.parity)]
         return cases
     lam = _parse_lambda(args.lam, fam)
-    if fam == "B":
-        pars = [args.parity] if args.parity is not None else [0, 1]
-        return [VerificationCase(fam, lam, window=window, parity=p,
-                                 margin=args.margin) for p in pars]
-    return [VerificationCase(fam, lam, window=window, margin=args.margin)]
+    pars = [args.parity] if args.parity is not None else [0, 1] if fam == "B" else [None]
+    return [VerificationCase(fam, lam, window=window, parity=p, margin=args.margin)
+            for p in pars]
 
 
 def _character_json(entries: list[tuple]) -> list[dict]:

@@ -14,7 +14,10 @@ independent cross-check of both conventions.
 The degree-zero oracle at the bottom computes the fully reduced tensor
 of the convolution algebra against an isotropy module by a direct
 relation chase, independently of the resolution machinery, so the two
-can be compared bit for bit.
+can be compared bit for bit.  Each model (torus blocks, parity classes,
+K types) only lists its generator keys and the relations
+part*leg (x) t - part (x) leg*t; one function turns any such list into
+the dimension of the quotient.
 """
 
 from __future__ import annotations
@@ -465,6 +468,35 @@ def formula_mul_gen(xi: Sequence, x: RKElt,
 # degree-zero oracle
 
 
+def _quotient_dim(cols: Sequence, relations: Iterable[Iterable[tuple]]) -> int:
+    """Dimension of the span of the generator keys ``cols`` modulo relations.
+
+    Each relation lists the (key, coefficient) terms of
+    part*leg (x) t - part (x) leg*t.  A relation that names a key outside
+    ``cols`` has left the cut and is dropped.  This is the only place the
+    oracle builds a relation matrix and eliminates it.
+    """
+    index = {key: i for i, key in enumerate(cols)}
+    ent: list[tuple[int, int, Fraction]] = []
+    nrows = 0
+    for rel in relations:
+        row: dict[int, Fraction] = {}
+        for key, c in rel:
+            i = index.get(key)
+            if i is None:
+                break
+            row[i] = row.get(i, ZERO) + c
+        else:
+            ent += [(nrows, i, v) for i, v in row.items() if v != 0]
+            nrows += 1
+    return len(index) - rank(SparseMatrix(nrows, len(index), ent))
+
+
+def _leg_terms(act: SparseMatrix, part, t: int, ts: Iterable[int]) -> list[tuple]:
+    """Terms -part (x) leg*t of a relation, leg acting on the module by ``act``."""
+    return [((part, s), -act.entry(s, t)) for s in ts if act.entry(s, t) != 0]
+
+
 def _oracle_torus_l(pair: PairData, mod: HModule, window: Window,
                     cut: int) -> Character:
     """Relation chase for pairs whose stabilizer meets K in the full torus."""
@@ -479,48 +511,26 @@ def _oracle_torus_l(pair: PairData, mod: HModule, window: Window,
             raise UnsupportedK("isotropy complement must consist of weight vectors")
         xi_data.append((UElt.from_vec(pair.lie, xi), ws.pop(),
                         mod.matrix_of(pair.h.coords(xi))))
-    dims: dict[Weight, int] = {}
-    for n in window.points():
-        cols: dict[tuple[Mono, int], int] = {}
-        for t in range(mod.dim):
-            need = tuple(a - b for a, b in zip(n, mod.l_weights[t]))
-            for mono in buckets.get(need, ()):
-                cols[(mono, t)] = len(cols)
-        if not cols:
-            continue
-        rows: list[dict[int, Fraction]] = []
+
+    def relations(n: Weight):
         for uxi, wxi, act in xi_data:
             for t in range(mod.dim):
-                src = tuple(a - b - c for a, b, c in
-                            zip(n, wxi, mod.l_weights[t]))
+                src = tuple(a - b - c for a, b, c in zip(n, wxi, mod.l_weights[t]))
                 for mono in buckets.get(src, ()):
                     if sum(mono) + 1 > cut:
                         continue
-                    row: dict[int, Fraction] = {}
                     prod = UElt(pair.lie, {mono: ONE}) * uxi
-                    for m2, c2 in reduce_block(info.cartan_of, info.adj, n, prod.terms).items():
-                        idx = cols.get((m2, t))
-                        if idx is None:
-                            # product escaped the cut; drop the relation
-                            row = None
-                            break
-                        row[idx] = row.get(idx, ZERO) + c2
-                    if row is None:
-                        continue
-                    for s in range(mod.dim):
-                        v = act.entry(s, t)
-                        if v != 0:
-                            idx = cols.get((mono, s))
-                            if idx is None:
-                                row = None
-                                break
-                            row[idx] = row.get(idx, ZERO) - v
-                    if row:
-                        rows.append(row)
-        mat = SparseMatrix(len(rows), len(cols),
-                           [(r, c, v) for r, row in enumerate(rows)
-                            for c, v in row.items() if v != 0])
-        d = len(cols) - rank(mat)
+                    red = reduce_block(info.cartan_of, info.adj, n, prod.terms)
+                    yield ([((m2, t), c2) for m2, c2 in red.items()]
+                           + _leg_terms(act, mono, t, range(mod.dim)))
+
+    dims: dict[Weight, int] = {}
+    for n in window.points():
+        cols = [(mono, t) for t in range(mod.dim) for mono in
+                buckets.get(tuple(a - b for a, b in zip(n, mod.l_weights[t])), ())]
+        if not cols:
+            continue
+        d = _quotient_dim(cols, relations(n))
         if d:
             dims[n] = d
     return Character("torus-weight", dims)
@@ -536,47 +546,27 @@ def _oracle_open(pair: PairData, mod: HModule, window: Window,
     """
     adapted = pair.adapted()
     kp = pair.k_part
-    hl_idx = pair.adapted_legs()
-    per_parity: dict[int, int] = {}
     monos = bounded_monos(range(kp, adapted.dim), cut, adapted.dim)
+    products = []       # (part, straightened part*leg, leg action) below the cut
+    for j, xi in zip(pair.adapted_legs(), pair.hl_basis):
+        act = mod.matrix_of(pair.h.coords(xi))
+        uxi = UElt.gen(adapted, j)
+        for mono in monos:
+            if sum(mono) + 1 > cut:
+                continue
+            prod = UElt(adapted, {mono: ONE}) * uxi
+            if any(m2[i] for m2 in prod.terms for i in range(kp)):
+                raise ArithmeticError("Cartan letter appeared in the adapted chase")
+            products.append((mono, prod.terms, act))
+    per_parity: dict[int, int] = {}
     for p in (0, 1):
         ts = [t for t in range(mod.dim) if mod.parity[t] == p]
-        if not ts:
-            continue
-        cols = {(mono, t): i for i, (mono, t) in
-                enumerate((m, t) for m in monos for t in ts)}
-        rows = []
-        for j, xi in zip(hl_idx, pair.hl_basis):
-            act = mod.matrix_of(pair.h.coords(xi))
-            uxi = UElt.gen(adapted, j)
-            for mono in monos:
-                if sum(mono) + 1 > cut:
-                    continue
-                prod = UElt(adapted, {mono: ONE}) * uxi
-                for t in ts:
-                    row: dict[int, Fraction] = {}
-                    ok = True
-                    for m2, c2 in prod.terms.items():
-                        if any(m2[i] for i in range(kp)):
-                            raise ArithmeticError(
-                                "Cartan letter appeared in the adapted chase")
-                        idx = cols.get((m2, t))
-                        if idx is None:
-                            ok = False
-                            break
-                        row[idx] = row.get(idx, ZERO) + c2
-                    if not ok:
-                        continue
-                    for s in ts:
-                        v = act.entry(s, t)
-                        if v != 0:
-                            row[(cols[(mono, s)])] = row.get(cols[(mono, s)], ZERO) - v
-                    if row:
-                        rows.append(row)
-        mat = SparseMatrix(len(rows), len(cols),
-                           [(r, c, v) for r, row in enumerate(rows)
-                            for c, v in row.items() if v != 0])
-        per_parity[p] = len(cols) - rank(mat)
+        if ts:
+            per_parity[p] = _quotient_dim(
+                [(m, t) for m in monos for t in ts],
+                ([((m2, t), c2) for m2, c2 in terms.items()]
+                 + _leg_terms(act, mono, t, ts)
+                 for mono, terms, act in products for t in ts))
     dims: dict[Weight, int] = {}
     for n in window.points():
         d = per_parity.get(n[0] % 2, 0)
@@ -595,30 +585,14 @@ def _oracle_sl2(pair: PairData, mod: HModule, max_type: int) -> dict[int, int]:
     """
     types: dict[int, int] = {}
     for m in range(max_type + 1):
-        _, hm, fm = irrep_matrices(m)
         rels = []
-        ncols = (m + 1) * mod.dim
-        col = lambda d, t: d * mod.dim + t
         for xi in pair.h.basis:
             pm = rep_of_vec(xi, m)
             act = mod.matrix_of(pair.h.coords(xi))
-            for d in range(m + 1):
-                for t in range(mod.dim):
-                    row: dict[int, Fraction] = {}
-                    for b in range(m + 1):
-                        v = pm.entry(d, b)
-                        if v != 0:
-                            row[col(b, t)] = row.get(col(b, t), ZERO) + v
-                    for s in range(mod.dim):
-                        v = act.entry(s, t)
-                        if v != 0:
-                            row[col(d, s)] = row.get(col(d, s), ZERO) - v
-                    if row:
-                        rels.append(row)
-        mat = SparseMatrix(len(rels), ncols,
-                           [(r, c, v) for r, row in enumerate(rels)
-                            for c, v in row.items() if v != 0])
-        mult = ncols - rank(mat)
+            rels += ([((b, t), pm.entry(d, b)) for b in range(m + 1) if pm.entry(d, b) != 0]
+                     + _leg_terms(act, d, t, range(mod.dim))
+                     for d in range(m + 1) for t in range(mod.dim))
+        mult = _quotient_dim([(d, t) for d in range(m + 1) for t in range(mod.dim)], rels)
         if mult:
             types[m] = mult
     return types

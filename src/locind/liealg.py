@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exactla import SparseMatrix, kernel_basis, rank, scalar
+from .exactla import SparseMatrix, kernel_basis, rank, scalar, solve
 
 Vec = tuple[Fraction, ...]
 Weight = tuple[int, ...]
@@ -121,20 +121,9 @@ class LieAlg:
 
     def expand(self, v: Vec, spanning: Sequence[Vec]) -> tuple[Fraction, ...] | None:
         """Coordinates of v in the given spanning vectors, or None."""
-        m = SparseMatrix(self.dim, len(spanning),
-                         [(r, c, w[r]) for c, w in enumerate(spanning)
-                          for r in range(self.dim) if w[r] != 0])
-        aug = SparseMatrix(self.dim, len(spanning) + 1,
-                           [(r, c, val) for r, c, val in m.entries()]
-                           + [(r, len(spanning), v[r]) for r in range(self.dim) if v[r] != 0])
-        if rank(aug) != rank(m):
-            return None
-        # back-substitute: solve m x = v via kernel of [m | -v]
-        for ker in kernel_basis(aug):
-            if ker[-1] != 0:
-                t = -1 / ker[-1]
-                return tuple(t * ker[c] for c in range(len(spanning)))
-        return None
+        return solve(SparseMatrix(self.dim, len(spanning),
+                                  [(r, c, w[r]) for c, w in enumerate(spanning)
+                                   for r in range(self.dim) if w[r] != 0]), v)
 
     def in_basis(self, vectors: Sequence[Vec], labels: Sequence[str]) -> "LieAlg":
         """The same algebra presented on a different ordered basis."""
@@ -321,7 +310,6 @@ class LDescriptor:
 class PairData:
     """Everything the induction/localization engines need about a family.
 
-    zeta_indices: ambient basis indices spanning a complement of k + h.
     hl_basis: vectors spanning h modulo l (ordered; fixes wedge signs).
     adapted_labels/adapted_vectors: the internal presentation basis,
     ordered K-part first, then zeta part, then the h-part, so that
@@ -337,7 +325,6 @@ class PairData:
     l_basis: tuple[Vec, ...]
     l_group: LDescriptor
     u_dim: int
-    zeta_indices: tuple[int, ...]
     hl_basis: tuple[Vec, ...]
     adapted_labels: tuple[str, ...]
     adapted_vectors: tuple[Vec, ...]
@@ -392,7 +379,7 @@ def closed_orbit_pair() -> PairData:
         name="closed-orbit", family="A", lie=g, k=k, h=hsub,
         h_labels=("h", "f"),
         l_basis=(h,), l_group=LDescriptor(torus_indices=(0,)),
-        u_dim=0, zeta_indices=(0,), hl_basis=(f,),
+        u_dim=0, hl_basis=(f,),
         adapted_labels=("h", "e", "f"), adapted_vectors=(h, e, f), k_part=1,
         base_point=("z", Fraction(0)))
 
@@ -409,7 +396,7 @@ def open_orbit_pair() -> PairData:
         name="open-orbit", family="B", lie=g, k=k, h=hsub,
         h_labels=("x1", "x2"),
         l_basis=(), l_group=LDescriptor(torus_indices=(), component_order=2),
-        u_dim=0, zeta_indices=(), hl_basis=(x1, x2),
+        u_dim=0, hl_basis=(x1, x2),
         adapted_labels=("h", "x1", "x2"), adapted_vectors=(h, x1, x2), k_part=1,
         base_point=("z", Fraction(1)))
 
@@ -424,7 +411,7 @@ def borel_weil_bott_pair() -> PairData:
         name="borel-weil-bott", family="C", lie=g, k=k, h=hsub,
         h_labels=("h", "f"),
         l_basis=(h,), l_group=LDescriptor(torus_indices=(0,)),
-        u_dim=1, zeta_indices=(0,), hl_basis=(f,),
+        u_dim=1, hl_basis=(f,),
         adapted_labels=("h", "e", "f"), adapted_vectors=(h, e, f), k_part=1,
         base_point=("z", Fraction(0)))
 
@@ -441,7 +428,7 @@ def product_pair() -> PairData:
         name="product", family="D", lie=g, k=k, h=hsub,
         h_labels=("h1", "f1", "h2", "f2"),
         l_basis=(h1, h2), l_group=LDescriptor(torus_indices=(0, 1)),
-        u_dim=0, zeta_indices=(0, 3), hl_basis=(f1, f2),
+        u_dim=0, hl_basis=(f1, f2),
         adapted_labels=("h1", "h2", "e1", "e2", "f1", "f2"),
         adapted_vectors=(h1, h2, e1, e2, f1, f2), k_part=2,
         base_point=("z", Fraction(0)))

@@ -321,6 +321,39 @@ def twisted_rep(lambda0: int, chart: str = "z") -> TwistedRep:
     return TwistedRep(int(lambda0), chart, rho)
 
 
+def _weight_ops(rep: TwistedRep, zshift: int, key_of: dict[int, object],
+                image) -> dict[str, tuple[int, dict]]:
+    """Blocks of e, h, f, z and d/dz on a module with one basis vector per weight.
+
+    ``key_of`` maps each weight to its basis key, ``image(op, key)`` gives
+    an operator's image as {basis key: coefficient}, and ``zshift`` is the
+    weight shift of multiplication by the chart coordinate.  A term that
+    lands on a basis vector of the wrong weight means the operator is not
+    weight-homogeneous.
+    """
+    chart_ops = {lab: rep.rho[lab] for lab in _LABELS}
+    chart_ops["z"] = ChartOp.mult((ZERO, ONE), rep.chart)
+    chart_ops["dz"] = ChartOp.d(rep.chart)
+    shifts = {"e": 2, "h": 0, "f": -2, "z": zshift, "dz": -zshift}
+    wt_of = {key: wt for wt, key in key_of.items()}
+    ops: dict[str, tuple[int, dict]] = {}
+    for name, op in chart_ops.items():
+        blocks = {}
+        for wt, key in key_of.items():
+            tgt = wt + shifts[name]
+            entry = ZERO
+            for k2, v in image(op, key).items():
+                hit = wt_of.get(k2)
+                if hit == tgt:
+                    entry = entry + v
+                elif hit is not None:
+                    raise ArithmeticError(f"operator {name!r} is not weight-homogeneous")
+            if entry != 0 and tgt in key_of:
+                blocks[(wt,)] = SparseMatrix(1, 1, [(0, 0, entry)])
+        ops[name] = (shifts[name], blocks)
+    return ops
+
+
 # ---------------------------------------------------------------------------
 # the delta module at the closed point
 
@@ -373,35 +406,13 @@ def delta_module(lambda0: int, window: Window, chart: str = "z",
         return int(val)
 
     index_of: dict[int, int] = {}
-    weights: dict[int, int] = {}
     for n in range(window.span() + 2):
         wt = weight_of(n)
         if window.contains(wt):
             index_of[wt] = n
-            weights[n] = wt
-    dims = {(wt,): 1 for wt in index_of}
     step = weight_of(1) - weight_of(0)   # +2 on the z chart, -2 on w
-    ops: dict[str, tuple[int, dict]] = {}
-    chart_ops = {lab: rep.rho[lab] for lab in _LABELS}
-    chart_ops["z"] = ChartOp.mult((ZERO, ONE), chart)
-    chart_ops["dz"] = ChartOp.d(chart)
-    shifts = {"e": 2, "h": 0, "f": -2, "z": -step, "dz": step}
-    for name, op in chart_ops.items():
-        blocks = {}
-        for wt, n in index_of.items():
-            img = _op_on_delta(op, n)
-            tgt = wt + shifts[name]
-            entry = ZERO
-            for m, v in img.items():
-                if weights.get(m) == tgt:
-                    entry = entry + v
-                elif weights.get(m) is not None:
-                    raise ArithmeticError(f"operator {name!r} is not weight-homogeneous")
-            if entry != 0 and (tgt,) in dims:
-                blocks[(wt,)] = SparseMatrix(1, 1, [(0, 0, entry)])
-        ops[name] = (shifts[name], blocks)
-    names = {(wt,): (f"delta{n}",) for wt, n in index_of.items()}
-    return GradedModule(rank=1, dims=dims, ops=ops, basis_names=names)
+    return GradedModule(rank=1, dims={(wt,): 1 for wt in index_of},
+                        ops=_weight_ops(rep, -step, index_of, _op_on_delta))
 
 
 # ---------------------------------------------------------------------------
@@ -438,30 +449,9 @@ def laurent_module(lambda0: int, parity: int, window: Window,
         img = rep.rho["h"].apply_exp(a)
         if img != {a: scalar(wt + comp)} and not (not img and wt + comp == 0):
             raise ArithmeticError("Cartan action disagrees with the exponent")
-    dims = {(wt,): 1 for wt in wts}
-    ops: dict[str, tuple[int, dict]] = {}
-    chart_ops = {lab: rep.rho[lab] for lab in _LABELS}
-    chart_ops["z"] = ChartOp.mult((ZERO, ONE), chart)
-    chart_ops["dz"] = ChartOp.d(chart)
-    zstep = -2 if chart == "z" else 2
-    shifts = {"e": 2, "h": 0, "f": -2, "z": zstep, "dz": -zstep}
-    exp_to_wt = {exponent(wt): wt for wt in wts}
-    for name, op in chart_ops.items():
-        blocks = {}
-        for wt in wts:
-            img = op.apply_exp(exponent(wt))
-            tgt = wt + shifts[name]
-            entry = ZERO
-            for a2, v in img.items():
-                hit = exp_to_wt.get(a2)
-                if hit == tgt:
-                    entry = entry + v
-                elif hit is not None:
-                    raise ArithmeticError(f"operator {name!r} is not weight-homogeneous")
-            if entry != 0 and (tgt,) in dims:
-                blocks[(wt,)] = SparseMatrix(1, 1, [(0, 0, entry)])
-        ops[name] = (shifts[name], blocks)
-    return GradedModule(rank=1, dims=dims, ops=ops, parity=parity)
+    ops = _weight_ops(rep, -2 if chart == "z" else 2, {wt: exponent(wt) for wt in wts},
+                      ChartOp.apply_exp)
+    return GradedModule(rank=1, dims={(wt,): 1 for wt in wts}, ops=ops, parity=parity)
 
 
 # ---------------------------------------------------------------------------

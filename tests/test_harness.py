@@ -37,6 +37,14 @@ def test_case_validation():
         VerificationCase("A", (-2, -3))
     with pytest.raises(ValueError, match="expectation"):
         VerificationCase("A", -4, expected="maybe")
+    with pytest.raises(ValueError, match="family C"):
+        VerificationCase("C", 3, window=Window.segment(-2, 2))
+    with pytest.raises(ValueError, match="family C"):
+        VerificationCase("C", 3, margin=9)
+    with pytest.raises(ValueError, match="window rank"):
+        VerificationCase("D", (-2, -3), window=Window.segment(-4, 4))
+    with pytest.raises(ValueError, match="window rank"):
+        VerificationCase("A", -4, window=Window.box((-4, -4), (4, 4)))
 
 
 def test_case_id_formats():
@@ -226,6 +234,31 @@ def test_cli_bad_usage(capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert main(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "C", "--lambda", "3", "--window", "-2:2"],
+    ["verify", "--family", "C", "--lambda", "3", "--margin", "9"],
+    ["verify", "--family", "C", "--window", "-2:2"],
+    ["verify", "--family", "C", "--margin", "9"],
+    ["induce", "--family", "C", "--lambda", "3", "--window", "-2:2"],
+    ["verify", "--family", "A", "--lambda", "-4", "--parity", "1"],
+    ["verify", "--family", "A", "--parity", "1"],
+    ["verify", "--family", "C", "--lambda", "3", "--parity", "1"],
+    ["verify", "--family", "C", "--parity", "1"],
+    ["verify", "--family", "D", "--lambda", "-2,-3", "--parity", "1"],
+    ["localize", "--family", "D", "--parity", "1"],
+])
+def test_cli_flag_the_family_does_not_take(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert "error:" in out.err and out.out == ""
+
+
+def test_cli_parity_selects_family_b_cases(capsys):
+    assert main(["verify", "--family", "B", "--lambda", "1", "--parity", "1",
+                 "--window", "-6:6"]) == 0
+    assert capsys.readouterr().out == "B:1:p1: exact-match\n"
 
 
 def test_cli_induce_localize(capsys):

@@ -13,6 +13,7 @@ from locind.hecke import (RgKElt, RKElt, UnsupportedK, WindowTooSmall,
                           fn_times_dist, formula_mul_gen, identity_support,
                           invariant_form, irrep_matrices, p_deg0_oracle,
                           rep_of_uelt, rgk_mul, rk_mul, sl2_embed)
+from locind.hecke import _quotient_dim
 from locind.gkmod import lambda_top, one_dim_module, tensor_onedim
 from locind.liealg import pair_by_name
 from locind.pbw import UElt
@@ -298,3 +299,12 @@ def test_oracle_guards(pa):
         p_deg0_oracle(pc, _twisted(pc, (0, 0)))
     with pytest.raises(WindowTooSmall):
         p_deg0_oracle(pa, w, Window.segment(-10, 10), cut=0)
+
+
+def test_quotient_dim_drops_relations_that_leave_the_cut():
+    cols = ["a", "b", "c"]
+    assert _quotient_dim(cols, []) == 3
+    assert _quotient_dim(cols, [[("a", ONE), ("b", -ONE)], [("b", 2), ("b", -2)]]) == 2
+    # "z" is not a generator: the whole relation goes, not just that term
+    assert _quotient_dim(cols, [[("a", ONE), ("z", ONE)]]) == 3
+    assert _quotient_dim(cols, (rel for rel in [[("c", ONE)], [("a", ONE), ("c", ONE)]])) == 1
