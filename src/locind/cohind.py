@@ -52,7 +52,7 @@ from .pbw import (Mono, UElt, bounded_monos, monos_by_weight, nonreduced_indices
 
 __all__ = [
     "ChainBlock", "StdComplex", "build_standard_complex",
-    "derived_p", "derived_i", "euler_characteristic",
+    "derived_p", "derived_i",
 ]
 
 
@@ -97,9 +97,6 @@ class ChainBlock:
         d_in = (self.boundaries[d] if d < self.top
                 else SparseMatrix.zero(self.dims[d], 0))
         return homology_dim(d_out, d_in)
-
-    def euler(self) -> int:
-        return sum(n if d % 2 == 0 else -n for d, n in enumerate(self.dims))
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +375,6 @@ class StdComplex:
     def top_degree(self) -> int:
         return self.pair.hl_dim()
 
-    def term_character(self, d: int) -> Character:
-        if d < 0 or d > self.top_degree:
-            return self.spread({})
-        return self.spread({key: blk.dims[d] for key, blk in self.blocks.items()})
-
     def homology_character(self, d: int) -> Character:
         if d < 0 or d > self.top_degree:
             return self.spread({})
@@ -480,24 +472,3 @@ def derived_i(pair: PairData, v: HModule, j: int,
     return derived_p(pair, dv, j, window=dw, max_type=max_type,
                      cut=cut, margin=margin).dual()
 
-
-def euler_characteristic(c: StdComplex) -> Character:
-    """Alternating sum of term characters; verified against homology.
-
-    The two alternating sums agree block by block by rank counting; the
-    equality is still checked exactly so a bookkeeping slip in either
-    side cannot pass silently.  Multiplicities in the result may be
-    negative (it is a virtual character).
-    """
-    terms = c.spread({})
-    homs = c.spread({})
-    for d in range(c.top_degree + 1):
-        t = c.term_character(d)
-        h = c.homology_character(d)
-        if d % 2:
-            t, h = t.negate(), h.negate()
-        terms = terms.add(t)
-        homs = homs.add(h)
-    if terms != homs:
-        raise ArithmeticError("alternating sums of terms and homology disagree")
-    return terms

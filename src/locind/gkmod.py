@@ -84,10 +84,6 @@ class Window:
     def points(self) -> Iterator[Weight]:
         yield from _iproduct(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
 
-    def expand(self, margin: int) -> "Window":
-        return Window(tuple(a - margin for a in self.lo),
-                      tuple(b + margin for b in self.hi))
-
     def span(self) -> int:
         return max(b - a for a, b in zip(self.lo, self.hi))
 
@@ -299,9 +295,9 @@ class Character:
 
     ``data`` maps a weight tuple (kind "torus-weight") or a nonnegative
     highest weight (kind "sl2-type") to an integer multiplicity.
-    Negative multiplicities are allowed so Euler characteristics can be
-    expressed; ``parity`` tags the sign character of a two-component
-    stabilizer when one is in play.
+    Negative multiplicities are allowed (a character may be virtual);
+    ``parity`` tags the sign character of a two-component stabilizer
+    when one is in play.
     """
 
     kind: str
@@ -352,26 +348,6 @@ class Character:
                              parity=self.parity)
         return Character(self.kind, dict(self.data), parity=self.parity)
 
-    def add(self, other: "Character") -> "Character":
-        if self.kind != other.kind:
-            raise ValueError("cannot add characters of different kinds")
-        if self.is_zero():
-            par = other.parity
-        elif other.is_zero():
-            par = self.parity
-        elif self.parity == other.parity:
-            par = self.parity
-        else:
-            raise ValueError("cannot add characters of different parities")
-        out = dict(self.data)
-        for k, v in other.data.items():
-            out[k] = out.get(k, 0) + v
-        return Character(self.kind, out, parity=par)
-
-    def negate(self) -> "Character":
-        return Character(self.kind, {k: -v for k, v in self.data.items()},
-                         parity=self.parity)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Character) and self.kind == other.kind
                 and self.data == other.data and self.parity == other.parity)
@@ -385,11 +361,6 @@ class Character:
         if self.parity is not None:
             out["parity"] = self.parity
         return out
-
-
-def character_of(dims: Mapping[Weight | int, int],
-                 parity: int | None = None) -> Character:
-    return Character("torus-weight", dict(dims), parity=parity)
 
 
 def sl2_types_from_weights(weights: Mapping[int, int]) -> dict[int, int]:
@@ -417,14 +388,6 @@ def sl2_types_from_weights(weights: Mapping[int, int]) -> dict[int, int]:
             else:
                 work.pop(w, None)
     return types
-
-
-def weights_of_types(types: Mapping[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for n, m in types.items():
-        for w in range(-n, n + 1, 2):
-            out[w] = out.get(w, 0) + m
-    return {w: m for w, m in out.items() if m}
 
 
 # ---------------------------------------------------------------------------
@@ -466,38 +429,6 @@ class GradedModule:
                     bl[w] = mat
             fixed[name] = (sh, bl)
         self.ops = fixed
-
-    def dim_at(self, w: int | Sequence[int]) -> int:
-        return self.dims.get(as_weight(w, self.rank), 0)
-
-    def weights(self) -> list[Weight]:
-        return sorted(self.dims)
-
-    def shift_of(self, name: str) -> Weight:
-        return self.ops[name][0]
-
-    def op_block(self, name: str, w: int | Sequence[int]) -> SparseMatrix:
-        shift, blocks = self.ops[name]
-        ww = as_weight(w, self.rank)
-        hit = blocks.get(ww)
-        if hit is not None:
-            return hit
-        return SparseMatrix.zero(self.dims.get(weight_add(ww, shift), 0),
-                                 self.dims.get(ww, 0))
-
-    def apply(self, name: str, w: int | Sequence[int],
-              vec: Sequence[Fraction]) -> tuple[Weight, tuple[Fraction, ...]]:
-        shift, _ = self.ops[name]
-        ww = as_weight(w, self.rank)
-        return weight_add(ww, shift), self.op_block(name, ww).apply(tuple(vec))
-
-    def commutator_block(self, a: str, b: str, w: int | Sequence[int]) -> SparseMatrix:
-        """Block of [A, B] out of weight w (valid on interior weights)."""
-        ww = as_weight(w, self.rank)
-        sa, sb = self.shift_of(a), self.shift_of(b)
-        first = self.op_block(a, weight_add(ww, sb)).mul(self.op_block(b, ww))
-        second = self.op_block(b, weight_add(ww, sa)).mul(self.op_block(a, ww))
-        return first.sub(second)
 
     def character(self) -> Character:
         return Character("torus-weight", dict(self.dims), parity=self.parity)

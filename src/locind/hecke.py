@@ -96,28 +96,6 @@ class RKElt:
             raise UnsupportedK(f"unknown RK kind {kind!r}")
         self.kind = kind
 
-    def add(self, other: "RKElt") -> "RKElt":
-        if self.kind != other.kind:
-            raise ValueError("mixed kinds")
-        if self.kind == "torus":
-            out = dict(self.data)
-            for w, c in other.data.items():
-                out[w] = out.get(w, ZERO) + c
-            return RKElt("torus", out)
-        out = dict(self.data)
-        for n, m in other.data.items():
-            out[n] = out[n].add(m) if n in out else m
-        return RKElt("sl2", out)
-
-    def scale(self, c) -> "RKElt":
-        c = scalar(c)
-        if self.kind == "torus":
-            return RKElt("torus", {w: c * v for w, v in self.data.items()})
-        return RKElt("sl2", {n: m.scale(c) for n, m in self.data.items()})
-
-    def is_zero(self) -> bool:
-        return not self.data
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, RKElt) and self.kind == other.kind
                 and self.data == other.data)
@@ -185,16 +163,6 @@ class RgKElt:
         for k, c in other.terms.items():
             out[k] = out.get(k, ZERO) + c
         return RgKElt(self.pair, out)
-
-    def sub(self, other: "RgKElt") -> "RgKElt":
-        return self.add(other.scale(-1))
-
-    def scale(self, c) -> "RgKElt":
-        c = scalar(c)
-        return RgKElt(self.pair, {k: c * v for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def _check(self, other: "RgKElt") -> None:
         if self.pair.name != other.pair.name:
@@ -583,12 +551,12 @@ def _oracle_sl2(pair: PairData, mod: HModule, max_type: int) -> dict[int, int]:
     Left equivariance lets the chase run on a single row slice of each
     block; the quotient of that slice counts the multiplicity directly.
     """
+    acts = [mod.matrix_of(pair.h.coords(xi)) for xi in pair.h.basis]
     types: dict[int, int] = {}
     for m in range(max_type + 1):
         rels = []
-        for xi in pair.h.basis:
+        for xi, act in zip(pair.h.basis, acts):
             pm = rep_of_vec(xi, m)
-            act = mod.matrix_of(pair.h.coords(xi))
             rels += ([((b, t), pm.entry(d, b)) for b in range(m + 1) if pm.entry(d, b) != 0]
                      + _leg_terms(act, d, t, range(mod.dim))
                      for d in range(m + 1) for t in range(mod.dim))

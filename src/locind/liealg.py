@@ -11,11 +11,11 @@ induction and localization engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exactla import SparseMatrix, kernel_basis, rank, scalar, solve
+from .exactla import SparseMatrix, rank, scalar, solve
 
 Vec = tuple[Fraction, ...]
 Weight = tuple[int, ...]
@@ -152,13 +152,6 @@ def sl2() -> LieAlg:
     })
 
 
-def torus(r: int) -> LieAlg:
-    """Abelian algebra of rank r."""
-    if r < 0:
-        raise StructureError("negative rank")
-    return LieAlg(tuple(f"t{i}" for i in range(r)), {})
-
-
 def direct_sum(a: LieAlg, b: LieAlg) -> LieAlg:
     """Direct sum with block structure constants and suffixed labels."""
     labels = tuple(f"{lab}1" for lab in a.labels) + tuple(f"{lab}2" for lab in b.labels)
@@ -215,43 +208,6 @@ class Subalg:
         return LieAlg(labels, brackets)
 
 
-# -- chart vector fields (coefficient data only; full operators live in locp1)
-
-def _field_coefficient(lie: LieAlg, i: int, point: Fraction, chart: str) -> Fraction:
-    """Value at the point of the chart coefficient of basis field i.
-
-    For each sl2 summand, the one-parameter flows of (e, h, f) through the
-    Moebius action differentiate to coefficient polynomials (-1, -2z, z^2)
-    in the z chart and (w^2, 2w, -1) in the w chart.
-    """
-    name = lie.labels[i].rstrip("12")
-    p = point
-    if chart == "z":
-        coeff = {"e": scalar(-1), "h": -2 * p, "f": p * p}
-    elif chart == "w":
-        coeff = {"e": p * p, "h": 2 * p, "f": scalar(-1)}
-    else:
-        raise StructureError(f"unknown chart {chart!r}")
-    if name not in coeff:
-        raise StructureError(f"basis label {lie.labels[i]!r} has no chart field")
-    return coeff[name]
-
-
-def stabilizer_subalgebra(lie: LieAlg, point: int | str | Fraction,
-                          chart: str = "z") -> Subalg:
-    """Isotropy subalgebra of a point of the projective line.
-
-    Solves the exact linear condition 'coefficient of the induced chart
-    field vanishes at the point' and returns the kernel as a Subalg.
-    Use chart='w' with point 0 for the point at infinity.
-    """
-    p = scalar(point)
-    row = [(0, i, _field_coefficient(lie, i, p, chart)) for i in range(lie.dim)]
-    m = SparseMatrix(1, lie.dim, [(r, c, v) for r, c, v in row if v != 0])
-    basis = tuple(kernel_basis(m))
-    return Subalg(lie, basis)
-
-
 @dataclass(frozen=True)
 class KDescriptor:
     """Compact symmetry data: a torus of given rank, or sl2 itself.
@@ -302,9 +258,6 @@ class LDescriptor:
     torus_indices: tuple[int, ...]   # which K coordinates survive in L
     component_order: int = 1         # 1, or 2 for the two-point group
 
-    def parity_of(self, weight: Weight) -> int:
-        return sum(weight) % 2 if self.component_order == 2 else 0
-
 
 @dataclass(frozen=True)
 class PairData:
@@ -324,12 +277,10 @@ class PairData:
     h_labels: tuple[str, ...]
     l_basis: tuple[Vec, ...]
     l_group: LDescriptor
-    u_dim: int
     hl_basis: tuple[Vec, ...]
     adapted_labels: tuple[str, ...]
     adapted_vectors: tuple[Vec, ...]
     k_part: int                  # how many leading adapted vectors lie in k
-    base_point: tuple[str, Fraction] = ("z", Fraction(0))
 
     def __post_init__(self) -> None:
         self.k.validate(self.lie)
@@ -379,9 +330,8 @@ def closed_orbit_pair() -> PairData:
         name="closed-orbit", family="A", lie=g, k=k, h=hsub,
         h_labels=("h", "f"),
         l_basis=(h,), l_group=LDescriptor(torus_indices=(0,)),
-        u_dim=0, hl_basis=(f,),
-        adapted_labels=("h", "e", "f"), adapted_vectors=(h, e, f), k_part=1,
-        base_point=("z", Fraction(0)))
+        hl_basis=(f,),
+        adapted_labels=("h", "e", "f"), adapted_vectors=(h, e, f), k_part=1)
 
 
 def open_orbit_pair() -> PairData:
@@ -396,9 +346,8 @@ def open_orbit_pair() -> PairData:
         name="open-orbit", family="B", lie=g, k=k, h=hsub,
         h_labels=("x1", "x2"),
         l_basis=(), l_group=LDescriptor(torus_indices=(), component_order=2),
-        u_dim=0, hl_basis=(x1, x2),
-        adapted_labels=("h", "x1", "x2"), adapted_vectors=(h, x1, x2), k_part=1,
-        base_point=("z", Fraction(1)))
+        hl_basis=(x1, x2),
+        adapted_labels=("h", "x1", "x2"), adapted_vectors=(h, x1, x2), k_part=1)
 
 
 def borel_weil_bott_pair() -> PairData:
@@ -411,9 +360,8 @@ def borel_weil_bott_pair() -> PairData:
         name="borel-weil-bott", family="C", lie=g, k=k, h=hsub,
         h_labels=("h", "f"),
         l_basis=(h,), l_group=LDescriptor(torus_indices=(0,)),
-        u_dim=1, hl_basis=(f,),
-        adapted_labels=("h", "e", "f"), adapted_vectors=(h, e, f), k_part=1,
-        base_point=("z", Fraction(0)))
+        hl_basis=(f,),
+        adapted_labels=("h", "e", "f"), adapted_vectors=(h, e, f), k_part=1)
 
 
 def product_pair() -> PairData:
@@ -428,17 +376,12 @@ def product_pair() -> PairData:
         name="product", family="D", lie=g, k=k, h=hsub,
         h_labels=("h1", "f1", "h2", "f2"),
         l_basis=(h1, h2), l_group=LDescriptor(torus_indices=(0, 1)),
-        u_dim=0, hl_basis=(f1, f2),
+        hl_basis=(f1, f2),
         adapted_labels=("h1", "h2", "e1", "e2", "f1", "f2"),
-        adapted_vectors=(h1, h2, e1, e2, f1, f2), k_part=2,
-        base_point=("z", Fraction(0)))
+        adapted_vectors=(h1, h2, e1, e2, f1, f2), k_part=2)
 
 
 _FAMILIES: dict[str, Callable[[], PairData]] = {
-    "closed-orbit": closed_orbit_pair,
-    "open-orbit": open_orbit_pair,
-    "borel-weil-bott": borel_weil_bott_pair,
-    "product": product_pair,
     "A": closed_orbit_pair,
     "B": open_orbit_pair,
     "C": borel_weil_bott_pair,

@@ -26,7 +26,7 @@ from math import comb
 from typing import Sequence
 
 from .exactla import ONE, ZERO, SparseMatrix, rank, scalar, solve
-from .gkmod import (Character, GradedModule, HModule, Weight, Window,
+from .gkmod import (Character, GradedModule, HModule, Window,
                     sl2_types_from_weights)
 from .liealg import StructureError, sl2
 
@@ -34,7 +34,6 @@ __all__ = [
     "ChartOp", "vector_field", "TwistedRep", "twisted_rep",
     "delta_module", "laurent_module", "cech_cohomology_On",
     "JetModule", "jet_associated_module", "jet_conformance",
-    "filtration_check",
 ]
 
 
@@ -234,17 +233,6 @@ class TwistedRep:
     lambda0: int
     chart: str
     rho: dict[str, ChartOp]
-
-    def casimir(self) -> Fraction:
-        """Scalar of e f + f e + h^2 / 2; constancy is asserted."""
-        e, h, f = (self.rho[x] for x in _LABELS)
-        omega = e.mul(f).add(f.mul(e)).add(h.mul(h).scale(Fraction(1, 2)))
-        const = ChartOp.mult(
-            (omega.coeffs[0][0] if omega.coeffs and omega.coeffs[0] else ZERO,),
-            self.chart)
-        if not omega.sub(const).is_zero():
-            raise ArithmeticError("quadratic element did not act by a scalar")
-        return const.coeffs[0][0] if const.coeffs else ZERO
 
 
 def twisted_rep(lambda0: int, chart: str = "z") -> TwistedRep:
@@ -514,10 +502,6 @@ class JetModule:
     mult: SparseMatrix
     parity: tuple[int, ...] | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.mult.rows
-
     def truncate(self, q: int) -> "JetModule":
         """Quotient to q slots (drop the deepest normal derivatives)."""
         if not 1 <= q <= self.level:
@@ -670,44 +654,3 @@ def jet_conformance(jm: JetModule) -> dict[str, bool]:
     out["fiber_isomorphism"] = iso
     return out
 
-
-# ---------------------------------------------------------------------------
-# the order filtration of the delta module
-
-
-def filtration_check(gm: GradedModule, p: int) -> dict:
-    """Verify the order filtration of a point direct image at level p.
-
-    The level-p piece is the kernel of the (p+1)-st power of the
-    coordinate multiplication.  Reported: its dimension against the
-    expected p+1 (clipped to the window), nesting above level p-1,
-    strict growth below exhaustion, and that repeated multiplication
-    eventually kills everything stored (the coordinate is nilpotent on
-    the truncation).
-    """
-    if "z" not in gm.ops:
-        raise ValueError("module does not carry the coordinate multiplication")
-
-    def steps_to_zero(wt: Weight) -> int | None:
-        cur = wt
-        for k in range(len(gm.dims) + 2):
-            if gm.op_block("z", cur).is_zero():
-                return k
-            cur = gm.apply("z", cur, (ONE,))[0]
-        return None
-
-    depth = {wt: steps_to_zero(wt) for wt in gm.weights()}
-    total = len(depth)
-    nilpotent = all(d is not None for d in depth.values())
-    fp = sum(1 for d in depth.values() if d is not None and d <= p)
-    fprev = sum(1 for d in depth.values() if d is not None and d < p)
-    expected = min(p + 1, total)
-    return {
-        "level": p,
-        "dimension": fp,
-        "expected_dimension": expected,
-        "nested": fprev <= fp,
-        "strictly_increasing": fp > fprev or fp == total,
-        "nilpotent": nilpotent,
-        "ok": nilpotent and fp == expected and (fp > fprev or fp == total),
-    }

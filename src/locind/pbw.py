@@ -95,10 +95,6 @@ class UElt:
     # -- constructors
 
     @classmethod
-    def zero(cls, lie: LieAlg) -> "UElt":
-        return cls(lie, {})
-
-    @classmethod
     def one(cls, lie: LieAlg) -> "UElt":
         return cls(lie, {(0,) * lie.dim: ONE})
 
@@ -115,11 +111,6 @@ class UElt:
             if c != 0:
                 terms[tuple(1 if j == i else 0 for j in range(lie.dim))] = scalar(c)
         return cls(lie, terms)
-
-    @classmethod
-    def monomial(cls, lie: LieAlg, expo: Sequence[int],
-                 coeff: Fraction | int = 1) -> "UElt":
-        return cls(lie, {tuple(expo): scalar(coeff)})
 
     # -- ring structure
 
@@ -171,9 +162,6 @@ class UElt:
     def __hash__(self) -> int:
         return hash((id(self.lie), frozenset(self.terms.items())))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -189,33 +177,6 @@ class UElt:
             else:
                 parts.append(f"{c}*{body}" if facs else f"{c}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def u_mul(a: UElt, b: UElt) -> UElt:
-    """Product in the enveloping algebra (same as ``a * b``)."""
-    return a * b
-
-
-def u_bracket(a: UElt, b: UElt) -> UElt:
-    return a * b - b * a
-
-
-def filtration_degree(u: UElt) -> int:
-    """Total-degree filtration level; -1 for the zero element."""
-    if not u.terms:
-        return -1
-    return max(sum(m) for m in u.terms)
-
-
-def antipode(u: UElt) -> UElt:
-    """The anti-automorphism extending x -> -x on the algebra."""
-    acc: dict[Mono, Fraction] = {}
-    for mono, c in u.terms.items():
-        word = _word_of(mono)
-        sign = -ONE if len(word) % 2 else ONE
-        for m, co in _straighten(u.lie, tuple(reversed(word))).items():
-            acc[m] = acc.get(m, ZERO) + sign * c * co
-    return UElt(u.lie, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 The algebraic side (``cohind``), the geometric side (``locp1``) and the
 degree-zero oracle (``hecke``) are a check on each other only while
 they share no construction code, and no module reaches into the
-private names of another.
+private names of another.  Every name the package defines has a caller
+outside the unit tests.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,42 @@ def test_no_module_imports_a_private_name_of_another():
 @pytest.mark.parametrize("module", ["hecke", "locp1"])
 def test_oracle_and_geometric_side_do_not_use_the_resolution_engine(module):
     assert "cohind" not in _reachable(module)
+
+
+def _defined_names(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) for each module-level function or class and each
+    non-dunder method of a module-level class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [(item.name, item) for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return out
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is used as an ast.Name or ast.Attribute under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_src_name_has_a_non_test_caller():
+    """Every function, class and method in the package is used by the
+    package itself, by bench/ or by the acceptance gate, not only by
+    unit tests.  A method whose name another class also uses counts as
+    used; this check cannot tell the two apart."""
+    trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in MODULES}
+    everywhere = sum((_references(t) for t in trees.values()), Counter())
+    root = SRC.parents[1]
+    outside = "\n".join(p.read_text() for p in
+                        [*sorted((root / "bench").glob("*.py")),
+                         root / "tests" / "test_acceptance.py"])
+    unused = [f"{module}.{name}" for module, tree in trees.items()
+              for name, node in _defined_names(tree)
+              if everywhere[name] == _references(node)[name]
+              and not re.search(rf"\b{re.escape(name)}\b", outside)]
+    assert unused == []

@@ -5,9 +5,8 @@ import pytest
 from locind.exactla import ONE, SparseMatrix
 from locind.gkmod import (Character, GradedModule, HModule,
                           NonInvariantCharacter, Window, as_weight,
-                          character_of, check_module_compatible, dual_module,
-                          lambda_top, one_dim_module, sl2_types_from_weights,
-                          tensor_onedim, weights_of_types)
+                          check_module_compatible, dual_module, lambda_top,
+                          one_dim_module, sl2_types_from_weights, tensor_onedim)
 from locind.liealg import StructureError, pair_by_name
 
 
@@ -27,9 +26,7 @@ def test_window_segment_and_box():
     assert len(list(b.points())) == 9
 
 
-def test_window_expand_and_errors():
-    w = Window.segment(0, 2).expand(3)
-    assert (w.lo, w.hi) == ((-3,), (5,))
+def test_window_errors():
     with pytest.raises(ValueError, match="empty"):
         Window.segment(4, 1)
     with pytest.raises(ValueError):
@@ -60,23 +57,10 @@ def test_character_cleanup_and_zero():
     assert z.parity is None  # the zero character forgets its parity
 
 
-def test_character_add_and_parity_rules():
-    a = Character("torus-weight", {0: 1}, parity=0)
-    b = Character("torus-weight", {0: 1, 2: 3}, parity=0)
-    assert a.add(b).data == {(0,): 2, (2,): 3}
-    z = Character("torus-weight", {})
-    assert z.add(a) == a and a.add(z) == a
-    with pytest.raises(ValueError, match="parities"):
-        a.add(Character("torus-weight", {4: 1}, parity=1))
-    with pytest.raises(ValueError, match="kinds"):
-        a.add(Character("sl2-type", {0: 1}))
-
-
-def test_character_dual_restrict_negate():
+def test_character_dual_and_restrict():
     c = Character("torus-weight", {(3,): 1, (-1,): 2})
     assert c.dual().data == {(-3,): 1, (1,): 2}
     assert c.restrict(Window.segment(0, 10)).data == {(3,): 1}
-    assert c.negate().add(c).is_zero()
     t = Character("sl2-type", {2: 5})
     assert t.dual() == t  # self-dual types
     with pytest.raises(ValueError):
@@ -93,7 +77,7 @@ def test_character_kind_guards():
 
 
 def test_character_total_dim_and_json():
-    c = character_of({(1, 1): 2, (0, 3): 1})
+    c = Character("torus-weight", {(1, 1): 2, (0, 3): 1})
     assert c.total_dim() == 3
     t = Character("sl2-type", {2: 1, 0: 4})
     assert t.total_dim() == 7
@@ -116,8 +100,9 @@ def test_sl2_types_from_weights():
 
 
 def test_weights_of_types_roundtrip():
-    types = {4: 2, 1: 1, 0: 3}
-    assert sl2_types_from_weights(weights_of_types(types)) == types
+    # 2*V4 + V1 + 3*V0, weight by weight
+    weights = {-4: 2, -2: 2, -1: 1, 0: 5, 1: 1, 2: 2, 4: 2}
+    assert sl2_types_from_weights(weights) == {4: 2, 1: 1, 0: 3}
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +234,11 @@ def _two_step() -> GradedModule:
 
 def test_graded_module_blocks_and_apply():
     gm = _two_step()
-    assert gm.dim_at(0) == 1 and gm.dim_at(4) == 0
-    assert gm.weights() == [(0,), (2,)]
-    assert gm.shift_of("e") == (2,)
-    assert gm.op_block("e", 2).rows == 0  # falls off the window
-    wt, vec = gm.apply("e", 0, (ONE,))
-    assert wt == (2,) and vec == (ONE,)
-    assert gm.character() == character_of({(0,): 1, (2,): 1})
+    assert gm.dims == {(0,): 1, (2,): 1}
+    shift, blocks = gm.ops["e"]
+    assert shift == (2,) and set(blocks) == {(0,)}  # nothing above the window
+    assert blocks[(0,)].apply((ONE,)) == (ONE,)
+    assert gm.character() == Character("torus-weight", {(0,): 1, (2,): 1})
 
 
 def test_graded_module_drops_zero_blocks_and_checks_shapes():
@@ -264,13 +247,6 @@ def test_graded_module_drops_zero_blocks_and_checks_shapes():
     with pytest.raises(ValueError, match="shape"):
         GradedModule(rank=1, dims={(0,): 1, (2,): 2},
                      ops={"e": ((2,), {(0,): SparseMatrix.zero(1, 1)})})
-
-
-def test_graded_module_commutator_block():
-    gm = _two_step()
-    # [h, e] = 2e out of weight 0: h*e - e*h = 2*1 - 1*0
-    com = gm.commutator_block("h", "e", 0)
-    assert com == SparseMatrix(1, 1, [(0, 0, Fraction(2))])
 
 
 def test_graded_module_parity_tag():

@@ -113,6 +113,18 @@ def test_run_case_product():
                         for b in range(0, 5, 2)]
 
 
+def test_run_case_nonzero_unmatched_degree_is_a_mismatch(monkeypatch):
+    # degree 1 of family A has no geometric partner, so it must vanish
+    case = VerificationCase("A", -4, window=Window.segment(-10, 10))
+    h0 = harness._algebraic(case)[0]
+    h1 = Character("torus-weight", {(6,): 1, (-2,): 3, (4,): 2})
+    monkeypatch.setattr(harness, "_algebraic", lambda c: (h0, h1))
+    r = run_case(case)
+    assert r.side_a == r.side_b
+    assert r.verdict == "mismatch"
+    assert r.counterexample == (-2,)
+
+
 def test_run_case_off_grid():
     # seeded twists away from the stock grids: every family must still
     # match exactly
