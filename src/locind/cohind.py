@@ -25,7 +25,8 @@ legs, module slot) of each degree and builds the boundaries of every
 block.  Each of the three models gives it only two closures: the
 (part, slot) pairs that go with given legs in a degree, and the product
 of a part with a leg, reduced in the block.  A ``spread`` per model
-turns one number per block into a character.
+turns one number per block into a character.  Torus tables and sl2
+irreducibles come from liealg, nothing from the oracle or locp1.
 
 ``derived_p`` is the homology of this complex after the coefficient
 module is twisted by the top exterior power of the quotient;
@@ -45,10 +46,8 @@ from .exactla import ONE, ZERO, SparseMatrix, homology_dim
 from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
                     check_module_compatible, dual_module, lambda_top,
                     tensor_onedim, weight_add)
-from .hecke import rep_of_vec, torus_info
-from .liealg import PairData, StructureError, UnsupportedK
-from .pbw import (Mono, UElt, bounded_monos, monos_by_weight, nonreduced_indices,
-                  reduce_block)
+from .liealg import PairData, StructureError, rep_of_vec
+from .pbw import Mono, UElt, bounded_monos, monos_by_weight, reduce_block
 
 __all__ = [
     "ChainBlock", "StdComplex", "build_standard_complex",
@@ -226,19 +225,17 @@ def _torus_blocks(pair: PairData, mod: HModule,
     block, so it is straightened once per (monomial, leg) for the whole
     call; only the evaluation of its Cartan letters is per block.
     """
-    info = torus_info(pair)
-    if pair.l_group.torus_indices != tuple(range(info.rank)):
-        raise UnsupportedK("stabilizer torus must use all K coordinates in order")
+    cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
     wedge = _wedge_data(pair, mod)
-    buckets = monos_by_weight(nonreduced_indices(info.cartan_of),
-                              max(depths.values()), info.adj)
+    buckets = monos_by_weight([i for i, c in enumerate(cartan_of) if c is None],
+                              max(depths.values()), adj)
     leg_u = [UElt.from_vec(pair.lie, xi) for xi in pair.hl_basis]
     leg_w = [pair.h_weight_of(xi) for xi in pair.hl_basis]
     prods: dict[tuple[Mono, int], Mapping[Mono, Fraction]] = {}
 
     def parts(n: Weight, cut: int, d: int,
               legs: tuple[int, ...]) -> Iterable[tuple[Mono, int]]:
-        wi = (0,) * info.rank
+        wi = (0,) * pair.k.rank
         for i in legs:
             wi = weight_add(wi, leg_w[i])
         for t in range(mod.dim):
@@ -252,7 +249,7 @@ def _torus_blocks(pair: PairData, mod: HModule,
         if terms is None:
             terms = (UElt(pair.lie, {mono: ONE}) * leg_u[leg]).terms
             prods[(mono, leg)] = terms
-        return reduce_block(info.cartan_of, info.adj, n, terms).items()
+        return reduce_block(cartan_of, adj, n, terms).items()
 
     return {n: _assemble(wedge, partial(parts, n, cut), partial(rmul, n))
             for n, cut in depths.items()}
@@ -397,17 +394,16 @@ def _block_cut(pair: PairData, mod: HModule, n: Weight, margin: int) -> int:
 def build_standard_complex(pair: PairData, v: HModule,
                            window: Window | None = None,
                            max_type: int | None = None,
-                           cut: int | None = None,
                            margin: int = 4) -> StdComplex:
     """Build the complex for the coefficient module v, twisted internally.
 
     The twist by the top exterior power of (ambient / isotropy) is part
     of the functor and is applied here; pass the untwisted module.  For
-    torus symmetry supply a window (and optionally a depth cut for every
-    block; by default each weight block gets its own); for full sl2
-    supply max_type.  Truncated models are built once at depth cut+1 and
-    restricted to cut; the two must agree on homology, otherwise
-    WindowTooSmall is raised.
+    torus symmetry supply a window (each weight block gets its own depth
+    cut, from its distance to the module weights plus ``margin``); for
+    full sl2 supply max_type.  Truncated models are built once at depth
+    cut+1 and restricted to cut; the two must agree on homology,
+    otherwise WindowTooSmall is raised.
     """
     w = tensor_onedim(v, lambda_top(pair))
     check_module_compatible(pair, w)
@@ -421,8 +417,7 @@ def build_standard_complex(pair: PairData, v: HModule,
                           _homology_characters(blocks, spread, top))
     if window is None:
         raise ValueError("torus symmetry needs a window")
-    cuts = {n: cut if cut is not None else _block_cut(pair, w, n, margin)
-            for n in window.points()}
+    cuts = {n: _block_cut(pair, w, n, margin) for n in window.points()}
     if pair.l_group.torus_indices:
         deep = _torus_blocks(pair, w, {n: k + 1 for n, k in cuts.items()})
         spread = partial(Character, "torus-weight")
@@ -442,25 +437,25 @@ def build_standard_complex(pair: PairData, v: HModule,
     deeper = {key: blk for key, (_, blk) in deep.items()}
     hom = _homology_characters(blocks, spread, top)
     if hom != _homology_characters(deeper, spread, top):
-        raise WindowTooSmall("homology did not stabilize at depth +1; raise the cut")
+        raise WindowTooSmall("homology did not stabilize at depth +1; raise the margin")
     return StdComplex(pair, blocks, spread, hom, cut=max(cuts.values()))
 
 
 def derived_p(pair: PairData, v: HModule, j: int,
               window: Window | None = None, max_type: int | None = None,
-              cut: int | None = None, margin: int = 4) -> Character:
+              margin: int = 4) -> Character:
     """Character of the j-th left derived functor of the quotient-side
     induction, computed as degree-j homology of the standard complex.
     Degrees outside [0, dim(isotropy/l)] are zero.
     """
     c = build_standard_complex(pair, v, window=window, max_type=max_type,
-                               cut=cut, margin=margin)
+                               margin=margin)
     return c.homology_character(j)
 
 
 def derived_i(pair: PairData, v: HModule, j: int,
               window: Window | None = None, max_type: int | None = None,
-              cut: int | None = None, margin: int = 4) -> Character:
+              margin: int = 4) -> Character:
     """Character of the j-th right derived functor of the sub-side
     induction, via the contragredient module on the reflected window.
     """
@@ -470,5 +465,5 @@ def derived_i(pair: PairData, v: HModule, j: int,
         dw = Window.box(tuple(-x for x in window.hi),
                         tuple(-x for x in window.lo))
     return derived_p(pair, dv, j, window=dw, max_type=max_type,
-                     cut=cut, margin=margin).dual()
+                     margin=margin).dual()
 

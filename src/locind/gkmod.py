@@ -84,9 +84,6 @@ class Window:
     def points(self) -> Iterator[Weight]:
         yield from _iproduct(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
 
-    def span(self) -> int:
-        return max(b - a for a, b in zip(self.lo, self.hi))
-
     def __str__(self) -> str:
         if self.rank == 1:
             return f"[{self.lo[0]}..{self.hi[0]}]"

@@ -167,12 +167,6 @@ def _first_difference(a: Character, b: Character):
     return None
 
 
-def _char_equal(a: Character, b: Character) -> bool:
-    if a.is_zero() and b.is_zero():
-        return True
-    return a == b
-
-
 def _product_character(a: Character, b: Character) -> Character:
     data = {}
     for (wa,), ma in a.data.items():
@@ -226,7 +220,7 @@ def run_case(c: VerificationCase) -> Report:
     vanishing = tuple((j, ch) for j, ch in enumerate(alg) if j not in matched)
     verdict, ce = "exact-match", None
     for s, j, a, g in comparisons:
-        if not _char_equal(a, g):
+        if a != g:
             verdict, ce = "mismatch", _first_difference(a, g)
             break
     if verdict == "exact-match":
@@ -361,7 +355,7 @@ def _check_oracle() -> Report:
     v = one_dim_module(pair, (-4, 0))
     got = derived_p(pair, v, 0, window=win)
     want = p_deg0_oracle(pair, tensor_onedim(v, lambda_top(pair)), window=win)
-    ok = _char_equal(got, want)
+    ok = got == want
     return _report("oracle-equivalence", ok,
                    counterexample=None if ok else _first_difference(got, want))
 
@@ -373,7 +367,7 @@ def _check_duality() -> Report:
     for j in (0, 1):
         left = derived_i(pair, dual_module(v), j, window=win)
         right = derived_p(pair, v, j, window=win).dual()
-        if not _char_equal(left, right):
+        if left != right:
             return _report("duality", False, note=f"degree {j}",
                            counterexample=_first_difference(left, right))
     return _report("duality", True)
@@ -615,7 +609,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError) as err:
+    except (ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

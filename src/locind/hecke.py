@@ -17,12 +17,13 @@ relation chase, independently of the resolution machinery, so the two
 can be compared bit for bit.  Each model (torus blocks, parity classes,
 K types) only lists its generator keys and the relations
 part*leg (x) t - part (x) leg*t; one function turns any such list into
-the dimension of the quotient.
+the dimension of the quotient.  The irreducible matrices and a pair's
+torus tables come from liealg, below both this module and the
+resolution engine; neither of the two imports the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -30,13 +31,12 @@ from typing import Iterable, Mapping, Sequence
 from .exactla import ONE, ZERO, SparseMatrix, inverse, kernel_basis, rank, scalar
 from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
                     as_weight, check_module_compatible, weight_add, weight_neg)
-from .liealg import PairData, UnsupportedK, Vec
-from .pbw import (Mono, UElt, bounded_monos, monos_by_weight, nonreduced_indices,
-                  reduce_block)
+from .liealg import PairData, UnsupportedK, irrep_matrices, rep_of_vec
+from .pbw import Mono, UElt, bounded_monos, monos_by_weight, reduce_block
 
 __all__ = [
     "UnsupportedK", "RKElt", "rk_mul", "RgKElt", "rgk_mul",
-    "approx_identity", "identity_support", "irrep_matrices", "rep_of_uelt",
+    "approx_identity", "identity_support", "rep_of_uelt",
     "adjoint_matrices", "invariant_form", "clebsch_gordan",
     "fn_times_dist", "formula_mul_gen", "sl2_embed", "p_deg0_oracle",
 ]
@@ -46,80 +46,6 @@ __all__ = [
 # torus model
 
 
-@dataclass(frozen=True)
-class TorusInfo:
-    rank: int
-    cartan_of: tuple[int | None, ...]   # ambient basis index -> torus coordinate
-    adj: tuple[Weight, ...]
-
-
-def torus_info(pair: PairData) -> TorusInfo:
-    if pair.k.kind != "torus":
-        raise UnsupportedK(f"not a torus pair: {pair.k.kind!r}")
-    cart: list[int | None] = [None] * pair.lie.dim
-    for coord, emb in enumerate(pair.k.embedding):
-        nz = [i for i, c in enumerate(emb) if c != 0]
-        if len(nz) != 1 or emb[nz[0]] != 1:
-            raise UnsupportedK("torus generators must be ambient basis vectors")
-        cart[nz[0]] = coord
-    return TorusInfo(pair.k.rank, tuple(cart), pair.k.adjoint_weights)
-
-
-class RKElt:
-    """Element of the plain convolution algebra of K.
-
-    Torus kind: finite rational combination of weight idempotents.
-    sl2 kind: one square block per irreducible type.
-    """
-
-    __slots__ = ("kind", "data")
-
-    def __init__(self, kind: str, data: Mapping):
-        if kind == "torus":
-            clean = {}
-            for w, c in data.items():
-                w = w if isinstance(w, tuple) else (int(w),)
-                c = scalar(c)
-                if c != 0:
-                    clean[w] = clean.get(w, ZERO) + c
-            self.data = {w: c for w, c in clean.items() if c != 0}
-        elif kind == "sl2":
-            blocks = {}
-            for n, mat in data.items():
-                n = int(n)
-                if mat.rows != n + 1 or mat.cols != n + 1:
-                    raise ValueError(f"type-{n} block must be {n+1}x{n+1}")
-                if not mat.is_zero():
-                    blocks[n] = mat
-            self.data = blocks
-        else:
-            raise UnsupportedK(f"unknown RK kind {kind!r}")
-        self.kind = kind
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, RKElt) and self.kind == other.kind
-                and self.data == other.data)
-
-    def __repr__(self) -> str:
-        if self.kind == "torus":
-            body = " + ".join(f"{c}*e[{','.join(map(str, w))}]"
-                              for w, c in sorted(self.data.items()))
-        else:
-            body = " + ".join(f"End(V{n}) block" for n in sorted(self.data))
-        return body or "0"
-
-
-def rk_mul(a: RKElt, b: RKElt) -> RKElt:
-    """Convolution: idempotents multiply pointwise, blocks multiply as matrices."""
-    if a.kind != b.kind:
-        raise ValueError("mixed kinds")
-    if a.kind == "torus":
-        return RKElt("torus", {w: c * b.data[w]
-                               for w, c in a.data.items() if w in b.data})
-    return RKElt("sl2", {n: a.data[n].mul(b.data[n])
-                         for n in a.data if n in b.data})
-
-
 class RgKElt:
     """Torus-block element with enveloping-algebra content.
 
@@ -127,16 +53,16 @@ class RgKElt:
     any Cartan content handed to the constructor is evaluated.
     """
 
-    __slots__ = ("pair", "info", "terms")
+    __slots__ = ("pair", "terms")
 
     def __init__(self, pair: PairData,
                  terms: Mapping[tuple, Fraction] | None = None):
         self.pair = pair
-        self.info = torus_info(pair)
+        cartan_of = pair.cartan_of
         clean: dict[tuple[Weight, Mono], Fraction] = {}
         for (n, mono), c in (terms or {}).items():
-            n = as_weight(n, self.info.rank)
-            for m2, c2 in reduce_block(self.info.cartan_of, self.info.adj, n,
+            n = as_weight(n, pair.k.rank)
+            for m2, c2 in reduce_block(cartan_of, pair.k.adjoint_weights, n,
                                         {tuple(mono): scalar(c)}).items():
                 key = (n, m2)
                 clean[key] = clean.get(key, ZERO) + c2
@@ -151,10 +77,11 @@ class RgKElt:
         return cls(pair, {(nn, mono): c for mono, c in u.terms.items()})
 
     def mono_weight(self, mono: Mono) -> Weight:
-        acc = (0,) * self.info.rank
+        adj = self.pair.k.adjoint_weights
+        acc = (0,) * self.pair.k.rank
         for i, a in enumerate(mono):
             if a:
-                acc = tuple(x + a * y for x, y in zip(acc, self.info.adj[i]))
+                acc = tuple(x + a * y for x, y in zip(acc, adj[i]))
         return acc
 
     def add(self, other: "RgKElt") -> "RgKElt":
@@ -197,7 +124,8 @@ def rgk_mul(a: RgKElt, b: RgKElt) -> RgKElt:
             if n != weight_add(m, w1):
                 continue
             prod = UElt(lie, {m1: ONE}) * UElt(lie, {m2: ONE})
-            for m3, c3 in reduce_block(a.info.cartan_of, a.info.adj, n, prod.terms).items():
+            for m3, c3 in reduce_block(a.pair.cartan_of, a.pair.k.adjoint_weights,
+                                       n, prod.terms).items():
                 key = (n, m3)
                 out[key] = out.get(key, ZERO) + c1 * c2 * c3
     return RgKElt(a.pair, out)
@@ -225,28 +153,38 @@ def identity_support(x: RgKElt) -> frozenset[Weight]:
 # sl2 model
 
 
-@lru_cache(maxsize=None)
-def irrep_matrices(n: int) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
-    """Matrices of (e, h, f) on the (n+1)-dimensional irreducible.
+class RKElt:
+    """Element of the plain convolution algebra of K = sl2: one square
+    block per irreducible type.
 
-    Basis u_0..u_n with u_k = f^k u_0: h u_k = (n-2k) u_k,
-    f u_k = u_{k+1}, e u_k = k(n-k+1) u_{k-1}; all entries integers.
+    ``kind`` must be "sl2"; the torus model is RgKElt.
     """
-    if n < 0:
-        raise ValueError("negative highest weight")
-    e = SparseMatrix(n + 1, n + 1,
-                     [(k - 1, k, scalar(k * (n - k + 1))) for k in range(1, n + 1)])
-    h = SparseMatrix(n + 1, n + 1,
-                     [(k, k, scalar(n - 2 * k)) for k in range(n + 1) if n != 2 * k])
-    f = SparseMatrix(n + 1, n + 1,
-                     [(k + 1, k, ONE) for k in range(n)])
-    return e, h, f
+
+    __slots__ = ("data",)
+
+    def __init__(self, kind: str, data: Mapping):
+        if kind != "sl2":
+            raise UnsupportedK(f"unknown RK kind {kind!r}")
+        blocks = {}
+        for n, mat in data.items():
+            n = int(n)
+            if mat.rows != n + 1 or mat.cols != n + 1:
+                raise ValueError(f"type-{n} block must be {n+1}x{n+1}")
+            if not mat.is_zero():
+                blocks[n] = mat
+        self.data = blocks
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RKElt) and self.data == other.data
+
+    def __repr__(self) -> str:
+        return " + ".join(f"End(V{n}) block" for n in sorted(self.data)) or "0"
 
 
-@lru_cache(maxsize=None)
-def rep_of_vec(v: Vec, n: int) -> SparseMatrix:
-    """Image of a Lie algebra vector on the type-n irreducible (immutable, so cached)."""
-    return SparseMatrix.combination(n + 1, n + 1, irrep_matrices(n), v)
+def rk_mul(a: RKElt, b: RKElt) -> RKElt:
+    """Convolution: blocks multiply as matrices, type by type."""
+    return RKElt("sl2", {n: a.data[n].mul(b.data[n])
+                         for n in a.data if n in b.data})
 
 
 def rep_of_uelt(u: UElt, n: int) -> SparseMatrix:
@@ -402,8 +340,6 @@ def formula_mul_gen(xi: Sequence, x: RKElt,
     on the right.  Must agree with blockwise left multiplication for any
     choice of ``basis``; the default is (e, h, f).
     """
-    if x.kind != "sl2":
-        raise UnsupportedK("long-form product is for the sl2 model")
     xi_c = [scalar(c) for c in xi]
     if basis is None:
         bas = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
@@ -468,17 +404,11 @@ def _leg_terms(act: SparseMatrix, part, t: int, ts: Iterable[int]) -> list[tuple
 def _oracle_torus_l(pair: PairData, mod: HModule, window: Window,
                     cut: int) -> Character:
     """Relation chase for pairs whose stabilizer meets K in the full torus."""
-    info = torus_info(pair)
-    if pair.l_group.torus_indices != tuple(range(info.rank)):
-        raise UnsupportedK("stabilizer torus must use all K coordinates in order")
-    buckets = monos_by_weight(nonreduced_indices(info.cartan_of), cut, info.adj)
-    xi_data = []
-    for xi in pair.hl_basis:
-        ws = {pair.k.adjoint_weights[j] for j, c in enumerate(xi) if c != 0}
-        if len(ws) != 1:
-            raise UnsupportedK("isotropy complement must consist of weight vectors")
-        xi_data.append((UElt.from_vec(pair.lie, xi), ws.pop(),
-                        mod.matrix_of(pair.h.coords(xi))))
+    cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
+    buckets = monos_by_weight([i for i, c in enumerate(cartan_of) if c is None],
+                              cut, adj)
+    xi_data = [(UElt.from_vec(pair.lie, xi), pair.h_weight_of(xi),
+                mod.matrix_of(pair.h.coords(xi))) for xi in pair.hl_basis]
 
     def relations(n: Weight):
         for uxi, wxi, act in xi_data:
@@ -488,7 +418,7 @@ def _oracle_torus_l(pair: PairData, mod: HModule, window: Window,
                     if sum(mono) + 1 > cut:
                         continue
                     prod = UElt(pair.lie, {mono: ONE}) * uxi
-                    red = reduce_block(info.cartan_of, info.adj, n, prod.terms)
+                    red = reduce_block(cartan_of, adj, n, prod.terms)
                     yield ([((m2, t), c2) for m2, c2 in red.items()]
                            + _leg_terms(act, mono, t, range(mod.dim)))
 
@@ -571,8 +501,7 @@ def _default_cut(mod: HModule, window: Window, margin: int) -> int:
 
 
 def p_deg0_oracle(pair: PairData, mod: HModule, window: Window | None = None,
-                  max_type: int | None = None, cut: int | None = None,
-                  margin: int = 4) -> Character:
+                  max_type: int | None = None, margin: int = 4) -> Character:
     """Character of the fully reduced degree-zero tensor, chased directly.
 
     Works block by block (or type by type) from the canonical-form basis
@@ -588,11 +517,10 @@ def p_deg0_oracle(pair: PairData, mod: HModule, window: Window | None = None,
     if window is None:
         raise ValueError("torus symmetry needs a window")
     if len(pair.l_group.torus_indices) == 0:
-        chase, default = _oracle_open, 4 + margin
+        chase, cut = _oracle_open, 4 + margin
     else:
-        chase, default = _oracle_torus_l, _default_cut(mod, window, margin)
-    c = cut if cut is not None else default
-    got = chase(pair, mod, window, c)
-    if got != chase(pair, mod, window, c + 2):
-        raise WindowTooSmall("chase did not stabilize; raise the cut")
+        chase, cut = _oracle_torus_l, _default_cut(mod, window, margin)
+    got = chase(pair, mod, window, cut)
+    if got != chase(pair, mod, window, cut + 2):
+        raise WindowTooSmall("chase did not stabilize; raise the margin")
     return got

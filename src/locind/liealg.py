@@ -6,16 +6,18 @@ bad table can never propagate into downstream homology.  The module also
 carries the descriptors for the symmetry group data used elsewhere: a
 compact-group stand-in K (torus or sl2 kind), the isotropy subalgebra h,
 the intersection data L, and the bundled PairData consumed by the
-induction and localization engines.
+induction and localization engines with the torus tables a pair
+implies, and the sl2 irreducibles the resolution and the oracle share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
-from .exactla import SparseMatrix, rank, scalar, solve
+from .exactla import ONE, SparseMatrix, rank, scalar, solve
 
 Vec = tuple[Fraction, ...]
 Weight = tuple[int, ...]
@@ -150,6 +152,30 @@ def sl2() -> LieAlg:
         (0, 2): (0, 1, 0),    # [e,f] = h
         (1, 2): (0, 0, -2),   # [h,f] = -2f
     })
+
+
+@lru_cache(maxsize=None)
+def irrep_matrices(n: int) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
+    """Matrices of (e, h, f) on the (n+1)-dimensional irreducible.
+
+    Basis u_0..u_n with u_k = f^k u_0: h u_k = (n-2k) u_k,
+    f u_k = u_{k+1}, e u_k = k(n-k+1) u_{k-1}; all entries integers.
+    """
+    if n < 0:
+        raise ValueError("negative highest weight")
+    e = SparseMatrix(n + 1, n + 1,
+                     [(k - 1, k, scalar(k * (n - k + 1))) for k in range(1, n + 1)])
+    h = SparseMatrix(n + 1, n + 1,
+                     [(k, k, scalar(n - 2 * k)) for k in range(n + 1) if n != 2 * k])
+    f = SparseMatrix(n + 1, n + 1,
+                     [(k + 1, k, ONE) for k in range(n)])
+    return e, h, f
+
+
+@lru_cache(maxsize=None)
+def rep_of_vec(v: Vec, n: int) -> SparseMatrix:
+    """Image of a Lie algebra vector on the type-n irreducible (immutable, so cached)."""
+    return SparseMatrix.combination(n + 1, n + 1, irrep_matrices(n), v)
 
 
 def direct_sum(a: LieAlg, b: LieAlg) -> LieAlg:
@@ -287,6 +313,22 @@ class PairData:
         for v in self.l_basis:
             if not self.h.contains(v):
                 raise StructureError("l is not inside h")
+        if self.l_group.torus_indices not in ((), tuple(range(self.k.rank))):
+            raise UnsupportedK("stabilizer torus must use no K coordinate "
+                               "or all of them in order")
+
+    @cached_property
+    def cartan_of(self) -> tuple[int | None, ...]:
+        """Torus coordinate of each ambient basis vector; torus pairs only."""
+        if self.k.kind != "torus":
+            raise UnsupportedK(f"not a torus pair: {self.k.kind!r}")
+        cart: list[int | None] = [None] * self.lie.dim
+        for coord, emb in enumerate(self.k.embedding):
+            nz = [i for i, c in enumerate(emb) if c != 0]
+            if len(nz) != 1 or emb[nz[0]] != 1:
+                raise UnsupportedK("torus generators must be ambient basis vectors")
+            cart[nz[0]] = coord
+        return tuple(cart)
 
     def adapted(self) -> LieAlg:
         return self.lie.in_basis(self.adapted_vectors, self.adapted_labels)

@@ -393,12 +393,13 @@ def delta_module(lambda0: int, window: Window, chart: str = "z",
             raise ArithmeticError("non-integral weight on the delta basis")
         return int(val)
 
+    base, step = weight_of(0), weight_of(1) - weight_of(0)   # step +2 on z, -2 on w
+    far = window.hi[0] if step > 0 else window.lo[0]
     index_of: dict[int, int] = {}
-    for n in range(window.span() + 2):
+    for n in range((far - base) // step + 1):     # until the weight passes far
         wt = weight_of(n)
         if window.contains(wt):
             index_of[wt] = n
-    step = weight_of(1) - weight_of(0)   # +2 on the z chart, -2 on w
     return GradedModule(rank=1, dims={(wt,): 1 for wt in index_of},
                         ops=_weight_ops(rep, -step, index_of, _op_on_delta))
 

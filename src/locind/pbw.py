@@ -183,11 +183,6 @@ class UElt:
 # monomial enumeration and Cartan-letter evaluation
 
 
-def nonreduced_indices(cartan_of: Sequence[int | None]) -> list[int]:
-    """Letters that are not Cartan letters (``cartan_of[i]`` is None)."""
-    return [i for i, kc in enumerate(cartan_of) if kc is None]
-
-
 def bounded_monos(free: Sequence[int], cut: int, dim: int) -> list[Mono]:
     """All monomials on the given letters with total degree at most cut."""
     out: list[Mono] = []

@@ -18,7 +18,6 @@ def test_window_segment_and_box():
     w = Window.segment(-3, 5)
     assert w.rank == 1
     assert w.contains(-3) and w.contains(5) and not w.contains(6)
-    assert w.span() == 8
     assert list(w.points())[0] == (-3,)
     b = Window.box((-1, -2), (1, 0))
     assert b.rank == 2

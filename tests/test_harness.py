@@ -140,6 +140,18 @@ def test_run_case_off_grid():
         assert run_case(c).verdict == "exact-match", c.case_id
 
 
+@pytest.mark.parametrize("family, lam, window", [
+    ("A", -20, Window.segment(-4, 4)),
+    ("A", -40, Window.segment(-4, 4)),
+    ("D", (-20, -2), Window.box((-4, -4), (4, 4))),
+], ids=["A:-20", "A:-40", "D:-20,-2"])
+def test_run_case_twist_far_below_the_window(family, lam, window):
+    # the delta ladder starts far below the window and must still be
+    # followed all the way up to its far edge
+    assert run_case(VerificationCase(family, lam, window=window)).verdict == \
+        "exact-match"
+
+
 # ---------------------------------------------------------------------------
 # report schema
 
@@ -347,3 +359,13 @@ def test_cli_file_outputs(tmp_path, capsys):
           "--window", "-4:4", "--json", str(jpath)])
     capsys.readouterr()
     assert jpath.read_bytes() == first
+
+
+def test_cli_unwritable_output_is_an_error_not_a_mismatch(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for flag in ("--json", "--csv"):
+        code = main(["verify", "--family", "A", "--lambda", "-3",
+                     flag, str(missing / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not missing.exists()

@@ -6,16 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from locind import hecke
 from locind.exactla import ONE, SparseMatrix
 from locind.gkmod import Character, Window
 from locind.hecke import (RgKElt, RKElt, UnsupportedK, WindowTooSmall,
                           adjoint_matrices, approx_identity, clebsch_gordan,
                           fn_times_dist, formula_mul_gen, identity_support,
-                          invariant_form, irrep_matrices, p_deg0_oracle,
+                          invariant_form, p_deg0_oracle,
                           rep_of_uelt, rgk_mul, rk_mul, sl2_embed)
 from locind.hecke import _quotient_dim
 from locind.gkmod import lambda_top, one_dim_module, tensor_onedim
-from locind.liealg import pair_by_name
+from locind.liealg import irrep_matrices, pair_by_name
 from locind.pbw import UElt
 
 
@@ -31,15 +32,6 @@ def pd():
 
 # ---------------------------------------------------------------------------
 # torus model
-
-
-def test_rk_torus_basics():
-    a = RKElt("torus", {4: 1, 2: Fraction(1, 2), 0: 0})
-    assert a.data == {(4,): 1, (2,): Fraction(1, 2)}
-    b = RKElt("torus", {4: 2, (6,): 1})
-    assert rk_mul(a, b).data == {(4,): 2}  # idempotents hit pointwise
-    with pytest.raises(UnsupportedK):
-        RKElt("weird", {})
 
 
 def test_block_evaluates_cartan_letters(pa):
@@ -132,7 +124,7 @@ def test_identity_support(pa):
     assert identity_support(y) == frozenset({(3,), (5,)})
 
 
-def test_torus_info_rejects_sl2_pair():
+def test_rgk_elt_rejects_sl2_pair():
     with pytest.raises(UnsupportedK, match="not a torus"):
         RgKElt(pair_by_name("C"))
 
@@ -170,6 +162,13 @@ def test_rep_of_uelt_casimir():
                          ("f", "h", "e"))
     with pytest.raises(UnsupportedK):
         rep_of_uelt(UElt.one(bad), 2)
+
+
+def test_rk_takes_only_the_sl2_kind():
+    # the torus model is RgKElt; RKElt holds sl2 type blocks only
+    for kind in ("torus", "weird"):
+        with pytest.raises(UnsupportedK):
+            RKElt(kind, {})
 
 
 def test_rk_sl2_blockwise_product():
@@ -236,8 +235,6 @@ def test_formula_mul_matches_blockwise():
             assert formula_mul_gen(xi, x) == want
             # the long-form product cannot depend on the spanning set
             assert formula_mul_gen(xi, x, basis=skew) == want
-    with pytest.raises(UnsupportedK):
-        formula_mul_gen((1, 0, 0), RKElt("torus", {0: 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +285,17 @@ def test_oracle_product_pair(pd):
     assert got == Character("torus-weight", want)
 
 
-def test_oracle_guards(pa):
+def test_oracle_guards(pa, monkeypatch):
     w = _twisted(pa, (-4, 0))
     with pytest.raises(ValueError, match="window"):
         p_deg0_oracle(pa, w)
     pc = pair_by_name("C")
     with pytest.raises(ValueError, match="max_type"):
         p_deg0_oracle(pc, _twisted(pc, (0, 0)))
+    # a chase cut too shallow for the window must refuse loudly
+    monkeypatch.setattr(hecke, "_default_cut", lambda mod, window, margin: 0)
     with pytest.raises(WindowTooSmall):
-        p_deg0_oracle(pa, w, Window.segment(-10, 10), cut=0)
+        p_deg0_oracle(pa, w, Window.segment(-10, 10))
 
 
 def test_quotient_dim_drops_relations_that_leave_the_cut():

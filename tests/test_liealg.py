@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from locind.liealg import (LieAlg, StructureError, Subalg, direct_sum,
-                           pair_by_name, sl2, vec_add, vec_scale)
+from locind.liealg import (LDescriptor, LieAlg, StructureError, Subalg,
+                           UnsupportedK, direct_sum, pair_by_name, sl2,
+                           vec_add, vec_scale)
 
 
 def test_sl2_table():
@@ -109,3 +111,16 @@ def test_subalg_coords_roundtrip():
     assert sub.contains(v) and not sub.contains(g.basis_vector(0))
     with pytest.raises(StructureError):
         sub.coords(g.basis_vector(0))
+
+
+def test_torus_tables_of_a_pair():
+    assert pair_by_name("A").cartan_of == (None, 0, None)
+    assert pair_by_name("B").cartan_of == (None, 0, None)
+    assert pair_by_name("D").cartan_of == (None, 0, None, None, 1, None)
+    with pytest.raises(UnsupportedK, match="not a torus"):
+        pair_by_name("C").cartan_of
+    # the stabilizer's torus is none of K's coordinates or all, in order
+    pd = pair_by_name("D")
+    for bad in ((0,), (1, 0)):
+        with pytest.raises(UnsupportedK, match="in order"):
+            replace(pd, l_group=LDescriptor(torus_indices=bad))

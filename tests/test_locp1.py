@@ -127,6 +127,14 @@ def test_delta_module_mirror_chart():
     assert sorted(w for (w,) in mw.dims) == list(range(-30, -lam - 1, 2))
 
 
+def test_delta_module_twist_far_below_the_window():
+    # the ladder starts at -18, far below the window, and still fills it
+    win = Window.segment(-4, 4)
+    z = delta_module(-20, win).character()
+    assert z == Character("torus-weight", {(w,): 1 for w in range(-4, 5, 2)})
+    assert delta_module(-20, win, chart="w").character() == z.dual()
+
+
 # ---------------------------------------------------------------------------
 # Laurent sections on the open orbit
 
