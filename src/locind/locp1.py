@@ -8,12 +8,19 @@ from the two defining constraints (bracket homomorphism on top of the
 chart vector fields, prescribed scalars on the isotropy at the chart
 origin) and the solver asserts uniqueness.
 
-On top of that sit the orbit direct images used for the comparison:
-the delta module supported at the closed point (derivatives of the
-point mass), the Laurent module of sections on the open torus orbit
-(with its two-point parity bookkeeping), the classical two-chart Cech
-cohomology of the n-twisted line bundle, and truncated jet modules
-along an orbit together with conformance checks for the quotient /
+On top of that sit the orbit direct images used for the comparison.
+Three of them are spans of powers coordinate**a, one per torus weight,
+on which the chart operators act through one helper, ``_power_module``:
+
+* the Laurent module of sections on the open torus orbit (every a in
+  one coset of the integers, with its two-point parity bookkeeping);
+* the delta module supported at the closed point, the local cohomology
+  at the chart origin: the powers a <= -1 modulo regular functions;
+* the jets of the bundle along the closed point: the powers 0 <= a < p
+  modulo coordinate**p.
+
+Beside them sit the classical two-chart Cech cohomology of the
+n-twisted line bundle, and conformance checks for the quotient /
 flatness / equivariance / fiber conditions that an associated module
 must satisfy.
 """
@@ -148,19 +155,21 @@ class ChartOp:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
     def _check(self, other: "ChartOp") -> None:
         if self.chart != other.chart:
             raise ValueError("operators live on different charts")
 
-    def apply_exp(self, a) -> dict[Fraction, Fraction]:
-        """Apply to the formal power coordinate**a; a may be fractional."""
-        a = scalar(a)
-        out: dict[Fraction, Fraction] = {}
+    def apply_exp(self, a: int | Fraction) -> dict:
+        """Apply to the formal power coordinate**a, as {exponent: coefficient}.
+
+        The exponent is used as given: an int for the powers of the delta
+        module, the jets and the integral Laurent sections, a Fraction only
+        for the half-integral Laurent sections of the other parity.  The
+        image exponents have the same type.
+        """
+        out: dict = {}
         for k, p in enumerate(self.coeffs):
-            fall = ONE
+            fall = 1
             for i in range(k):
                 fall *= a - i
             if fall == 0 or not p:
@@ -228,9 +237,8 @@ _B_DEG = 3  # degree cap for the multiplication parts of the ansatz
 
 @dataclass(frozen=True)
 class TwistedRep:
-    """First-order realization of sl2 on a chart, twisted by lambda0."""
+    """First-order realization of sl2 on a chart, twisted by an integer."""
 
-    lambda0: int
     chart: str
     rho: dict[str, ChartOp]
 
@@ -306,106 +314,79 @@ def twisted_rep(lambda0: int, chart: str = "z") -> TwistedRep:
             got = rho[_LABELS[xi]].commutator(rho[_LABELS[yi]])
             if not got.sub(want).is_zero():
                 raise ArithmeticError("solved action fails the bracket check")
-    return TwistedRep(int(lambda0), chart, rho)
+    return TwistedRep(chart, rho)
 
 
-def _weight_ops(rep: TwistedRep, zshift: int, key_of: dict[int, object],
-                image) -> dict[str, tuple[int, dict]]:
-    """Blocks of e, h, f, z and d/dz on a module with one basis vector per weight.
+def _power_module(lambda0: int, chart: str, gauge: int, weights,
+                  top: int | None = None, parity: int | None = None) -> GradedModule:
+    """Blocks of e, h, f, z and d/dz on one power coordinate**a per weight.
 
-    ``key_of`` maps each weight to its basis key, ``image(op, key)`` gives
-    an operator's image as {basis key: coefficient}, and ``zshift`` is the
-    weight shift of multiplication by the chart coordinate.  A term that
-    lands on a basis vector of the wrong weight means the operator is not
-    weight-homogeneous.
+    The power of weight wt has a = (lambda0 - wt)/2 on the z chart and
+    (lambda0 + wt)/2 on the w chart, whatever the gauge: an int when
+    integral, a Fraction when half-integral.  Powers at an exponent of at
+    least ``top`` are dropped, and so are their images: top = 0 is the
+    quotient by regular functions, top = p the quotient by coordinate**p
+    and no top the Laurent sections; images leaving the weights given
+    fall outside the window.  ``gauge`` shifts the twist of the
+    operators, so the Cartan element acts on each power by its weight
+    plus the compensating shift, which is checked.  A term that lands on
+    the power of another weight than the target means the operator is
+    not weight-homogeneous.
     """
-    chart_ops = {lab: rep.rho[lab] for lab in _LABELS}
-    chart_ops["z"] = ChartOp.mult((ZERO, ONE), rep.chart)
-    chart_ops["dz"] = ChartOp.d(rep.chart)
+    rep = twisted_rep(lambda0 + gauge, chart)
+    comp = gauge if chart == "z" else -gauge
+    exps = {}
+    for wt in weights:
+        num = lambda0 - wt if chart == "z" else lambda0 + wt
+        a = num // 2 if num % 2 == 0 else Fraction(num, 2)
+        if top is None or a < top:
+            exps[wt] = a
+    for wt, a in exps.items():
+        if rep.rho["h"].apply_exp(a) != ({a: wt + comp} if wt + comp else {}):
+            raise ArithmeticError("Cartan action disagrees with the exponent")
+    zshift = -2 if chart == "z" else 2
+    chart_ops = {**rep.rho, "z": ChartOp.mult((ZERO, ONE), chart),
+                 "dz": ChartOp.d(chart)}
     shifts = {"e": 2, "h": 0, "f": -2, "z": zshift, "dz": -zshift}
-    wt_of = {key: wt for wt, key in key_of.items()}
+    wt_of = {a: wt for wt, a in exps.items()}
     ops: dict[str, tuple[int, dict]] = {}
     for name, op in chart_ops.items():
         blocks = {}
-        for wt, key in key_of.items():
-            tgt = wt + shifts[name]
+        for wt, a in exps.items():
             entry = ZERO
-            for k2, v in image(op, key).items():
-                hit = wt_of.get(k2)
-                if hit == tgt:
-                    entry = entry + v
+            for b, v in op.apply_exp(a).items():
+                hit = wt_of.get(b)
+                if hit == wt + shifts[name]:
+                    entry += v
                 elif hit is not None:
                     raise ArithmeticError(f"operator {name!r} is not weight-homogeneous")
-            if entry != 0 and tgt in key_of:
+            if entry != 0:
                 blocks[(wt,)] = SparseMatrix(1, 1, [(0, 0, entry)])
         ops[name] = (shifts[name], blocks)
-    return ops
+    return GradedModule(rank=1, dims={(wt,): 1 for wt in exps}, ops=ops, parity=parity)
 
 
 # ---------------------------------------------------------------------------
-# the delta module at the closed point
-
-
-def _op_on_delta(op: ChartOp, n: int) -> dict[int, Fraction]:
-    """Apply a chart operator to the n-th derivative of the point mass.
-
-    Calculus: d . delta_n = delta_{n+1} and zeta . delta_m = -m
-    delta_{m-1}, so a power of the coordinate contributes a falling
-    product that vanishes naturally below the bottom.
-    """
-    out: dict[int, Fraction] = {}
-    for k, p in enumerate(op.coeffs):
-        m = n + k
-        for j, c in enumerate(p):
-            if c == 0:
-                continue
-            val = c
-            for i in range(j):
-                val *= -(m - i)
-            if val != 0:
-                key = m - j
-                out[key] = out.get(key, ZERO) + val
-    return {i: v for i, v in out.items() if v != 0}
+# the delta module at the closed point and the Laurent module on the open orbit
 
 
 def delta_module(lambda0: int, window: Window, chart: str = "z",
                  gauge: int = 0) -> GradedModule:
     """Direct image of the twisted fiber at the chart origin.
 
-    Basis: derivatives delta_n of the point mass, graded by the torus
-    weight read off the Cartan action (the origin of the w chart is the
-    point at infinity and mirrors all weights).  ``gauge`` shifts the
-    twist on the operator side and compensates with the opposite
+    This is the local cohomology at the origin: Laurent sections modulo
+    regular ones, with basis the powers coordinate**a for a <= -1.  The
+    n-th derivative delta_n of the point mass is (-1)^n n! coordinate**(-n-1),
+    of weight lambda0 + 2 + 2n on the z chart; the origin of the w chart
+    is the point at infinity and mirrors all weights.  ``gauge`` shifts
+    the twist on the operator side and compensates with the opposite
     equivariant shift, so the reported character is gauge-independent
     while the matrices are not.
     """
     if window.rank != 1:
         raise ValueError("the delta module is graded by a rank-1 torus")
-    rep = twisted_rep(lambda0 + gauge, chart)
-    comp = gauge if chart == "z" else -gauge
-
-    def weight_of(n: int) -> int:
-        img = _op_on_delta(rep.rho["h"], n)
-        if set(img) - {n}:
-            raise ArithmeticError("Cartan action is not diagonal on the basis")
-        val = img.get(n, ZERO) - comp
-        if val.denominator != 1:
-            raise ArithmeticError("non-integral weight on the delta basis")
-        return int(val)
-
-    base, step = weight_of(0), weight_of(1) - weight_of(0)   # step +2 on z, -2 on w
-    far = window.hi[0] if step > 0 else window.lo[0]
-    index_of: dict[int, int] = {}
-    for n in range((far - base) // step + 1):     # until the weight passes far
-        wt = weight_of(n)
-        if window.contains(wt):
-            index_of[wt] = n
-    return GradedModule(rank=1, dims={(wt,): 1 for wt in index_of},
-                        ops=_weight_ops(rep, -step, index_of, _op_on_delta))
-
-
-# ---------------------------------------------------------------------------
-# the Laurent module on the open orbit
+    weights = range(window.lo[0] + (window.lo[0] - lambda0) % 2, window.hi[0] + 1, 2)
+    return _power_module(lambda0, chart, gauge, weights, top=0)
 
 
 def laurent_module(lambda0: int, parity: int, window: Window,
@@ -414,33 +395,17 @@ def laurent_module(lambda0: int, parity: int, window: Window,
 
     The two-point stabilizer forces every weight to share the parity of
     the fiber sign character; the section of weight wt is the formal
-    power coordinate**a with a read off the Cartan action (a is a
-    half-integer when lambda0 and the parity disagree mod 2 — those are
-    the sections of the square-root twist).
+    power coordinate**a with a = (lambda0 - wt)/2 on the z chart and
+    (lambda0 + wt)/2 on the w chart (a is a half-integer when lambda0
+    and the parity disagree mod 2 — those are the sections of the
+    square-root twist).
     """
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     if window.rank != 1:
         raise ValueError("the Laurent module is graded by a rank-1 torus")
-    rep = twisted_rep(lambda0 + gauge, chart)
-    comp = gauge if chart == "z" else -gauge
-    lam = scalar(lambda0 + gauge)
-
-    def exponent(wt: int) -> Fraction:
-        # solve rho(h) zeta^a = (wt + comp) zeta^a
-        raw = scalar(wt + comp)
-        return (lam - raw) / 2 if chart == "z" else (raw + lam) / 2
-
-    wts = [wt for wt in range(window.lo[0], window.hi[0] + 1)
-           if wt % 2 == parity]
-    for wt in wts:
-        a = exponent(wt)
-        img = rep.rho["h"].apply_exp(a)
-        if img != {a: scalar(wt + comp)} and not (not img and wt + comp == 0):
-            raise ArithmeticError("Cartan action disagrees with the exponent")
-    ops = _weight_ops(rep, -2 if chart == "z" else 2, {wt: exponent(wt) for wt in wts},
-                      ChartOp.apply_exp)
-    return GradedModule(rank=1, dims={(wt,): 1 for wt in wts}, ops=ops, parity=parity)
+    weights = range(window.lo[0] + (window.lo[0] - parity) % 2, window.hi[0] + 1, 2)
+    return _power_module(lambda0, chart, gauge, weights, parity=parity)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +454,12 @@ def cech_cohomology_On(n: int, cap: int | None = None) -> tuple[Character, Chara
 class JetModule:
     """Truncation of a module associated with a fiber along an orbit.
 
-    Closed-point case: ``level`` Taylor slots of sections in the normal
-    coordinate, fiber in slot 0, with the first-order action pushed
-    through the Leibniz rule.  Open-orbit case: the ideal of the orbit
-    is zero, every truncation equals the fiber itself, and the normal
-    multiplication is the zero map.
+    Closed-point case: polynomials in the normal coordinate z modulo
+    z**level, slot s holding the power z**s (the fiber in slot 0); the
+    chart operators act on the powers and drop what lands at z**level
+    or beyond, and ``mult`` is multiplication by z.  Open-orbit case:
+    the ideal of the orbit is zero, every truncation equals the fiber
+    itself, and the normal multiplication is the zero map.
     """
 
     level: int
@@ -521,49 +487,12 @@ class JetModule:
                          mult=cut(self.mult), parity=self.parity)
 
 
-def _op_on_jets(op: ChartOp, p: int) -> SparseMatrix:
-    """Matrix of a first-order chart operator on p Taylor slots.
-
-    Slot s holds the s-th signed derivative at the origin; the i-th
-    component of (a d + b) v is the Leibniz sum over Taylor
-    coefficients of a and b, with slots beyond the truncation dropped.
-    """
-    if op.order() > 1:
-        raise ValueError("jet action implemented for first-order operators")
-    b = op.coeffs[0] if len(op.coeffs) > 0 else ()
-    a = op.coeffs[1] if len(op.coeffs) > 1 else ()
-
-    def taylor(poly: tuple[Fraction, ...], t: int) -> Fraction:
-        # (-1)^t * t! * coefficient  ==  (-d)^t poly at 0
-        if t >= len(poly):
-            return ZERO
-        val = poly[t]
-        for i in range(1, t + 1):
-            val *= -i
-        return val
-
-    entries = []
-    for s in range(p):
-        for t in range(s + 1):
-            cs = scalar(comb(s, t))
-            av = taylor(a, t)
-            if av != 0 and s - t + 1 < p:
-                entries.append((s, s - t + 1, -cs * av))
-            bv = taylor(b, t)
-            if bv != 0:
-                entries.append((s, s - t, cs * bv))
-    acc: dict[tuple[int, int], Fraction] = {}
-    for r, c, v in entries:
-        acc[(r, c)] = acc.get((r, c), ZERO) + v
-    return SparseMatrix(p, p, [(r, c, v) for (r, c), v in acc.items() if v != 0])
-
-
 def jet_associated_module(v: HModule, p: int) -> JetModule:
     """Jets of the bundle with fiber v along the orbit of its family.
 
     The isotropy presentation of v decides the geometry: a Cartan-plus-
-    lowering isotropy is the closed point (one normal direction, p
-    Taylor slots), the open-orbit isotropy has no normal direction at
+    lowering isotropy is the closed point (one normal direction, the
+    powers z**s for s < p), the open-orbit isotropy has no normal direction at
     all and the truncations are all equal to the fiber.
     """
     if p < 1:
@@ -582,11 +511,18 @@ def jet_associated_module(v: HModule, p: int) -> JetModule:
         raise ValueError("Cartan scalar of the fiber must be an integer")
     if v.value(1) != 0:
         raise StructureError("lowering part of the isotropy must act by zero")
-    rep = twisted_rep(int(lam))
-    ops = {lab: _op_on_jets(rep.rho[lab], p) for lab in _LABELS}
-    mult = _op_on_jets(ChartOp.mult((ZERO, ONE), "z"), p)
-    weights = tuple(int(lam) - 2 * s for s in range(p))
-    return JetModule(level=p, fiber=v, slot_weights=weights, ops=ops, mult=mult)
+    lam = int(lam)
+    weights = tuple(lam - 2 * s for s in range(p))
+    gm = _power_module(lam, "z", 0, weights, top=p)
+
+    def slots(name: str) -> SparseMatrix:
+        # the power z^s of weight lam - 2s sits in slot s
+        (shift,), blocks = gm.ops[name]
+        return SparseMatrix(p, p, [((lam - wt - shift) // 2, (lam - wt) // 2, m.entry(0, 0))
+                                   for (wt,), m in blocks.items()])
+
+    return JetModule(level=p, fiber=v, slot_weights=weights,
+                     ops={lab: slots(lab) for lab in _LABELS}, mult=slots("z"))
 
 
 def jet_conformance(jm: JetModule) -> dict[str, bool]:

@@ -82,26 +82,62 @@ def _defined_names(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     return out
 
 
-def _references(node: ast.AST) -> Counter:
-    """How often each name is used as an ast.Name or ast.Attribute under node."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+def _uses(node: ast.AST, strings: bool = False) -> tuple[Counter, Counter]:
+    """(attribute uses, name uses) of each identifier under node.
+
+    An ast.Attribute counts its attribute and an ast.Name its id.  With
+    ``strings``, every word of a string literal that is not a docstring
+    counts as both.  Comments and docstrings never count.
+    """
+    docs = {id(n.body[0].value) for n in ast.walk(node)
+            if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+            and n.body and isinstance(n.body[0], ast.Expr)
+            and isinstance(n.body[0].value, ast.Constant)
+            and isinstance(n.body[0].value.value, str)}
+    attrs, names = Counter(), Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            attrs[n.attr] += 1
+        elif isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif (strings and isinstance(n, ast.Constant)
+              and isinstance(n.value, str) and id(n) not in docs):
+            words = Counter(re.findall(r"\w+", n.value))
+            attrs.update(words)
+            names.update(words)
+    return attrs, names
 
 
 def test_every_src_name_has_a_non_test_caller():
     """Every function, class and method in the package is used by the
     package itself, by bench/ or by the acceptance gate, not only by
-    unit tests.  A method whose name another class also uses counts as
-    used; this check cannot tell the two apart."""
-    trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in MODULES}
-    everywhere = sum((_references(t) for t in trees.values()), Counter())
+    unit tests.  A method counts as used through an attribute of its
+    name outside its own definition, a module-level function or class
+    also through a bare name.  Outside the package either also counts
+    through a word of a string literal (bench/tracing.py names what it
+    wraps that way); prose in the package's messages does not.  A
+    method whose name another class also uses counts as used; this
+    check cannot tell the two apart."""
     root = SRC.parents[1]
-    outside = "\n".join(p.read_text() for p in
-                        [*sorted((root / "bench").glob("*.py")),
-                         root / "tests" / "test_acceptance.py"])
-    unused = [f"{module}.{name}" for module, tree in trees.items()
-              for name, node in _defined_names(tree)
-              if everywhere[name] == _references(node)[name]
-              and not re.search(rf"\b{re.escape(name)}\b", outside)]
+    trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in MODULES}
+    outside = [ast.parse(p.read_text()) for p in
+               [*sorted((root / "bench").glob("*.py")),
+                root / "tests" / "test_acceptance.py"]]
+    attrs, names = Counter(), Counter()
+    for tree, strings in [*((t, False) for t in trees.values()),
+                          *((t, True) for t in outside)]:
+        a, n = _uses(tree, strings)
+        attrs += a
+        names += n
+    unused = []
+    for module, tree in trees.items():
+        top = {id(node) for node in tree.body}
+        for name, node in _defined_names(tree):
+            own_attrs, own_names = _uses(node)
+            count = attrs[name] - own_attrs[name]
+            if id(node) in top:
+                count += names[name] - own_names[name]
+            if count <= 0:
+                unused.append(f"{module}.{name}")
     assert unused == []

@@ -32,7 +32,7 @@ def test_chartop_commutation():
     d = ChartOp.d("z")
     assert d.mul(z).sub(z.mul(d)).coeffs == ((ONE,),)  # [d, z] = 1
     assert z.mul(z).coeffs == ((ZERO, ZERO, ONE),)
-    assert d.mul(d).order() == 2
+    assert d.mul(d).coeffs == ((), (), (ONE,))
 
 
 def test_chartop_apply_exp():
@@ -96,17 +96,28 @@ def test_delta_module_weights_and_relations():
     win = Window.segment(-30, 30)
     dm = delta_module(lam, win)
     assert sorted(w for (w,) in dm.dims) == list(range(lam + 2, 31, 2))
+    # f kills the lowest weight; f after e acts on the n-th weight space
+    # by a scalar, whatever basis vector spans it
+    assert (lam + 2,) not in dm.ops["f"][1]
     for n in range(5):
         w = lam + 2 + 2 * n
-        tw, vec = _apply(dm, "f", w, (ONE,))
-        assert tw == (w - 2,)
-        c = n * (n + 1 + lam)
-        if c:
-            assert vec == (Fraction(c),)
-        else:
-            assert vec in ((), (ZERO,))
         tw, vec = _apply(dm, "e", w, (ONE,))
-        assert tw == (w + 2,) and vec == (Fraction(-1),)
+        assert tw == (w + 2,)
+        tw, vec = _apply(dm, "f", tw[0], vec)
+        assert tw == (w,) and vec == (Fraction(-(n + 1) * (n + 2 + lam)),)
+
+
+def test_delta_is_laurent_modulo_regular():
+    win = Window.segment(-12, 12)
+    for lam in (-4, -1, 0, 3):
+        for chart in ("z", "w"):
+            dm = delta_module(lam, win, chart=chart)
+            lm = laurent_module(lam, lam % 2, win, chart=chart)
+            assert dm.dims and set(dm.dims) < set(lm.dims)
+            for name, (shift, blocks) in dm.ops.items():
+                want = {w: m for w, m in lm.ops[name][1].items()
+                        if w in dm.dims and (w[0] + shift[0],) in dm.dims}
+                assert lm.ops[name][0] == shift and blocks == want, (lam, chart, name)
 
 
 def test_delta_module_gauge_moves_matrices_not_characters():
@@ -227,6 +238,23 @@ def test_jets_closed_family():
             assert jm.slot_weights == tuple(lam - 2 * s for s in range(p))
             rep = jet_conformance(jm)
             assert all(rep.values()), (lam, p, rep)
+
+
+def test_jets_are_polynomials_modulo_a_power():
+    pa = pair_by_name("A")
+    win = Window.segment(-12, 12)
+    for lam in (-4, -1, 0, 3):
+        lm = laurent_module(lam, lam % 2, win)
+        for p in (1, 2, 4):
+            jm = jet_associated_module(one_dim_module(pa, (lam, 0)), p)
+            slot = {lam - 2 * s: s for s in range(p)}
+            for name, mat in [*jm.ops.items(), ("z", jm.mult)]:
+                shift, blocks = lm.ops[name]
+                want = SparseMatrix(p, p, [
+                    (slot[w + shift[0]], slot[w], m.entry(0, 0))
+                    for (w,), m in blocks.items()
+                    if w in slot and w + shift[0] in slot])
+                assert mat == want, (lam, p, name)
 
 
 def test_jets_mult_nilpotency():
