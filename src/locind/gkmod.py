@@ -1,16 +1,15 @@
-"""Weight-graded modules, finite-dimensional isotropy modules, characters.
+"""Weights, windows, finite-dimensional isotropy modules and characters.
 
 Everything downstream compares modules through their characters, so this
 module fixes the common vocabulary: integer weight lattices for a torus,
 highest-weight types for the full sl2 symmetry, inclusive windows for
-truncating infinite gradings, finite-dimensional modules over an
-isotropy subalgebra (with disconnected-stabilizer parity labels), and
-the block-graded module container used by the localization side.
+truncating infinite gradings, and finite-dimensional modules over an
+isotropy subalgebra (with disconnected-stabilizer parity labels).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
 from typing import Iterator, Mapping, Sequence
@@ -385,47 +384,3 @@ def sl2_types_from_weights(weights: Mapping[int, int]) -> dict[int, int]:
             else:
                 work.pop(w, None)
     return types
-
-
-# ---------------------------------------------------------------------------
-# graded modules with named operators
-
-
-@dataclass
-class GradedModule:
-    """Weight-graded space with block operators of fixed weight shift.
-
-    ``ops`` maps an operator name to a pair (shift, blocks); the block at
-    weight w is the matrix from the w component to the (w+shift)
-    component.  Missing blocks are zero.  The container only stores a
-    window's worth of an often infinite object, so operator identities
-    are meaningful on interior weights only; callers pick those.
-    """
-
-    rank: int
-    dims: dict[Weight, int]
-    ops: dict[str, tuple[Weight, dict[Weight, SparseMatrix]]] = field(default_factory=dict)
-    parity: int | None = None
-
-    def __post_init__(self) -> None:
-        self.dims = {as_weight(w, self.rank): int(d)
-                     for w, d in self.dims.items() if d}
-        fixed: dict[str, tuple[Weight, dict[Weight, SparseMatrix]]] = {}
-        for name, (shift, blocks) in self.ops.items():
-            sh = as_weight(shift, self.rank)
-            bl: dict[Weight, SparseMatrix] = {}
-            for w, mat in blocks.items():
-                w = as_weight(w, self.rank)
-                src = self.dims.get(w, 0)
-                dst = self.dims.get(weight_add(w, sh), 0)
-                if mat.cols != src or mat.rows != dst:
-                    raise ValueError(
-                        f"op {name!r} block at {w}: shape {mat.rows}x{mat.cols}, "
-                        f"expected {dst}x{src}")
-                if not mat.is_zero():
-                    bl[w] = mat
-            fixed[name] = (sh, bl)
-        self.ops = fixed
-
-    def character(self) -> Character:
-        return Character("torus-weight", dict(self.dims), parity=self.parity)

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 from .exactla import ONE, ZERO, SparseMatrix, inverse, kernel_basis, rank, scalar
 from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
                     as_weight, check_module_compatible, weight_add, weight_neg)
-from .liealg import PairData, UnsupportedK, irrep_matrices, rep_of_vec
+from .liealg import PairData, StructureError, UnsupportedK, irrep_matrices, rep_of_vec
 from .pbw import Mono, UElt, bounded_monos, monos_by_weight, reduce_block
 
 __all__ = [
@@ -155,16 +155,12 @@ def identity_support(x: RgKElt) -> frozenset[Weight]:
 
 class RKElt:
     """Element of the plain convolution algebra of K = sl2: one square
-    block per irreducible type.
-
-    ``kind`` must be "sl2"; the torus model is RgKElt.
+    block per irreducible type.  The torus model is RgKElt.
     """
 
     __slots__ = ("data",)
 
-    def __init__(self, kind: str, data: Mapping):
-        if kind != "sl2":
-            raise UnsupportedK(f"unknown RK kind {kind!r}")
+    def __init__(self, data: Mapping):
         blocks = {}
         for n, mat in data.items():
             n = int(n)
@@ -183,8 +179,7 @@ class RKElt:
 
 def rk_mul(a: RKElt, b: RKElt) -> RKElt:
     """Convolution: blocks multiply as matrices, type by type."""
-    return RKElt("sl2", {n: a.data[n].mul(b.data[n])
-                         for n in a.data if n in b.data})
+    return RKElt({n: a.data[n].mul(b.data[n]) for n in a.data if n in b.data})
 
 
 def rep_of_uelt(u: UElt, n: int) -> SparseMatrix:
@@ -204,7 +199,7 @@ def rep_of_uelt(u: UElt, n: int) -> SparseMatrix:
 
 def sl2_embed(u: UElt, types: Iterable[int]) -> RKElt:
     """The element acting as u on each listed block and zero elsewhere."""
-    return RKElt("sl2", {n: rep_of_uelt(u, n) for n in types})
+    return RKElt({n: rep_of_uelt(u, n) for n in types})
 
 
 def adjoint_matrices() -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
@@ -365,7 +360,7 @@ def formula_mul_gen(xi: Sequence, x: RKElt,
                     for r, mat in fn_times_dist(q, p, block).items():
                         piece = mat.mul(rep_of_vec(right, r)).scale(coef)
                         acc[r] = acc[r].add(piece) if r in acc else piece
-    return RKElt("sl2", acc)
+    return RKElt(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +371,10 @@ def _quotient_dim(cols: Sequence, relations: Iterable[Iterable[tuple]]) -> int:
     """Dimension of the span of the generator keys ``cols`` modulo relations.
 
     Each relation lists the (key, coefficient) terms of
-    part*leg (x) t - part (x) leg*t.  A relation that names a key outside
-    ``cols`` has left the cut and is dropped.  This is the only place the
-    oracle builds a relation matrix and eliminates it.
+    part*leg (x) t - part (x) leg*t.  The chases skip every product that
+    would reach past the cut, so a key outside ``cols`` is a fault and
+    raises StructureError.  This is the only place the oracle builds a
+    relation matrix and eliminates it.
     """
     index = {key: i for i, key in enumerate(cols)}
     ent: list[tuple[int, int, Fraction]] = []
@@ -388,11 +384,10 @@ def _quotient_dim(cols: Sequence, relations: Iterable[Iterable[tuple]]) -> int:
         for key, c in rel:
             i = index.get(key)
             if i is None:
-                break
+                raise StructureError(f"relation term {key!r} left the cut")
             row[i] = row.get(i, ZERO) + c
-        else:
-            ent += [(nrows, i, v) for i, v in row.items() if v != 0]
-            nrows += 1
+        ent += [(nrows, i, v) for i, v in row.items() if v != 0]
+        nrows += 1
     return len(index) - rank(SparseMatrix(nrows, len(index), ent))
 
 

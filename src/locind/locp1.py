@@ -10,7 +10,10 @@ origin) and the solver asserts uniqueness.
 
 On top of that sit the orbit direct images used for the comparison.
 Three of them are spans of powers coordinate**a, one per torus weight,
-on which the chart operators act through one helper, ``_power_module``:
+on which the chart operators act through one helper, ``_power_module``.
+Each operator sends a power to a multiple of one other power, so such a
+model is a ``PowerModule``: its weights and one scalar per weight and
+operator.  The three are:
 
 * the Laurent module of sections on the open torus orbit (every a in
   one coset of the integers, with its two-point parity bookkeeping);
@@ -33,12 +36,11 @@ from math import comb
 from typing import Sequence
 
 from .exactla import ONE, ZERO, SparseMatrix, rank, scalar, solve
-from .gkmod import (Character, GradedModule, HModule, Window,
-                    sl2_types_from_weights)
+from .gkmod import Character, HModule, Window, sl2_types_from_weights
 from .liealg import StructureError, sl2
 
 __all__ = [
-    "ChartOp", "vector_field", "TwistedRep", "twisted_rep",
+    "ChartOp", "vector_field", "twisted_rep", "PowerModule",
     "delta_module", "laurent_module", "cech_cohomology_On",
     "JetModule", "jet_associated_module", "jet_conformance",
 ]
@@ -198,21 +200,15 @@ _LABELS = ("e", "h", "f")
 _MATS = {"e": (0, 1, 0), "h": (1, 0, 0), "f": (0, 0, 1)}
 
 
-def vector_field(xi, chart: str = "z") -> ChartOp:
-    """Infinitesimal fractional-linear action of an sl2 element.
+def vector_field(label: str, chart: str = "z") -> ChartOp:
+    """Infinitesimal fractional-linear action of the sl2 basis element
+    x named by ``label`` ("e", "h" or "f").
 
-    Accepts a basis label or a coefficient triple over (e, h, f).  The
-    coefficient polynomial comes from differentiating the action of
-    exp(-t xi) on the chart coordinate at t = 0, which makes the map a
+    The coefficient polynomial comes from differentiating the action of
+    exp(-t x) on the chart coordinate at t = 0, which makes the map a
     Lie algebra homomorphism (checked in the solver below).
     """
-    if isinstance(xi, str):
-        coords = {xi: ONE}
-    else:
-        coords = {lab: scalar(c) for lab, c in zip(_LABELS, xi)}
-    alpha = sum((c * _MATS[lab][0] for lab, c in coords.items()), start=ZERO)
-    beta = sum((c * _MATS[lab][1] for lab, c in coords.items()), start=ZERO)
-    gamma = sum((c * _MATS[lab][2] for lab, c in coords.items()), start=ZERO)
+    alpha, beta, gamma = _MATS[label]
     if chart == "z":
         # d/dt|0 of ((1-ta)z - tb)/(-tc z + 1 + ta)
         poly = (-beta, -2 * alpha, gamma)
@@ -235,16 +231,10 @@ _NORMALIZATION = {
 _B_DEG = 3  # degree cap for the multiplication parts of the ansatz
 
 
-@dataclass(frozen=True)
-class TwistedRep:
-    """First-order realization of sl2 on a chart, twisted by an integer."""
-
-    chart: str
-    rho: dict[str, ChartOp]
-
-
-def twisted_rep(lambda0: int, chart: str = "z") -> TwistedRep:
+def twisted_rep(lambda0: int, chart: str = "z") -> dict[str, ChartOp]:
     """Solve for the unique twisted first-order action on the chart.
+
+    Returns the operator of each sl2 basis label "e", "h" and "f".
 
     Ansatz: rho(x) = vector field of x plus a multiplication polynomial
     b_x.  Constraints: the commutator defect a_x b_y' - a_y b_x' must
@@ -314,12 +304,33 @@ def twisted_rep(lambda0: int, chart: str = "z") -> TwistedRep:
             got = rho[_LABELS[xi]].commutator(rho[_LABELS[yi]])
             if not got.sub(want).is_zero():
                 raise ArithmeticError("solved action fails the bracket check")
-    return TwistedRep(chart, rho)
+    return rho
+
+
+@dataclass(frozen=True)
+class PowerModule:
+    """Span of one power coordinate**a per weight, with named operators.
+
+    ``ops[name]`` is (shift, scalars): the operator sends the power of
+    weight wt to ``scalars[wt]`` times the power of weight wt + shift,
+    and to zero when wt is not a key.  The module stores a window's worth
+    of an often infinite object, so operator identities hold on interior
+    weights only.  ``parity`` tags the sign character of the Laurent
+    module and is None otherwise.
+    """
+
+    weights: tuple[int, ...]
+    ops: dict[str, tuple[int, dict[int, Fraction]]]
+    parity: int | None = None
+
+    def character(self) -> Character:
+        return Character("torus-weight", {wt: 1 for wt in self.weights},
+                         parity=self.parity)
 
 
 def _power_module(lambda0: int, chart: str, gauge: int, weights,
-                  top: int | None = None, parity: int | None = None) -> GradedModule:
-    """Blocks of e, h, f, z and d/dz on one power coordinate**a per weight.
+                  top: int | None = None, parity: int | None = None) -> PowerModule:
+    """Scalars of e, h, f, z and d/dz on one power coordinate**a per weight.
 
     The power of weight wt has a = (lambda0 - wt)/2 on the z chart and
     (lambda0 + wt)/2 on the w chart, whatever the gauge: an int when
@@ -333,7 +344,7 @@ def _power_module(lambda0: int, chart: str, gauge: int, weights,
     the power of another weight than the target means the operator is
     not weight-homogeneous.
     """
-    rep = twisted_rep(lambda0 + gauge, chart)
+    rho = twisted_rep(lambda0 + gauge, chart)
     comp = gauge if chart == "z" else -gauge
     exps = {}
     for wt in weights:
@@ -342,16 +353,16 @@ def _power_module(lambda0: int, chart: str, gauge: int, weights,
         if top is None or a < top:
             exps[wt] = a
     for wt, a in exps.items():
-        if rep.rho["h"].apply_exp(a) != ({a: wt + comp} if wt + comp else {}):
+        if rho["h"].apply_exp(a) != ({a: wt + comp} if wt + comp else {}):
             raise ArithmeticError("Cartan action disagrees with the exponent")
     zshift = -2 if chart == "z" else 2
-    chart_ops = {**rep.rho, "z": ChartOp.mult((ZERO, ONE), chart),
+    chart_ops = {**rho, "z": ChartOp.mult((ZERO, ONE), chart),
                  "dz": ChartOp.d(chart)}
     shifts = {"e": 2, "h": 0, "f": -2, "z": zshift, "dz": -zshift}
     wt_of = {a: wt for wt, a in exps.items()}
-    ops: dict[str, tuple[int, dict]] = {}
+    ops: dict[str, tuple[int, dict[int, Fraction]]] = {}
     for name, op in chart_ops.items():
-        blocks = {}
+        scalars = {}
         for wt, a in exps.items():
             entry = ZERO
             for b, v in op.apply_exp(a).items():
@@ -361,9 +372,9 @@ def _power_module(lambda0: int, chart: str, gauge: int, weights,
                 elif hit is not None:
                     raise ArithmeticError(f"operator {name!r} is not weight-homogeneous")
             if entry != 0:
-                blocks[(wt,)] = SparseMatrix(1, 1, [(0, 0, entry)])
-        ops[name] = (shifts[name], blocks)
-    return GradedModule(rank=1, dims={(wt,): 1 for wt in exps}, ops=ops, parity=parity)
+                scalars[wt] = entry
+        ops[name] = (shifts[name], scalars)
+    return PowerModule(tuple(exps), ops, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +382,7 @@ def _power_module(lambda0: int, chart: str, gauge: int, weights,
 
 
 def delta_module(lambda0: int, window: Window, chart: str = "z",
-                 gauge: int = 0) -> GradedModule:
+                 gauge: int = 0) -> PowerModule:
     """Direct image of the twisted fiber at the chart origin.
 
     This is the local cohomology at the origin: Laurent sections modulo
@@ -381,7 +392,7 @@ def delta_module(lambda0: int, window: Window, chart: str = "z",
     is the point at infinity and mirrors all weights.  ``gauge`` shifts
     the twist on the operator side and compensates with the opposite
     equivariant shift, so the reported character is gauge-independent
-    while the matrices are not.
+    while the operator scalars are not.
     """
     if window.rank != 1:
         raise ValueError("the delta module is graded by a rank-1 torus")
@@ -390,8 +401,8 @@ def delta_module(lambda0: int, window: Window, chart: str = "z",
 
 
 def laurent_module(lambda0: int, parity: int, window: Window,
-                   chart: str = "z", gauge: int = 0) -> GradedModule:
-    """Sections on the open torus orbit as a weight-graded module.
+                   chart: str = "z", gauge: int = 0) -> PowerModule:
+    """Sections on the open torus orbit, one power per weight.
 
     The two-point stabilizer forces every weight to share the parity of
     the fiber sign character; the section of weight wt is the formal
@@ -513,13 +524,13 @@ def jet_associated_module(v: HModule, p: int) -> JetModule:
         raise StructureError("lowering part of the isotropy must act by zero")
     lam = int(lam)
     weights = tuple(lam - 2 * s for s in range(p))
-    gm = _power_module(lam, "z", 0, weights, top=p)
+    pm = _power_module(lam, "z", 0, weights, top=p)
 
     def slots(name: str) -> SparseMatrix:
         # the power z^s of weight lam - 2s sits in slot s
-        (shift,), blocks = gm.ops[name]
-        return SparseMatrix(p, p, [((lam - wt - shift) // 2, (lam - wt) // 2, m.entry(0, 0))
-                                   for (wt,), m in blocks.items()])
+        shift, scalars = pm.ops[name]
+        return SparseMatrix(p, p, [((lam - wt - shift) // 2, (lam - wt) // 2, c)
+                                   for wt, c in scalars.items()])
 
     return JetModule(level=p, fiber=v, slot_weights=weights,
                      ops={lab: slots(lab) for lab in _LABELS}, mult=slots("z"))

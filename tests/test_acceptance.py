@@ -167,7 +167,7 @@ def test_criterion_06_hecke_suite():
                              [(i, j, Fraction(rng.randint(-2, 2)))
                               for i in range(m + 1) for j in range(m + 1)
                               if rng.random() < 0.7])
-        x = RKElt("sl2", {m: block})
+        x = RKElt({m: block})
         for i, xi in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
             want = rk_mul(sl2_embed(gens[i], [m]), x)
             ok &= all(formula_mul_gen(xi, x, basis=b) == want for b in bases)
@@ -181,7 +181,7 @@ def test_criterion_07_twisted_operator_suite():
     for lam in range(-10, 11):
         for chart in ("z", "w"):
             rep = twisted_rep(lam, chart)
-            e, h, f = rep.rho["e"], rep.rho["h"], rep.rho["f"]
+            e, h, f = rep["e"], rep["h"], rep["f"]
             ok &= h.commutator(e).sub(e.scale(2)).is_zero()
             ok &= h.commutator(f).sub(f.scale(-2)).is_zero()
             ok &= e.commutator(f).sub(h).is_zero()

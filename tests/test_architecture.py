@@ -5,11 +5,13 @@ degree-zero oracle (``hecke``) are a check on each other only while
 they share no construction code: none of the three reaches another
 through its imports, and what they share lives in the modules below
 them.  No module reaches into the private names of another.  Every
-name the package defines has a caller outside the unit tests.
+name the package defines has a caller outside the unit tests.  The
+package needs nothing beyond the standard library.
 """
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -66,6 +68,21 @@ def test_no_module_imports_a_private_name_of_another():
 @pytest.mark.parametrize("module", SIBLINGS)
 def test_no_sibling_computation_reaches_another(module):
     assert _reachable(module) & set(SIBLINGS) == set()
+
+
+def test_the_package_imports_only_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"__future__", "locind"}
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                tops = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:                       # relative imports stay in the package
+                continue
+            foreign += [f"{path.stem} imports {t}" for t in tops if t not in allowed]
+    assert foreign == []
 
 
 def _defined_names(tree: ast.Module) -> list[tuple[str, ast.AST]]:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from locind.exactla import ONE, SparseMatrix
-from locind.gkmod import (Character, GradedModule, HModule,
+from locind.gkmod import (Character, HModule,
                           NonInvariantCharacter, Window, as_weight,
                           check_module_compatible, dual_module, lambda_top,
                           one_dim_module, sl2_types_from_weights, tensor_onedim)
@@ -216,38 +216,3 @@ def test_hmodule_validates_brackets():
         HModule(halg=halg, dim=2,
                 action=(SparseMatrix.zero(1, 1), SparseMatrix.zero(2, 2)),
                 l_weights=((0,), (0,)))
-
-
-# ---------------------------------------------------------------------------
-# graded modules
-
-
-def _two_step() -> GradedModule:
-    up = SparseMatrix(1, 1, [(0, 0, ONE)])
-    return GradedModule(rank=1,
-                        dims={(0,): 1, (2,): 1},
-                        ops={"e": ((2,), {(0,): up}),
-                             "h": ((0,), {(0,): SparseMatrix.zero(1, 1),
-                                          (2,): SparseMatrix(1, 1, [(0, 0, Fraction(2))])})})
-
-
-def test_graded_module_blocks_and_apply():
-    gm = _two_step()
-    assert gm.dims == {(0,): 1, (2,): 1}
-    shift, blocks = gm.ops["e"]
-    assert shift == (2,) and set(blocks) == {(0,)}  # nothing above the window
-    assert blocks[(0,)].apply((ONE,)) == (ONE,)
-    assert gm.character() == Character("torus-weight", {(0,): 1, (2,): 1})
-
-
-def test_graded_module_drops_zero_blocks_and_checks_shapes():
-    gm = _two_step()
-    assert (0,) not in gm.ops["h"][1]  # stored zero block is dropped
-    with pytest.raises(ValueError, match="shape"):
-        GradedModule(rank=1, dims={(0,): 1, (2,): 2},
-                     ops={"e": ((2,), {(0,): SparseMatrix.zero(1, 1)})})
-
-
-def test_graded_module_parity_tag():
-    gm = GradedModule(rank=1, dims={(1,): 2}, parity=1)
-    assert gm.character() == Character("torus-weight", {(1,): 2}, parity=1)

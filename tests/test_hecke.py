@@ -16,7 +16,7 @@ from locind.hecke import (RgKElt, RKElt, UnsupportedK, WindowTooSmall,
                           rep_of_uelt, rgk_mul, rk_mul, sl2_embed)
 from locind.hecke import _quotient_dim
 from locind.gkmod import lambda_top, one_dim_module, tensor_onedim
-from locind.liealg import irrep_matrices, pair_by_name
+from locind.liealg import StructureError, irrep_matrices, pair_by_name
 from locind.pbw import UElt
 
 
@@ -164,13 +164,6 @@ def test_rep_of_uelt_casimir():
         rep_of_uelt(UElt.one(bad), 2)
 
 
-def test_rk_takes_only_the_sl2_kind():
-    # the torus model is RgKElt; RKElt holds sl2 type blocks only
-    for kind in ("torus", "weird"):
-        with pytest.raises(UnsupportedK):
-            RKElt(kind, {})
-
-
 def test_rk_sl2_blockwise_product():
     from locind.liealg import sl2
     g = sl2()
@@ -178,7 +171,7 @@ def test_rk_sl2_blockwise_product():
     assert rk_mul(sl2_embed(e, [2, 3]), sl2_embed(f, [2])) == \
         sl2_embed(e * f, [2])
     with pytest.raises(ValueError, match="3x3"):
-        RKElt("sl2", {2: SparseMatrix.identity(2)})
+        RKElt({2: SparseMatrix.identity(2)})
 
 
 def test_invariant_form():
@@ -229,7 +222,7 @@ def test_formula_mul_matches_blockwise():
                              [(i, j, Fraction(rng.randint(-2, 2)))
                               for i in range(m + 1) for j in range(m + 1)
                               if rng.random() < 0.6])
-        x = RKElt("sl2", {m: block})
+        x = RKElt({m: block})
         for i, xi in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
             want = rk_mul(sl2_embed(gens[i], [m]), x)
             assert formula_mul_gen(xi, x) == want
@@ -298,10 +291,11 @@ def test_oracle_guards(pa, monkeypatch):
         p_deg0_oracle(pa, w, Window.segment(-10, 10))
 
 
-def test_quotient_dim_drops_relations_that_leave_the_cut():
+def test_quotient_dim_rejects_relations_that_leave_the_cut():
     cols = ["a", "b", "c"]
     assert _quotient_dim(cols, []) == 3
     assert _quotient_dim(cols, [[("a", ONE), ("b", -ONE)], [("b", 2), ("b", -2)]]) == 2
-    # "z" is not a generator: the whole relation goes, not just that term
-    assert _quotient_dim(cols, [[("a", ONE), ("z", ONE)]]) == 3
     assert _quotient_dim(cols, (rel for rel in [[("c", ONE)], [("a", ONE), ("c", ONE)]])) == 1
+    # "z" is not a generator: the chases never list it, so naming it is a fault
+    with pytest.raises(StructureError, match="'z' left the cut"):
+        _quotient_dim(cols, [[("a", ONE), ("z", ONE)]])

@@ -14,13 +14,11 @@ from locind.locp1 import (ChartOp, cech_cohomology_On, delta_module,
                           laurent_module, twisted_rep, vector_field)
 
 
-def _apply(gm, name, w, vec):
-    """(target weight, image of vec) of the named operator out of weight w."""
-    (shift,), blocks = gm.ops[name]
-    target = (w + shift,)
-    if (w,) not in blocks:
-        return target, (ZERO,) * gm.dims.get(target, 0)
-    return target, blocks[(w,)].apply(vec)
+def _apply(pm, name, w, c=ONE):
+    """(target weight, image scalar) of the named operator on c times the
+    power of weight w."""
+    shift, scalars = pm.ops[name]
+    return w + shift, scalars.get(w, ZERO) * c
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +62,14 @@ def test_vector_fields_bracket_homomorphism():
 def test_twisted_rep_closed_forms():
     for lam in range(-10, 11):
         repz = twisted_rep(lam, "z")
-        assert repz.rho["e"].coeffs == ((), (Fraction(-1),))
-        assert repz.rho["h"].coeffs == \
+        assert repz["e"].coeffs == ((), (Fraction(-1),))
+        assert repz["h"].coeffs == \
             (((Fraction(lam),) if lam else ()), (ZERO, Fraction(-2)))
-        assert repz.rho["f"].coeffs == \
+        assert repz["f"].coeffs == \
             (((ZERO, Fraction(-lam)) if lam else ()), (ZERO, ZERO, ONE))
         repw = twisted_rep(lam, "w")
-        assert repw.rho["f"].coeffs == ((), (Fraction(-1),))
-        assert repw.rho["e"].coeffs == \
+        assert repw["f"].coeffs == ((), (Fraction(-1),))
+        assert repw["e"].coeffs == \
             (((ZERO, Fraction(-lam)) if lam else ()), (ZERO, ZERO, ONE))
 
 
@@ -79,7 +77,7 @@ def test_twisted_rep_brackets_and_casimir():
     for lam in (-7, -1, 0, 2, 9):
         for chart in ("z", "w"):
             rep = twisted_rep(lam, chart)
-            e, h, f = rep.rho["e"], rep.rho["h"], rep.rho["f"]
+            e, h, f = rep["e"], rep["h"], rep["f"]
             assert h.commutator(e).sub(e.scale(2)).is_zero()
             assert h.commutator(f).sub(f.scale(-2)).is_zero()
             assert e.commutator(f).sub(h).is_zero()
@@ -95,16 +93,16 @@ def test_delta_module_weights_and_relations():
     lam = -4
     win = Window.segment(-30, 30)
     dm = delta_module(lam, win)
-    assert sorted(w for (w,) in dm.dims) == list(range(lam + 2, 31, 2))
+    assert dm.weights == tuple(range(lam + 2, 31, 2))
     # f kills the lowest weight; f after e acts on the n-th weight space
     # by a scalar, whatever basis vector spans it
-    assert (lam + 2,) not in dm.ops["f"][1]
+    assert lam + 2 not in dm.ops["f"][1]
     for n in range(5):
         w = lam + 2 + 2 * n
-        tw, vec = _apply(dm, "e", w, (ONE,))
-        assert tw == (w + 2,)
-        tw, vec = _apply(dm, "f", tw[0], vec)
-        assert tw == (w,) and vec == (Fraction(-(n + 1) * (n + 2 + lam)),)
+        tw, c = _apply(dm, "e", w)
+        assert tw == w + 2
+        tw, c = _apply(dm, "f", tw, c)
+        assert tw == w and c == -(n + 1) * (n + 2 + lam)
 
 
 def test_delta_is_laurent_modulo_regular():
@@ -113,11 +111,11 @@ def test_delta_is_laurent_modulo_regular():
         for chart in ("z", "w"):
             dm = delta_module(lam, win, chart=chart)
             lm = laurent_module(lam, lam % 2, win, chart=chart)
-            assert dm.dims and set(dm.dims) < set(lm.dims)
-            for name, (shift, blocks) in dm.ops.items():
-                want = {w: m for w, m in lm.ops[name][1].items()
-                        if w in dm.dims and (w[0] + shift[0],) in dm.dims}
-                assert lm.ops[name][0] == shift and blocks == want, (lam, chart, name)
+            assert dm.weights and set(dm.weights) < set(lm.weights)
+            for name, (shift, scalars) in dm.ops.items():
+                want = {w: c for w, c in lm.ops[name][1].items()
+                        if w in dm.weights and w + shift in dm.weights}
+                assert lm.ops[name][0] == shift and scalars == want, (lam, chart, name)
 
 
 def test_delta_module_gauge_moves_matrices_not_characters():
@@ -125,9 +123,9 @@ def test_delta_module_gauge_moves_matrices_not_characters():
     win = Window.segment(-30, 30)
     dm = delta_module(lam, win)
     assert dm.character() == delta_module(lam, win, gauge=3).character()
-    # the gauged f block out of lam + 4 is zero, so it is not stored
-    assert delta_module(lam, win, gauge=2).ops["f"][1].get((lam + 4,)) != \
-        dm.ops["f"][1].get((lam + 4,))
+    # the gauged f scalar out of lam + 4 is zero, so it is not stored
+    assert delta_module(lam, win, gauge=2).ops["f"][1].get(lam + 4) != \
+        dm.ops["f"][1].get(lam + 4)
 
 
 def test_delta_module_mirror_chart():
@@ -135,7 +133,7 @@ def test_delta_module_mirror_chart():
     win = Window.segment(-30, 30)
     mw = delta_module(lam, win, chart="w")
     # the opposite chart supports the weight-negated ladder
-    assert sorted(w for (w,) in mw.dims) == list(range(-30, -lam - 1, 2))
+    assert mw.weights == tuple(range(-30, -lam - 1, 2))
 
 
 def test_delta_module_twist_far_below_the_window():
@@ -155,41 +153,25 @@ def test_laurent_module_weights_and_coefficients():
     for lam in (-3, 0, 2):
         for par in (0, 1):
             gm = laurent_module(lam, par, win)
-            ws = sorted(w for (w,) in gm.dims)
-            assert ws == [w for w in range(-12, 13) if w % 2 == par]
+            ws = gm.weights
+            assert ws == tuple(w for w in range(-12, 13) if w % 2 == par)
             assert gm.parity == par
             for w in ws[1:-1]:
-                tw, vec = _apply(gm, "e", w, (ONE,))
-                assert tw == (w + 2,)
-                if tw[0] <= 12:
-                    assert vec == (Fraction(w - lam, 2),) or \
-                        (vec == () and w == lam)
-                tw, vec = _apply(gm, "f", w, (ONE,))
-                assert tw == (w - 2,)
-                if tw[0] >= -12:
-                    assert vec == (Fraction(-(lam + w), 2),) or \
-                        (vec == () and w == -lam)
+                tw, c = _apply(gm, "e", w)
+                assert tw == w + 2 and c == Fraction(w - lam, 2)
+                tw, c = _apply(gm, "f", w)
+                assert tw == w - 2 and c == Fraction(-(lam + w), 2)
 
 
 def test_laurent_module_interior_casimir():
     win = Window.segment(-12, 12)
     for lam, par in ((-3, 0), (0, 1), (2, 0)):
         gm = laurent_module(lam, par, win)
-        ws = sorted(w for (w,) in gm.dims)
-        for w in ws[2:-2]:
-            val = ZERO
-            _, v1 = _apply(gm, "f", w, (ONE,))
-            if v1:
-                _, v2 = _apply(gm, "e", w - 2, v1)
-                val += v2[0] if v2 else ZERO
-            _, v1 = _apply(gm, "e", w, (ONE,))
-            if v1:
-                _, v2 = _apply(gm, "f", w + 2, v1)
-                val += v2[0] if v2 else ZERO
-            _, v1 = _apply(gm, "h", w, (ONE,))
-            hval = v1[0] if v1 else ZERO
-            val += hval * hval / 2
-            assert val == Fraction(lam * lam + 2 * lam, 2)
+        for w in gm.weights[2:-2]:
+            ef = _apply(gm, "e", *_apply(gm, "f", w))[1]
+            fe = _apply(gm, "f", *_apply(gm, "e", w))[1]
+            hval = _apply(gm, "h", w)[1]
+            assert ef + fe + hval * hval / 2 == Fraction(lam * lam + 2 * lam, 2)
 
 
 def test_laurent_module_gauge_invariance():
@@ -249,11 +231,10 @@ def test_jets_are_polynomials_modulo_a_power():
             jm = jet_associated_module(one_dim_module(pa, (lam, 0)), p)
             slot = {lam - 2 * s: s for s in range(p)}
             for name, mat in [*jm.ops.items(), ("z", jm.mult)]:
-                shift, blocks = lm.ops[name]
+                shift, scalars = lm.ops[name]
                 want = SparseMatrix(p, p, [
-                    (slot[w + shift[0]], slot[w], m.entry(0, 0))
-                    for (w,), m in blocks.items()
-                    if w in slot and w + shift[0] in slot])
+                    (slot[w + shift], slot[w], c) for w, c in scalars.items()
+                    if w in slot and w + shift in slot])
                 assert mat == want, (lam, p, name)
 
 
