@@ -259,25 +259,21 @@ def _open_blocks(pair: PairData, mod: HModule,
                  cut: int) -> dict[int, tuple[list[dict], ChainBlock]]:
     """Parity-class complexes for the two-point stabilizer.
 
-    Straightening in the adapted order never produces a letter from the
-    compact part (checked at runtime), so one complex per parity class
-    serves every weight block of that class.  The nontrivial stabilizer
-    component is central, hence acts trivially on the wedge legs, and
-    the parity bookkeeping reduces to the module slots alone.  Each class
-    comes with its basis keys per degree, for ``_restrict``.
+    Here g = k + h, so by PBW U(g) = U(k) (x) U(h), and a block evaluates
+    the U(k) factor: the algebra part of every block is U(h), presented
+    on the basis of h, and one complex per parity class serves every
+    weight block of that class.  The nontrivial stabilizer component is
+    central, hence acts trivially on the wedge legs, and the parity
+    bookkeeping reduces to the module slots alone.  Each class comes
+    with its basis keys per degree, for ``_restrict``.
     """
-    adapted = pair.adapted()
-    kp = pair.k_part
-    leg_u = [UElt.gen(adapted, j) for j in pair.adapted_legs()]
+    halg = pair.h_as_lie()
+    leg_u = [UElt.from_vec(halg, pair.h.coords(xi)) for xi in pair.hl_basis]
     wedge = _wedge_data(pair, mod)
-    monos = bounded_monos(range(kp, adapted.dim), cut, adapted.dim)
+    monos = bounded_monos(range(halg.dim), cut, halg.dim)
 
     def rmul(mono: Mono, leg: int) -> Iterable:
-        prod = UElt(adapted, {mono: ONE}) * leg_u[leg]
-        for m2 in prod.terms:
-            if any(m2[i] for i in range(kp)):
-                raise ArithmeticError("Cartan letter appeared in the adapted boundary")
-        return prod.terms.items()
+        return (UElt(halg, {mono: ONE}) * leg_u[leg]).terms.items()
 
     def parts(ts: list[int], d: int,
               legs: tuple[int, ...]) -> list[tuple[Mono, int]]:

@@ -206,14 +206,8 @@ def lambda_top(pair: PairData) -> HModule:
     minus trace on the isotropy algebra.
     """
     halg = pair.h_as_lie()
-    vals = []
-    for i in range(halg.dim):
-        x = pair.h.basis[i]
-        ambient_tr = _ad_trace(pair.lie, x)
-        sub_tr = ZERO
-        for j in range(halg.dim):
-            sub_tr += halg.bracket(halg.basis_vector(i), halg.basis_vector(j))[j]
-        vals.append(ambient_tr - sub_tr)
+    vals = [_ad_trace(pair.lie, x) - _ad_trace(halg, halg.basis_vector(i))
+            for i, x in enumerate(pair.h.basis)]
     parity: int | None
     if pair.l_group.component_order == 2:
         # the nontrivial stabilizer component is central in the matrix

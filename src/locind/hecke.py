@@ -433,24 +433,21 @@ def _oracle_open(pair: PairData, mod: HModule, window: Window,
                  cut: int) -> Character:
     """Relation chase when K meets the stabilizer in two points only.
 
-    Every block carries the same copy of the reduced enveloping algebra
-    (straightening in the adapted order never produces a Cartan letter),
-    so one elimination per parity class serves all blocks of that parity.
+    Every block carries the same copy of U(h), presented on the basis of
+    h (g = k + h and a block evaluates U(k)), so one elimination per
+    parity class serves all blocks of that parity.
     """
-    adapted = pair.adapted()
-    kp = pair.k_part
-    monos = bounded_monos(range(kp, adapted.dim), cut, adapted.dim)
+    halg = pair.h_as_lie()
+    monos = bounded_monos(range(halg.dim), cut, halg.dim)
     products = []       # (part, straightened part*leg, leg action) below the cut
-    for j, xi in zip(pair.adapted_legs(), pair.hl_basis):
-        act = mod.matrix_of(pair.h.coords(xi))
-        uxi = UElt.gen(adapted, j)
+    for xi in pair.hl_basis:
+        coords = pair.h.coords(xi)
+        act = mod.matrix_of(coords)
+        uxi = UElt.from_vec(halg, coords)
         for mono in monos:
             if sum(mono) + 1 > cut:
                 continue
-            prod = UElt(adapted, {mono: ONE}) * uxi
-            if any(m2[i] for m2 in prod.terms for i in range(kp)):
-                raise ArithmeticError("Cartan letter appeared in the adapted chase")
-            products.append((mono, prod.terms, act))
+            products.append((mono, (UElt(halg, {mono: ONE}) * uxi).terms, act))
     per_parity: dict[int, int] = {}
     for p in (0, 1):
         ts = [t for t in range(mod.dim) if mod.parity[t] == p]

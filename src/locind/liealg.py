@@ -50,6 +50,12 @@ def vec_is_zero(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
+def _columns(dim: int, vecs: Sequence[Vec]) -> SparseMatrix:
+    """The matrix whose columns are the given vectors."""
+    return SparseMatrix(dim, len(vecs), [(r, c, v[r]) for c, v in enumerate(vecs)
+                                         for r in range(dim) if v[r] != 0])
+
+
 class LieAlg:
     """Lie algebra given by labelled basis and structure constants.
 
@@ -123,23 +129,7 @@ class LieAlg:
 
     def expand(self, v: Vec, spanning: Sequence[Vec]) -> tuple[Fraction, ...] | None:
         """Coordinates of v in the given spanning vectors, or None."""
-        return solve(SparseMatrix(self.dim, len(spanning),
-                                  [(r, c, w[r]) for c, w in enumerate(spanning)
-                                   for r in range(self.dim) if w[r] != 0]), v)
-
-    def in_basis(self, vectors: Sequence[Vec], labels: Sequence[str]) -> "LieAlg":
-        """The same algebra presented on a different ordered basis."""
-        if len(vectors) != self.dim:
-            raise StructureError("change of basis needs a full basis")
-        brackets: dict[tuple[int, int], Vec] = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                b = self.bracket(vectors[i], vectors[j])
-                coords = self.expand(b, vectors)
-                if coords is None:
-                    raise StructureError("proposed vectors do not span")
-                brackets[(i, j)] = coords
-        return LieAlg(labels, brackets)
+        return solve(_columns(self.dim, spanning), v)
 
     def __repr__(self) -> str:
         return f"LieAlg({'+'.join(self.labels)})"
@@ -199,10 +189,7 @@ class Subalg:
     basis: tuple[Vec, ...]
 
     def __post_init__(self) -> None:
-        m = SparseMatrix(self.ambient.dim, len(self.basis),
-                         [(r, c, v[r]) for c, v in enumerate(self.basis)
-                          for r in range(self.ambient.dim) if v[r] != 0])
-        if rank(m) != len(self.basis):
+        if rank(_columns(self.ambient.dim, self.basis)) != len(self.basis):
             raise StructureError("subalgebra basis is linearly dependent")
         for i, x in enumerate(self.basis):
             for y in self.basis[i + 1:]:
@@ -290,13 +277,12 @@ class PairData:
     """Everything the induction/localization engines need about a family.
 
     hl_basis: vectors spanning h modulo l (ordered; fixes wedge signs).
-    adapted_labels/adapted_vectors: the internal presentation basis,
-    ordered K-part first, then zeta part, then the h-part, so that
-    left reduction of K generators is a plain evaluation.
+    A pair with no stabilizer torus (the open orbit) must have g = k + h
+    as vector spaces: by PBW, U(g) = U(k) (x) U(h), and a block evaluates
+    U(k), so every block's algebra part is U(h) on the basis of h.
     """
 
     name: str
-    family: str                  # "A" | "B" | "C" | "D"
     lie: LieAlg
     k: KDescriptor
     h: Subalg
@@ -304,9 +290,6 @@ class PairData:
     l_basis: tuple[Vec, ...]
     l_group: LDescriptor
     hl_basis: tuple[Vec, ...]
-    adapted_labels: tuple[str, ...]
-    adapted_vectors: tuple[Vec, ...]
-    k_part: int                  # how many leading adapted vectors lie in k
 
     def __post_init__(self) -> None:
         self.k.validate(self.lie)
@@ -316,6 +299,11 @@ class PairData:
         if self.l_group.torus_indices not in ((), tuple(range(self.k.rank))):
             raise UnsupportedK("stabilizer torus must use no K coordinate "
                                "or all of them in order")
+        if self.l_group.torus_indices == ():
+            span = self.k.embedding + self.h.basis
+            if len(span) != self.lie.dim or rank(_columns(self.lie.dim, span)) != len(span):
+                raise UnsupportedK("with no stabilizer torus, k and h must together "
+                                   "be a basis of the ambient algebra")
 
     @cached_property
     def cartan_of(self) -> tuple[int | None, ...]:
@@ -330,9 +318,6 @@ class PairData:
             cart[nz[0]] = coord
         return tuple(cart)
 
-    def adapted(self) -> LieAlg:
-        return self.lie.in_basis(self.adapted_vectors, self.adapted_labels)
-
     def h_as_lie(self) -> LieAlg:
         return self.h.as_lie(self.h_labels)
 
@@ -346,34 +331,18 @@ class PairData:
             raise StructureError("vector is not a K weight vector")
         return ws.pop()
 
-    def adapted_legs(self) -> tuple[int, ...]:
-        """Adapted-basis index of each vector of hl_basis.
-
-        Each vector must be a single adapted basis vector outside the K
-        part, so a wedge leg is one letter of the adapted presentation.
-        """
-        out = []
-        for xi in self.hl_basis:
-            coords = self.lie.expand(xi, self.adapted_vectors)
-            nz = [i for i, c in enumerate(coords) if c != 0]
-            if len(nz) != 1 or coords[nz[0]] != 1 or nz[0] < self.k_part:
-                raise UnsupportedK("adapted basis must contain the isotropy complement")
-            out.append(nz[0])
-        return tuple(out)
-
 
 def closed_orbit_pair() -> PairData:
     """Family A: torus K, isotropy the Borel at the origin, u = 0."""
     g = sl2()
-    e, h, f = g.basis_vector(0), g.basis_vector(1), g.basis_vector(2)
+    h, f = g.basis_vector(1), g.basis_vector(2)
     k = KDescriptor("torus", 1, (h,), ((2,), (0,), (-2,)))
     hsub = Subalg(g, (h, f))
     return PairData(
-        name="closed-orbit", family="A", lie=g, k=k, h=hsub,
+        name="closed-orbit", lie=g, k=k, h=hsub,
         h_labels=("h", "f"),
         l_basis=(h,), l_group=LDescriptor(torus_indices=(0,)),
-        hl_basis=(f,),
-        adapted_labels=("h", "e", "f"), adapted_vectors=(h, e, f), k_part=1)
+        hl_basis=(f,))
 
 
 def open_orbit_pair() -> PairData:
@@ -385,11 +354,10 @@ def open_orbit_pair() -> PairData:
     k = KDescriptor("torus", 1, (h,), ((2,), (0,), (-2,)))
     hsub = Subalg(g, (x1, x2))
     return PairData(
-        name="open-orbit", family="B", lie=g, k=k, h=hsub,
+        name="open-orbit", lie=g, k=k, h=hsub,
         h_labels=("x1", "x2"),
         l_basis=(), l_group=LDescriptor(torus_indices=(), component_order=2),
-        hl_basis=(x1, x2),
-        adapted_labels=("h", "x1", "x2"), adapted_vectors=(h, x1, x2), k_part=1)
+        hl_basis=(x1, x2))
 
 
 def borel_weil_bott_pair() -> PairData:
@@ -399,28 +367,25 @@ def borel_weil_bott_pair() -> PairData:
     k = KDescriptor("sl2", 1, (e, h, f), ((2,), (0,), (-2,)))
     hsub = Subalg(g, (h, f))
     return PairData(
-        name="borel-weil-bott", family="C", lie=g, k=k, h=hsub,
+        name="borel-weil-bott", lie=g, k=k, h=hsub,
         h_labels=("h", "f"),
         l_basis=(h,), l_group=LDescriptor(torus_indices=(0,)),
-        hl_basis=(f,),
-        adapted_labels=("h", "e", "f"), adapted_vectors=(h, e, f), k_part=1)
+        hl_basis=(f,))
 
 
 def product_pair() -> PairData:
     """Family D: two closed-orbit factors; dim(h/l) = 2, three terms."""
     g = direct_sum(sl2(), sl2())
-    e1, h1, f1 = g.basis_vector(0), g.basis_vector(1), g.basis_vector(2)
-    e2, h2, f2 = g.basis_vector(3), g.basis_vector(4), g.basis_vector(5)
+    h1, f1 = g.basis_vector(1), g.basis_vector(2)
+    h2, f2 = g.basis_vector(4), g.basis_vector(5)
     k = KDescriptor("torus", 2, (h1, h2),
                     ((2, 0), (0, 0), (-2, 0), (0, 2), (0, 0), (0, -2)))
     hsub = Subalg(g, (h1, f1, h2, f2))
     return PairData(
-        name="product", family="D", lie=g, k=k, h=hsub,
+        name="product", lie=g, k=k, h=hsub,
         h_labels=("h1", "f1", "h2", "f2"),
         l_basis=(h1, h2), l_group=LDescriptor(torus_indices=(0, 1)),
-        hl_basis=(f1, f2),
-        adapted_labels=("h1", "h2", "e1", "e2", "f1", "f2"),
-        adapted_vectors=(h1, h2, e1, e2, f1, f2), k_part=2)
+        hl_basis=(f1, f2))
 
 
 _FAMILIES: dict[str, Callable[[], PairData]] = {

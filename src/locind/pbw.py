@@ -2,8 +2,8 @@
 
 Elements are rational combinations of ordered monomials in the basis of
 a LieAlg; the monomial order is the basis order of the algebra, so the
-same code serves both the standard presentation (e, h, f) and the
-adapted presentations used by the induction engine (K part first).
+same code serves the ambient algebra and the isotropy algebra h, whose
+enveloping algebra is the open orbit's algebra part.
 Straightening rewrites an arbitrary word into the ordered basis using
 the structure constants, with a per-algebra memo table since the same
 small words recur constantly in boundary assembly.

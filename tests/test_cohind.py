@@ -3,6 +3,7 @@ symmetry pairs, agreement with the independent relation-chase oracle,
 duality, additivity, and the truncation guard rails."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from locind.gkmod import (Character, HModule, Window, WindowTooSmall,
                           dual_module, lambda_top, one_dim_module,
                           tensor_onedim)
 from locind.hecke import p_deg0_oracle
-from locind.liealg import StructureError, pair_by_name
+from locind.liealg import (StructureError, Subalg, UnsupportedK, pair_by_name,
+                           vec_add, vec_scale)
 
 WIN = Window.segment(-12, 12)
 
@@ -186,6 +188,32 @@ def test_open_orbit_jordan_module(pb, lam, par):
     assert h0 == Character("torus-weight", expect, parity=par)
     assert all(h.is_zero() for h in higher)
     assert h0 == p_deg0_oracle(pb, tensor_onedim(v, lambda_top(pb)), win)
+
+
+@pytest.mark.parametrize("legs", [((2, 0), (0, 1)), ((0, 1), (1, 0)),
+                                  ((1, 0), (0, -3))])
+@pytest.mark.parametrize("lam, par", [(0, 0), (1, 1), (-3, 0)])
+def test_open_orbit_accepts_any_basis_of_the_quotient(pb, legs, lam, par):
+    # the algebra part is U(h) on the basis of h, whatever basis of h/l
+    # the wedge legs use: rescaled, swapped or mixed legs give the same
+    # homology, and the oracle agrees with degree 0
+    x1, x2 = pb.h.basis
+    other = replace(pb, hl_basis=tuple(vec_add(vec_scale(a, x1), vec_scale(b, x2))
+                                       for a, b in legs))
+    v = one_dim_module(pb, (-lam, -lam), parity=par)
+    w = tensor_onedim(v, lambda_top(pb))
+    win = Window.segment(-8, 8)
+    got = build_standard_complex(other, v, win).homology_characters()
+    assert got == build_standard_complex(pb, v, win).homology_characters()
+    oracle = p_deg0_oracle(other, w, win)
+    assert oracle == p_deg0_oracle(pb, w, win) == got[0]
+
+
+def test_open_orbit_needs_k_and_h_to_span(pb):
+    # with no stabilizer torus, g = k + h is what makes U(h) the algebra part
+    x1 = pb.h.basis[0]
+    with pytest.raises(UnsupportedK, match="together be a basis"):
+        replace(pb, h=Subalg(pb.lie, (x1,)), h_labels=("x1",), hl_basis=(x1,))
 
 
 # ---------------------------------------------------------------------------

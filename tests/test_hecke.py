@@ -16,7 +16,7 @@ from locind.hecke import (RgKElt, RKElt, UnsupportedK, WindowTooSmall,
                           rep_of_uelt, rgk_mul, rk_mul, sl2_embed)
 from locind.hecke import _quotient_dim
 from locind.gkmod import lambda_top, one_dim_module, tensor_onedim
-from locind.liealg import StructureError, irrep_matrices, pair_by_name
+from locind.liealg import StructureError, Subalg, irrep_matrices, pair_by_name
 from locind.pbw import UElt
 
 
@@ -158,8 +158,7 @@ def test_rep_of_uelt_casimir():
     for n in range(5):
         val = Fraction(n * n + 2 * n, 2)
         assert rep_of_uelt(omega, n) == SparseMatrix.identity(n + 1).scale(val)
-    bad = sl2().in_basis(tuple(sl2().basis_vector(i) for i in (2, 1, 0)),
-                         ("f", "h", "e"))
+    bad = Subalg(g, tuple(g.basis_vector(i) for i in (2, 1, 0))).as_lie(("f", "h", "e"))
     with pytest.raises(UnsupportedK):
         rep_of_uelt(UElt.one(bad), 2)
 
