@@ -1,18 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` (always lowest terms, positive
-denominator), matrices are sparse maps (row, col) -> Fraction.  Rank,
-kernel and homology dimensions are computed by exact elimination, so
-every result is an integer with no tolerance attached.
+A scalar is an ``int`` when its value is integral and a
+``fractions.Fraction`` (lowest terms, positive denominator) otherwise;
+``scalar`` normalises to that form and refuses anything inexact.  Only
+a division makes a Fraction: the pivot inverse of ``rref`` here, and
+the callers' own.  Matrices are sparse maps (row, col) -> scalar.
+Rank, kernel and homology dimensions are computed by exact
+elimination, so every result is an integer with no tolerance attached.
 
 ``rank`` runs one fraction-free forward pass on Python ints: each row
 is scaled to integers by the lcm of its denominators (which leaves the
-rank unchanged), then cross-multiplied against pivot rows keyed by
-their leading column, and divided by its content after every step, so
-its entries stay bounded; there is no back-substitution.  The rank is
-kept on the (immutable) matrix, so a boundary shared by two homology
-degrees is eliminated once.  ``kernel_basis``, ``solve`` and
-``inverse`` use the Fraction reduced row echelon form ``rref``.
+rank unchanged, and is 1 on an integer row), then cross-multiplied
+against pivot rows keyed by their leading column, and divided by its
+content after every step, so its entries stay bounded; there is no
+back-substitution.  The rank is kept on the (immutable) matrix, so a
+boundary shared by two homology degrees is eliminated once.
+``kernel_basis``, ``solve`` and ``inverse`` use the reduced row echelon
+form ``rref``, whose pivot rows are divided through by their pivots.
 """
 
 from __future__ import annotations
@@ -21,23 +25,26 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-Scalar = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 class CompositionNonzero(Exception):
     """Raised when two maps expected to compose to zero do not."""
 
 
-def scalar(x: int | str | Fraction) -> Fraction:
-    """Coerce ints, 'p/q' strings, or Fractions to an exact scalar."""
-    if isinstance(x, Fraction):
+def scalar(x: int | str | Fraction) -> int | Fraction:
+    """Coerce ints, 'p/q' strings, or Fractions to an exact scalar.
+
+    The result is an ``int`` when the value is integral and a Fraction
+    otherwise; anything else, floats included, raises TypeError.
+    """
+    if type(x) is int:
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"not an exact scalar: {x!r}")
+    if not isinstance(x, (int, str, Fraction)):
+        raise TypeError(f"not an exact scalar: {x!r}")
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 class SparseMatrix:
@@ -193,7 +200,7 @@ class SparseMatrix:
             best = min(rows, key=lambda r: (min(r), len(r)))
             rows.remove(best)
             lead = min(best)
-            inv = ONE / best[lead]
+            inv = Fraction(1) / best[lead]
             best = {c: v * inv for c, v in best.items()}
             for target in (rows, reduced):
                 for i, row in enumerate(target):

@@ -262,7 +262,7 @@ def clebsch_gordan(r: int) -> dict[int, tuple[SparseMatrix, SparseMatrix]]:
         for j, c in enumerate(ker[0]):
             vec[space[j]] = c
         lead = next(c for c in vec if c != 0)
-        vec = [c / lead for c in vec]
+        vec = [Fraction(c) / lead for c in vec]
         cols = [tuple(vec)]
         for _ in range(s):
             cols.append(ftot.apply(cols[-1]))

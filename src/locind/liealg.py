@@ -296,6 +296,13 @@ class PairData:
         for v in self.l_basis:
             if not self.h.contains(v):
                 raise StructureError("l is not inside h")
+        # independent, as many as dim h, and inside h (adding h's basis
+        # does not raise the rank)
+        basis = self.l_basis + self.hl_basis
+        if (len(basis) != self.h.dim
+                or rank(_columns(self.lie.dim, basis)) != len(basis)
+                or rank(_columns(self.lie.dim, self.h.basis + basis)) != len(basis)):
+            raise StructureError("l_basis and hl_basis must together be a basis of h")
         if self.l_group.torus_indices not in ((), tuple(range(self.k.rank))):
             raise UnsupportedK("stabilizer torus must use no K coordinate "
                                "or all of them in order")

@@ -1,9 +1,12 @@
 """Universal enveloping algebras with exact PBW straightening.
 
-Elements are rational combinations of ordered monomials in the basis of
-a LieAlg; the monomial order is the basis order of the algebra, so the
-same code serves the ambient algebra and the isotropy algebra h, whose
-enveloping algebra is the open orbit's algebra part.
+Elements are combinations of ordered monomials in the basis of a
+LieAlg, with exact coefficients (``exactla.scalar``): straightening
+only adds and multiplies, so on integral structure constants, as in the
+four families, every coefficient is an ``int``.  The monomial order is
+the basis order of the algebra, so the same code serves the ambient
+algebra and the isotropy algebra h, whose enveloping algebra is the
+open orbit's algebra part.
 Straightening rewrites an arbitrary word into the ordered basis using
 the structure constants, with a per-algebra memo table since the same
 small words recur constantly in boundary assembly.
@@ -184,21 +187,15 @@ class UElt:
 
 
 def bounded_monos(free: Sequence[int], cut: int, dim: int) -> list[Mono]:
-    """All monomials on the given letters with total degree at most cut."""
-    out: list[Mono] = []
+    """All monomials on the given letters with total degree at most cut.
 
-    def rec(pos: int, budget: int, expo: list[int]) -> None:
-        if pos == len(free):
-            mono = [0] * dim
-            for i, a in zip(free, expo):
-                mono[i] = a
-            out.append(tuple(mono))
-            return
-        for a in range(budget + 1):
-            rec(pos + 1, budget - a, expo + [a])
-
-    rec(0, cut, [])
-    return out
+    Lexicographic in the exponents of the letters, in the order given.
+    """
+    out = [((0,) * dim, cut)]   # (monomial, degree left for later letters)
+    for i in free:
+        out = [(m[:i] + (a,) + m[i + 1:], left - a)
+               for m, left in out for a in range(left + 1)]
+    return [m for m, _ in out]
 
 
 def monos_by_weight(free: Sequence[int], cut: int,

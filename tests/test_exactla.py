@@ -9,11 +9,32 @@ from locind.exactla import (ONE, ZERO, CompositionNonzero, SparseMatrix,
 
 
 def test_scalar_coercion():
-    assert scalar(3) == Fraction(3)
+    # an int when the value is integral, a Fraction otherwise, never a float
+    assert scalar(3) == 3 and type(scalar(3)) is int
     assert scalar("2/5") == Fraction(2, 5)
     assert scalar(Fraction(-1, 7)) == Fraction(-1, 7)
+    assert type(scalar("1/2")) is Fraction
+    for two in ("4/2", Fraction(6, 3)):
+        assert scalar(two) == 2 and type(scalar(two)) is int
     with pytest.raises(TypeError):
         scalar(0.5)
+    m = SparseMatrix.from_rows([[1, 2], [3, 4]])
+    assert all(type(v) is int for _, _, v in m.mul(m).add(m.scale(-1)).entries())
+
+
+def test_elimination_divides_into_fractions_never_floats():
+    # pivot 2: each of rref, kernel_basis, solve and inverse meets 1/2
+    half = Fraction(1, 2)
+    rows, pivots = SparseMatrix.from_rows([[2, 1]]).rref()
+    assert pivots == [0] and rows == [{0: 1, 1: half}]
+    assert type(rows[0][1]) is Fraction
+    (ker,) = kernel_basis(SparseMatrix.from_rows([[2, 1]]))
+    assert ker == (-half, 1) and type(ker[0]) is Fraction
+    (sol,) = solve(SparseMatrix.from_rows([[2]]), (1,))
+    assert sol == half and type(sol) is Fraction
+    inv = inverse(SparseMatrix.from_rows([[2, 0], [0, 1]]))
+    assert inv.entry(0, 0) == half and type(inv.entry(0, 0)) is Fraction
+    assert type(inv.entry(1, 1)) is int
 
 
 def test_construction_guards():

@@ -1,6 +1,7 @@
 """Verification harness: case validation, report schema, selftest suite,
 and the command line driver."""
 
+import gc
 import json
 import random
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ from locind.gkmod import Character, Window
 from locind.harness import (LEDGER, Report, VerificationCase, default_cases,
                             main, run_case, selftest)
 from locind.harness import _fuse_dashed_values
+from locind.liealg import pair_by_name
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +219,36 @@ def test_small_complex_rank_nullity(fam):
     for blk in cx.blocks.values():
         for b in blk.boundaries:
             assert b.cols - rank(b) == len(kernel_basis(b))
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C", "D"])
+def test_integral_values_are_ints(fam):
+    # every structure constant and boundary entry of the four families is
+    # an integer, and is carried as an int, not as a Fraction
+    cx = harness._small_complex(fam)
+    for blk in cx.blocks.values():
+        for b in blk.boundaries:
+            assert all(type(v) is int for _, _, v in b.entries())
+    pair = pair_by_name(fam)
+    for lie in (pair.lie, pair.h_as_lie()):
+        assert all(type(c) is int for v in lie._full.values() for c in v)
+
+
+def test_runs_leave_no_reference_cycles():
+    # what a cycle holds lives until the collector happens to run, so peak
+    # memory would depend on its timing: a run must free all it made
+    runs = [(c.case_id, lambda c=c: run_case(c))
+            for c in (default_cases(fam)[0] for fam in "ABCD")]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, run in runs + [("selftest", selftest)]:
+            run()
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

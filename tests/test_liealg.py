@@ -92,6 +92,15 @@ class TestPairs:
             a.h_weight_of(mixed)
 
 
+def test_pair_refuses_legs_that_are_not_a_basis_of_h_modulo_l():
+    a, b = pair_by_name("A"), pair_by_name("B")
+    e, f = a.lie.basis_vector(0), a.lie.basis_vector(2)
+    x1 = b.h.basis[0]
+    for pair, legs in ((a, (f, f)), (a, (e,)), (b, (x1, x1))):
+        with pytest.raises(StructureError, match="basis of h"):
+            replace(pair, hl_basis=legs)
+
+
 def test_subalg_coords_roundtrip():
     g = sl2()
     sub = Subalg(g, (g.basis_vector(1), g.basis_vector(2)))

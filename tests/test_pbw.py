@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from locind.liealg import direct_sum, sl2
-from locind.pbw import UElt
+from locind.pbw import UElt, bounded_monos
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +89,18 @@ def test_monomial_guard(g):
         UElt(g, {(1, 0): Fraction(1)})
     with pytest.raises(ValueError):
         UElt(g, {(0, -1, 0): 1})
+
+
+@pytest.mark.parametrize("free, cut", [((0, 2, 3, 5), 6), ((3, 1), 9),
+                                       ((), 4), ((2,), 0)])
+def test_bounded_monos_lex_order(free, cut):
+    # every exponent vector on the free letters up to degree cut, once,
+    # lexicographic with the letters in the order given
+    want = []
+    for expo in product(range(cut + 1), repeat=len(free)):
+        if sum(expo) <= cut:
+            mono = [0] * 6
+            for i, a in zip(free, expo):
+                mono[i] = a
+            want.append(tuple(mono))
+    assert bounded_monos(free, cut, 6) == want
