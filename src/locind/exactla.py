@@ -3,22 +3,22 @@
 A scalar is an ``int`` when its value is integral and a
 ``fractions.Fraction`` (lowest terms, positive denominator) otherwise;
 ``scalar`` normalises to that form and refuses anything inexact.  Only
-a division makes a Fraction: the pivot inverse of ``rref`` here, and
+a division makes a Fraction: the one per pivot in ``rref`` here, and
 the callers' own.  Matrices are sparse maps (row, col) -> scalar.
 Rank, kernel and homology dimensions are computed by exact
 elimination, so every result is an integer with no tolerance attached.
 
-``rank`` runs one fraction-free forward pass on Python ints: each row
-is scaled to integers by the lcm of its denominators (which leaves the
-rank unchanged, and is 1 on an integer row), then cross-multiplied
-against pivot rows keyed by their leading column, and divided by its
-content after every step, so its entries stay bounded; there is no
-back-substitution.  The rank is kept on the (immutable) matrix, so a
-boundary shared by two homology degrees is eliminated once.
-``kernel_basis``, ``solve`` and ``inverse`` use the reduced row echelon
-form ``rref``, whose pivot rows are divided through by their pivots.
+There is one forward pass, ``_echelon``, fraction-free on Python ints:
+each row is scaled to integers by the lcm of its denominators (which
+leaves its span unchanged, and is 1 on an integer row), then
+cross-multiplied against pivot rows keyed by their leading column, and
+divided by its content after every step, so its entries stay bounded.
+``rank`` counts the pivot rows and is kept on the (immutable) matrix,
+so a boundary shared by two homology degrees is eliminated once.
+``rref`` back-substitutes the same rows, still in integers, from the
+last pivot to the first, then divides each row by its pivot, once;
+``kernel_basis``, ``solve`` and ``inverse`` read their answers off it.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
@@ -56,7 +56,7 @@ class SparseMatrix:
                  entries: Iterable[tuple[int, int, int | str | Fraction]] = ()):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        data: dict[tuple[int, int], Fraction] = {}
+        data: dict[tuple[int, int], int | Fraction] = {}
         for r, c, v in entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) out of range for {rows}x{cols}")
@@ -95,7 +95,7 @@ class SparseMatrix:
 
     @classmethod
     def combination(cls, rows: int, cols: int, mats: Sequence["SparseMatrix"],
-                    coords: Sequence[Fraction]) -> "SparseMatrix":
+                    coords: Sequence[int | Fraction]) -> "SparseMatrix":
         """The sum of coords[i] * mats[i], each matrix rows x cols."""
         out = cls.zero(rows, cols)
         for m, c in zip(mats, coords):
@@ -105,10 +105,10 @@ class SparseMatrix:
 
     # -- basic queries --------------------------------------------------
 
-    def entry(self, r: int, c: int) -> Fraction:
+    def entry(self, r: int, c: int) -> int | Fraction:
         return self._data.get((r, c), ZERO)
 
-    def entries(self) -> Iterator[tuple[int, int, Fraction]]:
+    def entries(self) -> Iterator[tuple[int, int, int | Fraction]]:
         for (r, c), v in sorted(self._data.items()):
             yield r, c, v
 
@@ -157,10 +157,10 @@ class SparseMatrix:
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        by_row: dict[int, list[tuple[int, int | Fraction]]] = {}
         for (r, c), v in other._data.items():
             by_row.setdefault(r, []).append((c, v))
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], int | Fraction] = {}
         for (r, k), v in self._data.items():
             for c, w in by_row.get(k, ()):
                 key = (r, c)
@@ -173,7 +173,7 @@ class SparseMatrix:
         m._data.update(acc)
         return m
 
-    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def apply(self, vec: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = [ZERO] * self.rows
@@ -184,84 +184,64 @@ class SparseMatrix:
 
     # -- elimination ----------------------------------------------------
 
-    def _row_dicts(self) -> list[dict[int, Fraction]]:
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
-        for (r, c), v in self._data.items():
-            rows[r][c] = v
-        return rows
-
-    def rref(self) -> tuple[list[dict[int, Fraction]], list[int]]:
+    def rref(self) -> tuple[list[dict[int, int | Fraction]], list[int]]:
         """Reduced row echelon form; returns (rows, pivot column list)."""
-        rows = [r for r in self._row_dicts() if r]
-        pivots: list[int] = []
-        reduced: list[dict[int, Fraction]] = []
-        while rows:
-            # pick the sparsest row with the smallest leading column
-            best = min(rows, key=lambda r: (min(r), len(r)))
-            rows.remove(best)
-            lead = min(best)
-            inv = Fraction(1) / best[lead]
-            best = {c: v * inv for c, v in best.items()}
-            for target in (rows, reduced):
-                for i, row in enumerate(target):
-                    coeff = row.get(lead)
-                    if coeff is None:
-                        continue
-                    new = dict(row)
-                    for c, v in best.items():
-                        w = new.get(c, ZERO) - coeff * v
-                        if w == 0:
-                            new.pop(c, None)
-                        else:
-                            new[c] = w
-                    target[i] = new
-            rows = [r for r in rows if r]
-            reduced.append(best)
-            pivots.append(lead)
-        order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-        return [reduced[i] for i in order], [pivots[i] for i in order]
+        echelon = _echelon(self)
+        pivots = sorted(echelon)
+        # later pivot columns are cleared by rows that are already reduced,
+        # which are zero at every other pivot column
+        reduced: dict[int, dict[int, int]] = {}
+        for lead in reversed(pivots):
+            row = echelon[lead]
+            for col in [c for c in row if c in reduced]:
+                row = _combine(row, reduced[col], col)
+            reduced[lead] = row
+        return [{c: scalar(Fraction(v, reduced[p][p])) for c, v in reduced[p].items()}
+                for p in pivots], pivots
 
 
-def _int_rank(m: SparseMatrix) -> int:
-    """Rank by fraction-free forward elimination on integer rows."""
-    rows: dict[int, dict[int, Fraction]] = {}
+def _combine(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """a*row - b*prow with its entry at col cancelled, divided by its content."""
+    g = gcd(prow[col], row[col])
+    a, b = prow[col] // g, row[col] // g
+    new = {c: a * v for c, v in row.items()}
+    for c, v in prow.items():
+        w = new.get(c, 0) - b * v
+        if w:
+            new[c] = w
+        else:
+            del new[c]
+    g = gcd(*new.values())
+    return {c: v // g for c, v in new.items()} if g > 1 else new
+
+
+def _echelon(m: SparseMatrix) -> dict[int, dict[int, int]]:
+    """Integer pivot rows keyed by their leading column, fraction-free."""
+    rows: dict[int, dict[int, int | Fraction]] = {}
     for (r, c), v in m._data.items():
         rows.setdefault(r, {})[c] = v
-    pivots: dict[int, dict[int, int]] = {}   # leading column -> pivot row
+    pivots: dict[int, dict[int, int]] = {}
     for frow in rows.values():
         den = lcm(*(v.denominator for v in frow.values()))
         row = {c: v.numerator * (den // v.denominator) for c, v in frow.items()}
         while row:
-            g = gcd(*row.values())
-            if g != 1:
-                row = {c: v // g for c, v in row.items()}
             lead = min(row)
             prow = pivots.get(lead)
             if prow is None:
                 pivots[lead] = row
                 break
-            # row <- a*row - b*prow clears the lead column
-            g = gcd(prow[lead], row[lead])
-            a, b = prow[lead] // g, row[lead] // g
-            new = {c: a * v for c, v in row.items()}
-            for c, v in prow.items():
-                w = new.get(c, 0) - b * v
-                if w:
-                    new[c] = w
-                else:
-                    del new[c]
-            row = new
-    return len(pivots)
+            row = _combine(row, prow, lead)
+    return pivots
 
 
 def rank(m: SparseMatrix) -> int:
     """Rank over the rationals, computed once and kept on the matrix."""
     if m._rank is None:
-        m._rank = _int_rank(m)
+        m._rank = len(_echelon(m))
     return m._rank
 
 
-def kernel_basis(m: SparseMatrix) -> list[tuple[Fraction, ...]]:
+def kernel_basis(m: SparseMatrix) -> list[tuple[int | Fraction, ...]]:
     """A basis of the rational null space; len = cols - rank."""
     rows, pivots = m.rref()
     pivot_set = set(pivots)
@@ -291,7 +271,8 @@ def homology_dim(d_out: SparseMatrix, d_in: SparseMatrix) -> int:
         raise CompositionNonzero("d_out . d_in != 0")
     return (d_out.cols - rank(d_out)) - rank(d_in)
 
-def solve(m: SparseMatrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+def solve(m: SparseMatrix,
+          rhs: Sequence[int | Fraction]) -> tuple[int | Fraction, ...] | None:
     """One solution of m x = rhs, or None when the system is inconsistent."""
     if len(rhs) != m.rows:
         raise ValueError("right-hand side of wrong length")
@@ -315,7 +296,7 @@ def inverse(m: SparseMatrix) -> SparseMatrix:
     aug = SparseMatrix(n, 2 * n,
                        list(m.entries()) + [(i, n + i, ONE) for i in range(n)])
     rows, pivots = aug.rref()
-    if pivots[:n] != list(range(n)) or len(pivots) < n:
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     ent = []
     for row, pc in zip(rows, pivots):

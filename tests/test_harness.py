@@ -232,6 +232,8 @@ def test_integral_values_are_ints(fam):
     pair = pair_by_name(fam)
     for lie in (pair.lie, pair.h_as_lie()):
         assert all(type(c) is int for v in lie._full.values() for c in v)
+    for x in pair.l_basis + pair.hl_basis:
+        assert all(type(c) is int for c in pair.h.coords(x))
 
 
 def test_runs_leave_no_reference_cycles():

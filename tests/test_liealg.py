@@ -99,6 +99,9 @@ def test_pair_refuses_legs_that_are_not_a_basis_of_h_modulo_l():
     for pair, legs in ((a, (f, f)), (a, (e,)), (b, (x1, x1))):
         with pytest.raises(StructureError, match="basis of h"):
             replace(pair, hl_basis=legs)
+    # an l that is not inside h
+    with pytest.raises(StructureError, match="basis of h"):
+        replace(a, l_basis=(e,))
 
 
 def test_subalg_coords_roundtrip():
@@ -106,7 +109,6 @@ def test_subalg_coords_roundtrip():
     sub = Subalg(g, (g.basis_vector(1), g.basis_vector(2)))
     v = vec_add(vec_scale(2, g.basis_vector(1)), vec_scale(-3, g.basis_vector(2)))
     assert sub.coords(v) == (Fraction(2), Fraction(-3))
-    assert sub.contains(v) and not sub.contains(g.basis_vector(0))
     with pytest.raises(StructureError):
         sub.coords(g.basis_vector(0))
 
