@@ -7,9 +7,10 @@ four families, every coefficient is an ``int``.  The monomial order is
 the basis order of the algebra, so the same code serves the ambient
 algebra and the isotropy algebra h, whose enveloping algebra is the
 open orbit's algebra part.
-Straightening rewrites an arbitrary word into the ordered basis using
-the structure constants, with a per-algebra memo table since the same
-small words recur constantly in boundary assembly.
+There is one product rule: an ordered monomial times one generator,
+memoized per algebra by (monomial, generator), since boundary assembly
+multiplies the same monomials by the same wedge legs constantly; a
+product of two elements applies it letter by letter of the right factor.
 
 The module also lists the monomials on chosen letters up to a total
 degree (grouped by their adjoint weight when there is a torus), and
@@ -28,55 +29,40 @@ from .liealg import LieAlg, Vec
 Mono = tuple[int, ...]   # exponent vector over the algebra basis
 
 
-def _word_of(mono: Mono) -> tuple[int, ...]:
-    out: list[int] = []
-    for i, a in enumerate(mono):
-        out.extend([i] * a)
-    return tuple(out)
+def _times_gen(lie: LieAlg, mono: Mono, j: int) -> dict[Mono, Fraction]:
+    """The ordered monomial mono times the generator x_j, straightened.
 
-
-def _mono_of(word: Sequence[int], dim: int) -> Mono:
-    expo = [0] * dim
-    for i in word:
-        expo[i] += 1
-    return tuple(expo)
-
-
-def _memo(lie: LieAlg) -> dict:
-    cache = lie.__dict__.get("_straighten_memo")
-    if cache is None:
-        cache = lie.__dict__["_straighten_memo"] = {}
-    return cache
-
-
-def _straighten(lie: LieAlg, word: tuple[int, ...]) -> dict[Mono, Fraction]:
-    """Rewrite a word in basis generators as ordered monomials.
-
-    Terminates because an adjacent swap lowers the inversion count and a
-    bracket substitution lowers the word length.
+    With x_i the last letter of mono = rest * x_i and i > j,
+    mono * x_j = (rest * x_j) * x_i + sum_k [x_i, x_j]_k (rest * x_k);
+    every product on the right has a shorter left factor or is already
+    ordered, so the recursion ends.
     """
-    cache = _memo(lie)
-    hit = cache.get(word)
+    memo = lie.__dict__.setdefault("_times_gen_memo", {})
+    hit = memo.get((mono, j))
     if hit is not None:
         return hit
-    pos = -1
-    for p in range(len(word) - 1):
-        if word[p] > word[p + 1]:
-            pos = p
-            break
-    if pos < 0:
-        out = {_mono_of(word, lie.dim): ONE}
+    i = max((k for k, a in enumerate(mono) if a), default=-1)
+    if i <= j:
+        out = {mono[:j] + (mono[j] + 1,) + mono[j + 1:]: ONE}
     else:
-        i, j = word[pos], word[pos + 1]
-        swapped = word[:pos] + (j, i) + word[pos + 2:]
-        acc = dict(_straighten(lie, swapped))
-        for c, gamma in enumerate(lie.bracket_basis(i, j)):
+        rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+        out = _times(lie, _times_gen(lie, rest, j), i)
+        for k, gamma in enumerate(lie.bracket_basis(i, j)):
             if gamma != 0:
-                for m, co in _straighten(lie, word[:pos] + (c,) + word[pos + 2:]).items():
-                    acc[m] = acc.get(m, ZERO) + gamma * co
-        out = {m: co for m, co in acc.items() if co != 0}
-    cache[word] = out
+                for m, c in _times_gen(lie, rest, k).items():
+                    out[m] = out.get(m, ZERO) + gamma * c
+        out = {m: c for m, c in out.items() if c != 0}
+    memo[(mono, j)] = out
     return out
+
+
+def _times(lie: LieAlg, terms: Mapping[Mono, Fraction], j: int) -> dict[Mono, Fraction]:
+    """A combination of ordered monomials times the generator x_j."""
+    out: dict[Mono, Fraction] = {}
+    for mono, c in terms.items():
+        for m, co in _times_gen(lie, mono, j).items():
+            out[m] = out.get(m, ZERO) + c * co
+    return {m: c for m, c in out.items() if c != 0}
 
 
 class UElt:
@@ -92,8 +78,8 @@ class UElt:
                 raise ValueError(f"bad monomial {mono} for {lie!r}")
             c = scalar(c)
             if c != 0:
-                clean[mono] = clean.get(mono, ZERO) + c
-        self.terms = {m: c for m, c in clean.items() if c != 0}
+                clean[mono] = c
+        self.terms = clean
 
     # -- constructors
 
@@ -104,11 +90,15 @@ class UElt:
     @classmethod
     def gen(cls, lie: LieAlg, label_or_index: str | int) -> "UElt":
         i = lie.index(label_or_index) if isinstance(label_or_index, str) else label_or_index
+        if i not in range(lie.dim):
+            raise ValueError(f"no generator {i} in {lie!r}")
         mono = tuple(1 if j == i else 0 for j in range(lie.dim))
         return cls(lie, {mono: ONE})
 
     @classmethod
     def from_vec(cls, lie: LieAlg, v: Vec) -> "UElt":
+        if len(v) != lie.dim:
+            raise ValueError(f"vector of length {len(v)} for {lie!r}")
         terms: dict[Mono, Fraction] = {}
         for i, c in enumerate(v):
             if c != 0:
@@ -150,12 +140,13 @@ class UElt:
             return self.scale(other)
         self._require_same(other)
         acc: dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            w1 = _word_of(m1)
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                for m, co in _straighten(self.lie, w1 + _word_of(m2)).items():
-                    acc[m] = acc.get(m, ZERO) + c * co
+        for m2, c2 in other.terms.items():
+            terms = self.terms
+            for j, a in enumerate(m2):
+                for _ in range(a):
+                    terms = _times(self.lie, terms, j)
+            for m, c in terms.items():
+                acc[m] = acc.get(m, ZERO) + c * c2
         return UElt(self.lie, acc)
 
     def __eq__(self, other: object) -> bool:

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from locind.liealg import direct_sum, sl2
+from locind.liealg import direct_sum, pair_by_name, sl2
 from locind.pbw import UElt, bounded_monos
 
 
@@ -44,11 +44,15 @@ def test_unit_and_zero(g):
     assert x - x == zero
 
 
-def test_associativity_random(g):
-    rng = random.Random(7)
-    gens = [UElt.one(g)] + [_gen(g, lab) for lab in "ehf"]
+def _algebras():
+    return {"sl2": sl2(), "B.h": pair_by_name("B").h_as_lie(),
+            "D": pair_by_name("D").lie}
 
-    def rand_elt():
+
+def test_associativity_random():
+    rng = random.Random(7)
+
+    def rand_elt(g, gens):
         out = UElt(g)
         for _ in range(rng.randint(1, 3)):
             term = UElt.one(g).scale(rng.randint(-2, 2))
@@ -57,9 +61,38 @@ def test_associativity_random(g):
             out = out + term
         return out
 
-    for _ in range(40):
-        a, b, c = rand_elt(), rand_elt(), rand_elt()
-        assert (a * b) * c == a * (b * c)
+    for g in _algebras().values():
+        gens = [UElt.one(g)] + [_gen(g, i) for i in range(g.dim)]
+        for _ in range(40):
+            a, b, c = (rand_elt(g, gens) for _ in range(3))
+            assert (a * b) * c == a * (b * c)
+
+
+def _word_rule(lie, word, memo):
+    """Reference straightening: swap the first adjacent inversion of a word."""
+    if word not in memo:
+        p = next((p for p in range(len(word) - 1) if word[p] > word[p + 1]), None)
+        if p is None:
+            memo[word] = {tuple(word.count(i) for i in range(lie.dim)): 1}
+            return memo[word]
+        i, j = word[p], word[p + 1]
+        out = dict(_word_rule(lie, word[:p] + (j, i) + word[p + 2:], memo))
+        for k, gamma in enumerate(lie.bracket_basis(i, j)):
+            for m, c in _word_rule(lie, word[:p] + (k,) + word[p + 2:], memo).items():
+                out[m] = out.get(m, 0) + gamma * c
+        memo[word] = {m: c for m, c in out.items() if c != 0}
+    return memo[word]
+
+
+@pytest.mark.parametrize("name, degree", [("sl2", 8), ("B.h", 8), ("D", 4)])
+def test_product_rule_matches_word_rule(name, degree):
+    # every monomial up to the degree times every generator, term for term
+    g, memo = _algebras()[name], {}
+    for mono in bounded_monos(range(g.dim), degree, g.dim):
+        word = sum(((i,) * a for i, a in enumerate(mono)), ())
+        for j in range(g.dim):
+            got = (UElt(g, {mono: 1}) * UElt.gen(g, j)).terms
+            assert got == _word_rule(g, word + (j,), memo), (mono, j)
 
 
 def test_bracket_matches_lie(g):
@@ -89,6 +122,12 @@ def test_monomial_guard(g):
         UElt(g, {(1, 0): Fraction(1)})
     with pytest.raises(ValueError):
         UElt(g, {(0, -1, 0): 1})
+    with pytest.raises(ValueError):
+        UElt.gen(g, 5)
+    with pytest.raises(ValueError):
+        UElt.gen(g, -1)
+    with pytest.raises(ValueError):
+        UElt.from_vec(g, (1, 0))
 
 
 @pytest.mark.parametrize("free, cut", [((0, 2, 3, 5), 6), ((3, 1), 9),
