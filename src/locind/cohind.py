@@ -265,7 +265,7 @@ def _open_blocks(pair: PairData, mod: HModule,
     bookkeeping reduces to the module slots alone.  Each class comes
     with its basis keys per degree, for ``_restrict``.
     """
-    halg = pair.h_as_lie()
+    halg = pair.halg
     leg_u = [UElt.from_vec(halg, pair.h.coords(xi)) for xi in pair.hl_basis]
     wedge = _wedge_data(pair, mod)
     monos = bounded_monos(range(halg.dim), cut, halg.dim)
@@ -322,11 +322,15 @@ def _sl2_blocks(pair: PairData, mod: HModule,
     """
     wedge = _wedge_data(pair, mod)
     leg_w = [pair.h_weight_of(xi)[0] for xi in pair.hl_basis]
+    # the irreducibles act through K's (e, h, f), so a leg is read in the
+    # coordinates of the K embedding, not of the ambient basis
+    leg_k = [pair.lie.expand(xi, pair.k.embedding) for xi in pair.hl_basis]
 
     def parts(m: int, d: int, legs: tuple[int, ...]) -> list[tuple[int, int]]:
-        wi = sum(leg_w[i] for i in legs)
-        return [(b, t) for t in range(mod.dim) for b in range(m + 1)
-                if m - 2 * b == wi + mod.l_weights[t][0]]
+        # b = (m - w)/2 is the one row slot of grading w, if 0 <= b <= m
+        ws = [(t, sum(leg_w[i] for i in legs) + mod.l_weights[t][0])
+              for t in range(mod.dim)]
+        return [((m - w) // 2, t) for t, w in ws if abs(w) <= m and (m - w) % 2 == 0]
 
     def rmul(pms: list[SparseMatrix], b: int, leg: int) -> list:
         pm = pms[leg]
@@ -334,7 +338,7 @@ def _sl2_blocks(pair: PairData, mod: HModule,
 
     blocks: dict[int, ChainBlock] = {}
     for m in range(max_type + 1):
-        pms = [rep_of_vec(xi, m) for xi in pair.hl_basis]
+        pms = [rep_of_vec(xk, m) for xk in leg_k]
         blocks[m] = _assemble(wedge, partial(parts, m), partial(rmul, pms))[1]
     return blocks
 
@@ -412,7 +416,7 @@ def build_standard_complex(pair: PairData, v: HModule,
     if window is None:
         raise ValueError("torus symmetry needs a window")
     cuts = {n: _block_cut(pair, w, n, margin) for n in window.points()}
-    if pair.l_group.torus_indices:
+    if not pair.two_point:
         deep = _torus_blocks(pair, w, {n: k + 1 for n, k in cuts.items()})
         spread = partial(Character, "torus-weight")
     else:
@@ -447,17 +451,11 @@ def derived_p(pair: PairData, v: HModule, j: int,
     return c.homology_character(j)
 
 
-def derived_i(pair: PairData, v: HModule, j: int,
-              window: Window | None = None, max_type: int | None = None,
-              margin: int = 4) -> Character:
+def derived_i(pair: PairData, v: HModule, j: int, window: Window) -> Character:
     """Character of the j-th right derived functor of the sub-side
     induction, via the contragredient module on the reflected window.
+    Torus pairs only, at the default margin.
     """
-    dv = dual_module(v)
-    dw = None
-    if window is not None:
-        dw = Window.box(tuple(-x for x in window.hi),
-                        tuple(-x for x in window.lo))
-    return derived_p(pair, dv, j, window=dw, max_type=max_type,
-                     margin=margin).dual()
+    dw = Window.box(tuple(-x for x in window.hi), tuple(-x for x in window.lo))
+    return derived_p(pair, dual_module(v), j, window=dw).dual()
 

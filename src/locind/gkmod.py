@@ -144,11 +144,6 @@ class HModule:
                     for lw in self.l_weights), default=0)
 
 
-def _l_torus_generators(pair: PairData) -> list[Vec]:
-    carts = pair.k.cartan_generators()
-    return [carts[i] for i in pair.l_group.torus_indices]
-
-
 def _integral(x: Fraction, what: str) -> int:
     if x.denominator != 1:
         raise WeightNotIntegral(f"{what} evaluates to non-integer {x}")
@@ -164,7 +159,7 @@ def one_dim_module(pair: PairData, values: Sequence[int | str | Fraction],
     rejected; torus weights must come out integral; a two-component
     stabilizer requires an explicit parity in {0, 1}.
     """
-    halg = pair.h_as_lie()
+    halg = pair.halg
     vals = tuple(scalar(v) for v in values)
     if len(vals) != halg.dim:
         raise StructureError(f"need {halg.dim} scalars, got {len(vals)}")
@@ -175,10 +170,13 @@ def one_dim_module(pair: PairData, values: Sequence[int | str | Fraction],
             if got != 0:
                 raise NonInvariantCharacter(
                     f"scalars do not vanish on [{halg.labels[i]},{halg.labels[j]}]")
+    # the torus weight is the value on each Cartan generator of K, all of
+    # which lie in the stabilizer unless it is the two-point group
+    carts = () if pair.two_point else pair.k.cartan_generators()
     lw = tuple(_integral(
         sum((c * vals[i] for i, c in enumerate(pair.h.coords(g))), start=ZERO),
-        "torus weight") for g in _l_torus_generators(pair))
-    if pair.l_group.component_order == 2:
+        "torus weight") for g in carts)
+    if pair.two_point:
         if parity not in (0, 1):
             raise ValueError("two-component stabilizer: parity 0 or 1 required")
         par: tuple[int, ...] | None = (parity,)
@@ -205,11 +203,11 @@ def lambda_top(pair: PairData) -> HModule:
     the top wedge this is the trace, i.e. trace on the ambient algebra
     minus trace on the isotropy algebra.
     """
-    halg = pair.h_as_lie()
+    halg = pair.halg
     vals = [_ad_trace(pair.lie, x) - _ad_trace(halg, halg.basis_vector(i))
             for i, x in enumerate(pair.h.basis)]
     parity: int | None
-    if pair.l_group.component_order == 2:
+    if pair.two_point:
         # the nontrivial stabilizer component is central in the matrix
         # group, so its adjoint action on the quotient is trivial
         parity = 0
@@ -252,18 +250,17 @@ def check_module_compatible(pair: PairData, m: HModule) -> None:
     components, and generator actions must preserve parity (the identity
     component cannot move between components).
     """
-    halg = pair.h_as_lie()
+    halg = pair.halg
     if m.halg.labels != halg.labels or m.halg._table != halg._table:
         raise StructureError("module is not over this pair's isotropy algebra")
-    if (pair.l_group.component_order == 2) != (m.parity is not None):
+    if pair.two_point != (m.parity is not None):
         raise StructureError("parity labels do not match the component group")
-    tor = pair.l_group.torus_indices
     for i in range(halg.dim):
         x = pair.h.basis[i]
         ws = {pair.k.adjoint_weights[j] for j, c in enumerate(x) if c != 0}
         if len(ws) == 1:
             w = ws.pop()
-            shift = tuple(w[t] for t in tor)
+            shift = () if pair.two_point else w
             for r, c, _ in m.action[i].entries():
                 if m.l_weights[r] != weight_add(m.l_weights[c], shift):
                     raise StructureError(

@@ -437,7 +437,7 @@ def _oracle_open(pair: PairData, mod: HModule, window: Window,
     h (g = k + h and a block evaluates U(k)), so one elimination per
     parity class serves all blocks of that parity.
     """
-    halg = pair.h_as_lie()
+    halg = pair.halg
     monos = bounded_monos(range(halg.dim), cut, halg.dim)
     products = []       # (part, straightened part*leg, leg action) below the cut
     for xi in pair.hl_basis:
@@ -474,11 +474,14 @@ def _oracle_sl2(pair: PairData, mod: HModule, max_type: int) -> dict[int, int]:
     block; the quotient of that slice counts the multiplicity directly.
     """
     acts = [mod.matrix_of(pair.h.coords(xi)) for xi in pair.h.basis]
+    # the irreducibles act through K's (e, h, f): read each generator in
+    # the coordinates of the K embedding, not of the ambient basis
+    gens_k = [pair.lie.expand(xi, pair.k.embedding) for xi in pair.h.basis]
     types: dict[int, int] = {}
     for m in range(max_type + 1):
         rels = []
-        for xi, act in zip(pair.h.basis, acts):
-            pm = rep_of_vec(xi, m)
+        for xk, act in zip(gens_k, acts):
+            pm = rep_of_vec(xk, m)
             rels += ([((b, t), pm.entry(d, b)) for b in range(m + 1) if pm.entry(d, b) != 0]
                      + _leg_terms(act, d, t, range(mod.dim))
                      for d in range(m + 1) for t in range(mod.dim))
@@ -508,7 +511,7 @@ def p_deg0_oracle(pair: PairData, mod: HModule, window: Window | None = None,
         return Character("sl2-type", _oracle_sl2(pair, mod, max_type))
     if window is None:
         raise ValueError("torus symmetry needs a window")
-    if len(pair.l_group.torus_indices) == 0:
+    if pair.two_point:
         chase, cut = _oracle_open, 4 + margin
     else:
         chase, cut = _oracle_torus_l, _default_cut(mod, window, margin)

@@ -5,9 +5,10 @@ antisymmetry and the Jacobi identity are checked on construction, so a
 bad table can never propagate into downstream homology.  The module also
 carries the descriptors for the symmetry group data used elsewhere: a
 compact-group stand-in K (torus or sl2 kind), the isotropy subalgebra h,
-the intersection data L, and the bundled PairData consumed by the
-induction and localization engines with the torus tables a pair
-implies, and the sl2 irreducibles the resolution and the oracle share.
+and the bundled PairData consumed by the induction and localization
+engines, with the stabilizer L, the torus tables and the isotropy
+algebra a pair implies, and the sl2 irreducibles the resolution and
+the oracle share.
 """
 
 from __future__ import annotations
@@ -262,20 +263,15 @@ class KDescriptor:
 
 
 @dataclass(frozen=True)
-class LDescriptor:
-    """Intersection data L = K meet H: a subtorus plus component count."""
-
-    torus_indices: tuple[int, ...]   # which K coordinates survive in L
-    component_order: int = 1         # 1, or 2 for the two-point group
-
-
-@dataclass(frozen=True)
 class PairData:
     """Everything the induction/localization engines need about a family.
 
     hl_basis: vectors spanning h modulo l (ordered; fixes wedge signs).
-    A pair with no stabilizer torus (the open orbit) must have g = k + h
-    as vector spaces: by PBW, U(g) = U(k) (x) U(h), and a block evaluates
+    The stabilizer L = K meet H is one of two: K's maximal torus, with
+    ``l_basis`` spanning K's Cartan generators, or, with ``two_point``,
+    K's two-point group, with an empty ``l_basis`` and modules carrying
+    parities.  A two-point pair (the open orbit) must have g = k + h as
+    vector spaces: by PBW, U(g) = U(k) (x) U(h), and a block evaluates
     U(k), so every block's algebra part is U(h) on the basis of h.
     """
 
@@ -285,8 +281,8 @@ class PairData:
     h: Subalg
     h_labels: tuple[str, ...]
     l_basis: tuple[Vec, ...]
-    l_group: LDescriptor
     hl_basis: tuple[Vec, ...]
+    two_point: bool = False
 
     def __post_init__(self) -> None:
         self.k.validate(self.lie)
@@ -297,14 +293,18 @@ class PairData:
                 or rank(_columns(self.lie.dim, basis)) != len(basis)
                 or rank(_columns(self.lie.dim, self.h.basis + basis)) != len(basis)):
             raise StructureError("l_basis and hl_basis must together be a basis of h")
-        if self.l_group.torus_indices not in ((), tuple(range(self.k.rank))):
-            raise UnsupportedK("stabilizer torus must use no K coordinate "
-                               "or all of them in order")
-        if self.l_group.torus_indices == ():
+        if self.two_point:
+            if self.l_basis:
+                raise UnsupportedK("a two-point stabilizer has no torus part")
             span = self.k.embedding + self.h.basis
             if len(span) != self.lie.dim or rank(_columns(self.lie.dim, span)) != len(span):
                 raise UnsupportedK("with no stabilizer torus, k and h must together "
                                    "be a basis of the ambient algebra")
+        else:
+            carts = self.k.cartan_generators()
+            if not (rank(_columns(self.lie.dim, carts)) == len(self.l_basis)
+                    == rank(_columns(self.lie.dim, carts + self.l_basis))):
+                raise UnsupportedK("l_basis must span K's Cartan generators")
 
     @cached_property
     def cartan_of(self) -> tuple[int | None, ...]:
@@ -319,7 +319,9 @@ class PairData:
             cart[nz[0]] = coord
         return tuple(cart)
 
-    def h_as_lie(self) -> LieAlg:
+    @cached_property
+    def halg(self) -> LieAlg:
+        """The isotropy algebra h presented on its own basis."""
         return self.h.as_lie(self.h_labels)
 
     def hl_dim(self) -> int:
@@ -342,8 +344,7 @@ def closed_orbit_pair() -> PairData:
     return PairData(
         name="closed-orbit", lie=g, k=k, h=hsub,
         h_labels=("h", "f"),
-        l_basis=(h,), l_group=LDescriptor(torus_indices=(0,)),
-        hl_basis=(f,))
+        l_basis=(h,), hl_basis=(f,))
 
 
 def open_orbit_pair() -> PairData:
@@ -357,8 +358,7 @@ def open_orbit_pair() -> PairData:
     return PairData(
         name="open-orbit", lie=g, k=k, h=hsub,
         h_labels=("x1", "x2"),
-        l_basis=(), l_group=LDescriptor(torus_indices=(), component_order=2),
-        hl_basis=(x1, x2))
+        l_basis=(), hl_basis=(x1, x2), two_point=True)
 
 
 def borel_weil_bott_pair() -> PairData:
@@ -370,8 +370,7 @@ def borel_weil_bott_pair() -> PairData:
     return PairData(
         name="borel-weil-bott", lie=g, k=k, h=hsub,
         h_labels=("h", "f"),
-        l_basis=(h,), l_group=LDescriptor(torus_indices=(0,)),
-        hl_basis=(f,))
+        l_basis=(h,), hl_basis=(f,))
 
 
 def product_pair() -> PairData:
@@ -385,8 +384,7 @@ def product_pair() -> PairData:
     return PairData(
         name="product", lie=g, k=k, h=hsub,
         h_labels=("h1", "f1", "h2", "f2"),
-        l_basis=(h1, h2), l_group=LDescriptor(torus_indices=(0, 1)),
-        hl_basis=(f1, f2))
+        l_basis=(h1, h2), hl_basis=(f1, f2))
 
 
 _FAMILIES: dict[str, Callable[[], PairData]] = {

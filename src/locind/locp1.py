@@ -109,10 +109,6 @@ class ChartOp:
     def mult(cls, poly: Sequence[Fraction], chart: str) -> "ChartOp":
         return cls(chart, (tuple(poly),))
 
-    @classmethod
-    def d(cls, chart: str) -> "ChartOp":
-        return cls(chart, ((), (ONE,)))
-
     # -- ring structure
     def add(self, other: "ChartOp") -> "ChartOp":
         self._check(other)
@@ -328,24 +324,21 @@ class PowerModule:
                          parity=self.parity)
 
 
-def _power_module(lambda0: int, chart: str, gauge: int, weights,
+def _power_module(lambda0: int, chart: str, weights,
                   top: int | None = None, parity: int | None = None) -> PowerModule:
-    """Scalars of e, h, f, z and d/dz on one power coordinate**a per weight.
+    """Scalars of e, h, f and z on one power coordinate**a per weight.
 
     The power of weight wt has a = (lambda0 - wt)/2 on the z chart and
-    (lambda0 + wt)/2 on the w chart, whatever the gauge: an int when
-    integral, a Fraction when half-integral.  Powers at an exponent of at
-    least ``top`` are dropped, and so are their images: top = 0 is the
-    quotient by regular functions, top = p the quotient by coordinate**p
-    and no top the Laurent sections; images leaving the weights given
-    fall outside the window.  ``gauge`` shifts the twist of the
-    operators, so the Cartan element acts on each power by its weight
-    plus the compensating shift, which is checked.  A term that lands on
-    the power of another weight than the target means the operator is
-    not weight-homogeneous.
+    (lambda0 + wt)/2 on the w chart: an int when integral, a Fraction
+    when half-integral.  Powers at an exponent of at least ``top`` are
+    dropped, and so are their images: top = 0 is the quotient by regular
+    functions, top = p the quotient by coordinate**p and no top the
+    Laurent sections; images leaving the weights given fall outside the
+    window.  The Cartan element must act on each power by its weight,
+    which is checked.  A term that lands on the power of another weight
+    than the target means the operator is not weight-homogeneous.
     """
-    rho = twisted_rep(lambda0 + gauge, chart)
-    comp = gauge if chart == "z" else -gauge
+    rho = twisted_rep(lambda0, chart)
     exps = {}
     for wt in weights:
         num = lambda0 - wt if chart == "z" else lambda0 + wt
@@ -353,12 +346,11 @@ def _power_module(lambda0: int, chart: str, gauge: int, weights,
         if top is None or a < top:
             exps[wt] = a
     for wt, a in exps.items():
-        if rho["h"].apply_exp(a) != ({a: wt + comp} if wt + comp else {}):
+        if rho["h"].apply_exp(a) != ({a: wt} if wt else {}):
             raise ArithmeticError("Cartan action disagrees with the exponent")
     zshift = -2 if chart == "z" else 2
-    chart_ops = {**rho, "z": ChartOp.mult((ZERO, ONE), chart),
-                 "dz": ChartOp.d(chart)}
-    shifts = {"e": 2, "h": 0, "f": -2, "z": zshift, "dz": -zshift}
+    chart_ops = {**rho, "z": ChartOp.mult((ZERO, ONE), chart)}
+    shifts = {"e": 2, "h": 0, "f": -2, "z": zshift}
     wt_of = {a: wt for wt, a in exps.items()}
     ops: dict[str, tuple[int, dict[int, Fraction]]] = {}
     for name, op in chart_ops.items():
@@ -381,27 +373,23 @@ def _power_module(lambda0: int, chart: str, gauge: int, weights,
 # the delta module at the closed point and the Laurent module on the open orbit
 
 
-def delta_module(lambda0: int, window: Window, chart: str = "z",
-                 gauge: int = 0) -> PowerModule:
+def delta_module(lambda0: int, window: Window, chart: str = "z") -> PowerModule:
     """Direct image of the twisted fiber at the chart origin.
 
     This is the local cohomology at the origin: Laurent sections modulo
     regular ones, with basis the powers coordinate**a for a <= -1.  The
     n-th derivative delta_n of the point mass is (-1)^n n! coordinate**(-n-1),
     of weight lambda0 + 2 + 2n on the z chart; the origin of the w chart
-    is the point at infinity and mirrors all weights.  ``gauge`` shifts
-    the twist on the operator side and compensates with the opposite
-    equivariant shift, so the reported character is gauge-independent
-    while the operator scalars are not.
+    is the point at infinity and mirrors all weights.
     """
     if window.rank != 1:
         raise ValueError("the delta module is graded by a rank-1 torus")
     weights = range(window.lo[0] + (window.lo[0] - lambda0) % 2, window.hi[0] + 1, 2)
-    return _power_module(lambda0, chart, gauge, weights, top=0)
+    return _power_module(lambda0, chart, weights, top=0)
 
 
 def laurent_module(lambda0: int, parity: int, window: Window,
-                   chart: str = "z", gauge: int = 0) -> PowerModule:
+                   chart: str = "z") -> PowerModule:
     """Sections on the open torus orbit, one power per weight.
 
     The two-point stabilizer forces every weight to share the parity of
@@ -416,14 +404,14 @@ def laurent_module(lambda0: int, parity: int, window: Window,
     if window.rank != 1:
         raise ValueError("the Laurent module is graded by a rank-1 torus")
     weights = range(window.lo[0] + (window.lo[0] - parity) % 2, window.hi[0] + 1, 2)
-    return _power_module(lambda0, chart, gauge, weights, parity=parity)
+    return _power_module(lambda0, chart, weights, parity=parity)
 
 
 # ---------------------------------------------------------------------------
 # two-chart Cech cohomology of the n-twisted bundle
 
 
-def cech_cohomology_On(n: int, cap: int | None = None) -> tuple[Character, Character]:
+def cech_cohomology_On(n: int) -> tuple[Character, Character]:
     """Cohomology of the n-twist on the projective line, by K types.
 
     Classical two-chart computation: polynomial sections on each chart
@@ -432,7 +420,7 @@ def cech_cohomology_On(n: int, cap: int | None = None) -> tuple[Character, Chara
     weight and peeled into irreducible type multiplicities, which
     raises if the weights do not form a genuine representation.
     """
-    big = (cap if cap is not None else abs(n) + 2)
+    big = abs(n) + 2
     zs = {n - 2 * i: i for i in range(big + 1)}             # z^i, weight n-2i
     ws = {2 * j - n: j for j in range(big + 1)}             # w^j, weight 2j-n
     lo, hi = min(0, n - big), max(big, n)
@@ -524,7 +512,7 @@ def jet_associated_module(v: HModule, p: int) -> JetModule:
         raise StructureError("lowering part of the isotropy must act by zero")
     lam = int(lam)
     weights = tuple(lam - 2 * s for s in range(p))
-    pm = _power_module(lam, "z", 0, weights, top=p)
+    pm = _power_module(lam, "z", weights, top=p)
 
     def slots(name: str) -> SparseMatrix:
         # the power z^s of weight lam - 2s sits in slot s

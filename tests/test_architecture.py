@@ -5,8 +5,9 @@ degree-zero oracle (``hecke``) are a check on each other only while
 they share no construction code: none of the three reaches another
 through its imports, and what they share lives in the modules below
 them.  No module reaches into the private names of another.  Every
-name the package defines has a caller outside the unit tests.  The
-package needs nothing beyond the standard library.
+name the package defines, and every parameter default it offers, has a
+caller outside the unit tests.  The package needs nothing beyond the
+standard library.
 """
 
 import ast
@@ -158,3 +159,77 @@ def test_every_src_name_has_a_non_test_caller():
             if count <= 0:
                 unused.append(f"{module}.{name}")
     assert unused == []
+
+
+def _calls(tree: ast.AST) -> list[tuple[str, ast.Call]]:
+    """(callee name, call) for each call under tree.  The callee name is
+    the called name or attribute, whatever it is called on."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            f = n.func
+            if isinstance(f, ast.Name):
+                out.append((f.id, n))
+            elif isinstance(f, ast.Attribute):
+                out.append((f.attr, n))
+    return out
+
+
+def _optional_parameters(tree: ast.Module) -> list[tuple[str, ast.AST, str, int | None]]:
+    """(callee name, definition, parameter, position or None) for each
+    parameter with a default of a module-level function or of a method
+    of a module-level class.  An ``__init__`` is called by its class
+    name; the position does not count a method's self or cls."""
+    defs = [(node.name, node, 0) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    callee = cls.name if item.name == "__init__" else item.name
+                    defs.append((callee, item, 0 if static else 1))
+    out = []
+    for callee, node, skip in defs:
+        a = node.args
+        positional = (a.posonlyargs + a.args)[skip:]
+        first = len(positional) - len(a.defaults)
+        out += [(callee, node, p.arg, i) for i, p in enumerate(positional) if i >= first]
+        out += [(callee, node, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None]
+    return out
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(k.arg in (param, None) for k in call.keywords):    # None: **kwargs
+        return True
+    if position is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or i == position:
+            return True
+    return False
+
+
+def test_every_optional_parameter_has_a_non_test_caller():
+    """Every parameter with a default, of a function or method in the
+    package, is passed, by keyword or by position, at some call in the
+    package (outside the function's own body), in bench/ or in the
+    acceptance gate.  A setting that only unit tests pass is a second
+    configuration nothing else runs.  As in the names check, a call of
+    any callable with the function's name counts."""
+    root = SRC.parents[1]
+    trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in MODULES}
+    outside = [ast.parse(p.read_text()) for p in
+               [*sorted((root / "bench").glob("*.py")),
+                root / "tests" / "test_acceptance.py"]]
+    calls = [c for tree in [*trees.values(), *outside] for c in _calls(tree)]
+    unset = []
+    for module, tree in trees.items():
+        for callee, node, param, position in _optional_parameters(tree):
+            own = {id(n) for n in ast.walk(node)}
+            if not any(name == callee and id(call) not in own
+                       and _passes(call, param, position) for name, call in calls):
+                unset.append(f"{module}.{node.name}({param}=)")
+    assert unset == []

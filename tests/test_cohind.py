@@ -180,7 +180,7 @@ def test_open_orbit_jordan_module(pb, lam, par):
     # grading automorphism, here it breaks d o d = 0
     x1 = SparseMatrix.from_rows([[lam + 2, 0], [0, lam]])
     x2 = x1.add(SparseMatrix.from_rows([[0, 1], [0, 0]]))
-    v = HModule(halg=pb.h_as_lie(), dim=2, action=(x1, x2),
+    v = HModule(halg=pb.halg, dim=2, action=(x1, x2),
                 l_weights=((), ()), parity=(par, par))
     win = Window.segment(-8, 8)
     h0, *higher = build_standard_complex(pb, v, win).homology_characters()
@@ -282,7 +282,7 @@ def test_two_step_module_is_additive(pa):
     # non-split extension of the (mu-2) character by the mu character:
     # homology characters only see the associated graded
     mu = -4
-    halg = pa.h_as_lie()
+    halg = pa.halg
     h_mat = SparseMatrix(2, 2, [(0, 0, Fraction(mu)), (1, 1, Fraction(mu - 2))])
     f_mat = SparseMatrix(2, 2, [(1, 0, ONE)])
     w2 = HModule(halg=halg, dim=2, action=(h_mat, f_mat),
@@ -296,7 +296,7 @@ def test_two_step_module_is_additive(pa):
 
 
 def test_zero_module(pa):
-    z = HModule(halg=pa.h_as_lie(), dim=0,
+    z = HModule(halg=pa.halg, dim=0,
                 action=(SparseMatrix.zero(0, 0),) * 2, l_weights=())
     c = build_standard_complex(pa, z, WIN)
     assert all(c.homology_character(d).is_zero() for d in range(2))

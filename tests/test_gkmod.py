@@ -184,7 +184,7 @@ def test_tensor_and_dual():
 
 def test_check_module_compatible_catches_bad_grading():
     pair = pair_by_name("A")
-    halg = pair.h_as_lie()
+    halg = pair.halg
     # valid 2-dim module (h = diag(0,-2), f lowers), but the recorded
     # torus weights ignore that f shifts by its adjoint weight -2
     h_mat = SparseMatrix(2, 2, [(1, 1, Fraction(-2))])
@@ -196,7 +196,7 @@ def test_check_module_compatible_catches_bad_grading():
     with pytest.raises(StructureError, match="isotropy algebra"):
         check_module_compatible(pair_by_name("B"), bad)
     b = pair_by_name("B")
-    no_par = HModule(halg=b.h_as_lie(), dim=1,
+    no_par = HModule(halg=b.halg, dim=1,
                      action=(SparseMatrix.zero(1, 1), SparseMatrix.zero(1, 1)),
                      l_weights=((),))
     with pytest.raises(StructureError, match="component group"):
@@ -205,7 +205,7 @@ def test_check_module_compatible_catches_bad_grading():
 
 def test_hmodule_validates_brackets():
     pair = pair_by_name("A")
-    halg = pair.h_as_lie()
+    halg = pair.halg
     # h scalar and f nonzero cannot satisfy [h, f] = -2f
     h_mat = SparseMatrix(2, 2, [(0, 0, ONE), (1, 1, ONE)])
     f_mat = SparseMatrix(2, 2, [(0, 1, ONE)])

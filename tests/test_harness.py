@@ -230,7 +230,7 @@ def test_integral_values_are_ints(fam):
         for b in blk.boundaries:
             assert all(type(v) is int for _, _, v in b.entries())
     pair = pair_by_name(fam)
-    for lie in (pair.lie, pair.h_as_lie()):
+    for lie in (pair.lie, pair.halg):
         assert all(type(c) is int for v in lie._full.values() for c in v)
     for x in pair.l_basis + pair.hl_basis:
         assert all(type(c) is int for c in pair.h.coords(x))

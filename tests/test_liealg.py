@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from locind.liealg import (LDescriptor, LieAlg, StructureError, Subalg,
-                           UnsupportedK, direct_sum, pair_by_name, sl2,
-                           vec_add, vec_scale)
+from locind.gkmod import one_dim_module
+from locind.liealg import (LieAlg, StructureError, Subalg, UnsupportedK,
+                           direct_sum, pair_by_name, sl2, vec_add, vec_scale)
 
 
 def test_sl2_table():
@@ -62,15 +62,15 @@ class TestPairs:
         assert a.k.kind == "torus" and a.k.rank == 1
         assert a.h_labels == ("h", "f") and a.hl_dim() == 1
         assert a.h_weight_of(a.hl_basis[0]) == (-2,)
-        halg = a.h_as_lie()
+        halg = a.halg
         # [h, f] = -2f inside the isotropy presentation
         assert halg.bracket_basis(0, 1) == (Fraction(0), Fraction(-2))
 
     def test_open_orbit_shape(self):
         b = pair_by_name("B")
-        assert b.l_group.component_order == 2 and b.l_basis == ()
+        assert b.two_point and b.l_basis == ()
         assert b.hl_dim() == 2
-        halg = b.h_as_lie()
+        halg = b.halg
         # [x1, x2] = -2 x1 + 2 x2
         assert halg.bracket_basis(0, 1) == (Fraction(-2), Fraction(2))
 
@@ -119,8 +119,27 @@ def test_torus_tables_of_a_pair():
     assert pair_by_name("D").cartan_of == (None, 0, None, None, 1, None)
     with pytest.raises(UnsupportedK, match="not a torus"):
         pair_by_name("C").cartan_of
-    # the stabilizer's torus is none of K's coordinates or all, in order
-    pd = pair_by_name("D")
-    for bad in ((0,), (1, 0)):
-        with pytest.raises(UnsupportedK, match="in order"):
-            replace(pd, l_group=LDescriptor(torus_indices=bad))
+
+
+def test_pair_refuses_a_stabilizer_flag_its_l_basis_contradicts():
+    # L is K's maximal torus (l_basis spans K's Cartan generators) or
+    # K's two-point group (l_basis empty), nothing else
+    a = pair_by_name("A")
+    h, f = a.lie.basis_vector(1), a.lie.basis_vector(2)
+    with pytest.raises(UnsupportedK, match="Cartan generators"):
+        replace(a, l_basis=(f,), hl_basis=(h,))
+    with pytest.raises(UnsupportedK, match="Cartan generators"):
+        replace(pair_by_name("B"), two_point=False)
+    with pytest.raises(UnsupportedK, match="two-point"):
+        replace(pair_by_name("D"), two_point=True)
+    d = pair_by_name("D")
+    with pytest.raises(UnsupportedK, match="Cartan generators"):
+        replace(d, l_basis=d.l_basis[:1] + d.hl_basis[1:],
+                hl_basis=d.hl_basis[:1] + d.l_basis[1:])
+
+
+def test_isotropy_algebra_is_built_once_per_pair():
+    for fam, values, par in (("A", (-4, 0), None), ("B", (1, 1), 0)):
+        pair = pair_by_name(fam)
+        assert pair.halg is pair.halg
+        assert one_dim_module(pair, values, parity=par).halg is pair.halg

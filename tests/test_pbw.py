@@ -45,7 +45,7 @@ def test_unit_and_zero(g):
 
 
 def _algebras():
-    return {"sl2": sl2(), "B.h": pair_by_name("B").h_as_lie(),
+    return {"sl2": sl2(), "B.h": pair_by_name("B").halg,
             "D": pair_by_name("D").lie}
 
 
