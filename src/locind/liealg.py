@@ -268,8 +268,8 @@ class PairData:
 
     hl_basis: vectors spanning h modulo l (ordered; fixes wedge signs).
     The stabilizer L = K meet H is one of two: K's maximal torus, with
-    ``l_basis`` spanning K's Cartan generators, or, with ``two_point``,
-    K's two-point group, with an empty ``l_basis`` and modules carrying
+    ``l_basis`` spanning K's Cartan generators, or K's two-point group
+    (``two_point``: an empty ``l_basis``), with modules carrying
     parities.  A two-point pair (the open orbit) must have g = k + h as
     vector spaces: by PBW, U(g) = U(k) (x) U(h), and a block evaluates
     U(k), so every block's algebra part is U(h) on the basis of h.
@@ -282,7 +282,6 @@ class PairData:
     h_labels: tuple[str, ...]
     l_basis: tuple[Vec, ...]
     hl_basis: tuple[Vec, ...]
-    two_point: bool = False
 
     def __post_init__(self) -> None:
         self.k.validate(self.lie)
@@ -294,8 +293,6 @@ class PairData:
                 or rank(_columns(self.lie.dim, self.h.basis + basis)) != len(basis)):
             raise StructureError("l_basis and hl_basis must together be a basis of h")
         if self.two_point:
-            if self.l_basis:
-                raise UnsupportedK("a two-point stabilizer has no torus part")
             span = self.k.embedding + self.h.basis
             if len(span) != self.lie.dim or rank(_columns(self.lie.dim, span)) != len(span):
                 raise UnsupportedK("with no stabilizer torus, k and h must together "
@@ -305,6 +302,11 @@ class PairData:
             if not (rank(_columns(self.lie.dim, carts)) == len(self.l_basis)
                     == rank(_columns(self.lie.dim, carts + self.l_basis))):
                 raise UnsupportedK("l_basis must span K's Cartan generators")
+
+    @property
+    def two_point(self) -> bool:
+        """True when L is K's two-point group: no stabilizer torus."""
+        return not self.l_basis
 
     @cached_property
     def cartan_of(self) -> tuple[int | None, ...]:
@@ -358,7 +360,7 @@ def open_orbit_pair() -> PairData:
     return PairData(
         name="open-orbit", lie=g, k=k, h=hsub,
         h_labels=("x1", "x2"),
-        l_basis=(), hl_basis=(x1, x2), two_point=True)
+        l_basis=(), hl_basis=(x1, x2))
 
 
 def borel_weil_bott_pair() -> PairData:

@@ -175,28 +175,44 @@ def _calls(tree: ast.AST) -> list[tuple[str, ast.Call]]:
     return out
 
 
-def _optional_parameters(tree: ast.Module) -> list[tuple[str, ast.AST, str, int | None]]:
-    """(callee name, definition, parameter, position or None) for each
-    parameter with a default of a module-level function or of a method
-    of a module-level class.  An ``__init__`` is called by its class
-    name; the position does not count a method's self or cls."""
-    defs = [(node.name, node, 0) for node in tree.body
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for d in cls.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if getattr(d, "id", getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _optional_parameters(tree: ast.Module) -> list[tuple[str, ast.AST, str, str, int | None]]:
+    """(callee name, definition, qualified name, parameter, position or
+    None) for each parameter with a default of a module-level function
+    or of a method of a module-level class, and for each field with a
+    default of a module-level dataclass.  An ``__init__``, written or
+    generated, is called by its class name; the position does not count
+    a method's self or cls."""
+    defs = [(node.name, node, node.name, 0) for node in tree.body
             if isinstance(node, ast.FunctionDef)]
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef):
-            for item in cls.body:
-                if isinstance(item, ast.FunctionDef):
-                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                                 for d in item.decorator_list)
-                    callee = cls.name if item.name == "__init__" else item.name
-                    defs.append((callee, item, 0 if static else 1))
     out = []
-    for callee, node, skip in defs:
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                callee = cls.name if item.name == "__init__" else item.name
+                defs.append((callee, item, item.name, 0 if static else 1))
+        if _is_dataclass(cls):
+            fields = [f for f in cls.body
+                      if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            out += [(cls.name, f, cls.name, f.target.id, i)
+                    for i, f in enumerate(fields) if f.value is not None]
+    for callee, node, name, skip in defs:
         a = node.args
         positional = (a.posonlyargs + a.args)[skip:]
         first = len(positional) - len(a.defaults)
-        out += [(callee, node, p.arg, i) for i, p in enumerate(positional) if i >= first]
-        out += [(callee, node, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+        out += [(callee, node, name, p.arg, i) for i, p in enumerate(positional) if i >= first]
+        out += [(callee, node, name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
                 if d is not None]
     return out
 
@@ -214,11 +230,13 @@ def _passes(call: ast.Call, param: str, position: int | None) -> bool:
 
 def test_every_optional_parameter_has_a_non_test_caller():
     """Every parameter with a default, of a function or method in the
-    package, is passed, by keyword or by position, at some call in the
-    package (outside the function's own body), in bench/ or in the
-    acceptance gate.  A setting that only unit tests pass is a second
-    configuration nothing else runs.  As in the names check, a call of
-    any callable with the function's name counts."""
+    package, and every field with a default of a dataclass in it, is
+    passed, by keyword or by position, at some call in the package
+    (outside the function's own body), in bench/ or in the acceptance
+    gate; a field may also be set by keyword through ``replace``.  A
+    setting that only unit tests pass is a second configuration nothing
+    else runs.  As in the names check, a call of any callable with the
+    function's name counts."""
     root = SRC.parents[1]
     trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in MODULES}
     outside = [ast.parse(p.read_text()) for p in
@@ -227,9 +245,12 @@ def test_every_optional_parameter_has_a_non_test_caller():
     calls = [c for tree in [*trees.values(), *outside] for c in _calls(tree)]
     unset = []
     for module, tree in trees.items():
-        for callee, node, param, position in _optional_parameters(tree):
+        for callee, node, name, param, position in _optional_parameters(tree):
             own = {id(n) for n in ast.walk(node)}
-            if not any(name == callee and id(call) not in own
-                       and _passes(call, param, position) for name, call in calls):
-                unset.append(f"{module}.{node.name}({param}=)")
+            field = isinstance(node, ast.AnnAssign)
+            if not any(id(call) not in own
+                       and (n == callee and _passes(call, param, position)
+                            or field and n == "replace" and _passes(call, param, None))
+                       for n, call in calls):
+                unset.append(f"{module}.{name}({param}=)")
     assert unset == []

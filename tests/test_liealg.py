@@ -121,21 +121,23 @@ def test_torus_tables_of_a_pair():
         pair_by_name("C").cartan_of
 
 
-def test_pair_refuses_a_stabilizer_flag_its_l_basis_contradicts():
+def test_pair_refuses_an_l_basis_that_is_no_stabilizer():
     # L is K's maximal torus (l_basis spans K's Cartan generators) or
-    # K's two-point group (l_basis empty), nothing else
+    # K's two-point group (l_basis empty, g = k + h), nothing else
     a = pair_by_name("A")
     h, f = a.lie.basis_vector(1), a.lie.basis_vector(2)
     with pytest.raises(UnsupportedK, match="Cartan generators"):
         replace(a, l_basis=(f,), hl_basis=(h,))
+    b = pair_by_name("B")
     with pytest.raises(UnsupportedK, match="Cartan generators"):
-        replace(pair_by_name("B"), two_point=False)
-    with pytest.raises(UnsupportedK, match="two-point"):
-        replace(pair_by_name("D"), two_point=True)
+        replace(b, l_basis=b.hl_basis[:1], hl_basis=b.hl_basis[1:])
     d = pair_by_name("D")
+    with pytest.raises(UnsupportedK, match="k and h must together"):
+        replace(d, l_basis=(), hl_basis=d.h.basis)
     with pytest.raises(UnsupportedK, match="Cartan generators"):
         replace(d, l_basis=d.l_basis[:1] + d.hl_basis[1:],
                 hl_basis=d.hl_basis[:1] + d.l_basis[1:])
+    assert not d.two_point and b.two_point
 
 
 def test_isotropy_algebra_is_built_once_per_pair():
