@@ -219,25 +219,39 @@ def _torus_blocks(pair: PairData, mod: HModule,
     """Weight-block complexes, block n truncated at PBW depth depths[n].
 
     Returns each block with its basis keys per degree, for ``_restrict``.
-    The product of a monomial with a wedge leg does not depend on the
-    block, so it is straightened once per (monomial, leg) for the whole
-    call; only the evaluation of its Cartan letters is per block.
+    Only the monomials some block reads are listed: for each block,
+    degree and legs, the weight n - wt(legs) - l_weight up to degree
+    depth - d.  The product of a monomial with a wedge leg does not
+    depend on the block or the module, so it is straightened once per
+    (monomial, leg) and kept on the pair, whose legs the index names;
+    only the evaluation of its Cartan letters is per block.
     """
     cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
     wedge = _wedge_data(pair, mod)
-    buckets = monos_by_weight([i for i, c in enumerate(cartan_of) if c is None],
-                              max(depths.values()), adj)
     leg_u = [UElt.from_vec(pair.lie, xi) for xi in pair.hl_basis]
     leg_w = [pair.h_weight_of(xi) for xi in pair.hl_basis]
-    prods: dict[tuple[Mono, int], Mapping[Mono, Fraction]] = {}
+    prods: dict[tuple[Mono, int], Mapping[Mono, Fraction]] = \
+        pair.__dict__.setdefault("_leg_products", {})
 
-    def parts(n: Weight, cut: int, d: int,
-              legs: tuple[int, ...]) -> Iterable[tuple[Mono, int]]:
+    def needs(n: Weight, legs: tuple[int, ...]) -> list[tuple[int, Weight]]:
         wi = (0,) * pair.k.rank
         for i in legs:
             wi = weight_add(wi, leg_w[i])
-        for t in range(mod.dim):
-            need = tuple(a - b - c for a, b, c in zip(n, wi, mod.l_weights[t]))
+        return [(t, tuple(a - b - c for a, b, c in zip(n, wi, mod.l_weights[t])))
+                for t in range(mod.dim)]
+
+    wants: dict[Weight, int] = {}
+    for n, cut in depths.items():
+        for d, subsets in enumerate(wedge.subsets):
+            for legs in subsets:
+                for _, need in needs(n, legs):
+                    wants[need] = max(wants.get(need, -1), cut - d)
+    buckets = monos_by_weight([i for i, c in enumerate(cartan_of) if c is None],
+                              adj, wants)
+
+    def parts(n: Weight, cut: int, d: int,
+              legs: tuple[int, ...]) -> Iterable[tuple[Mono, int]]:
+        for t, need in needs(n, legs):
             for mono in buckets.get(need, ()):
                 if sum(mono) <= cut - d:
                     yield mono, t

@@ -398,12 +398,25 @@ def _leg_terms(act: SparseMatrix, part, t: int, ts: Iterable[int]) -> list[tuple
 
 def _oracle_torus_l(pair: PairData, mod: HModule, window: Window,
                     cut: int) -> Character:
-    """Relation chase for pairs whose stabilizer meets K in the full torus."""
+    """Relation chase for pairs whose stabilizer meets K in the full torus.
+
+    Lists only the monomials the chase reads: the generators of block n
+    (weight n - l_weight, up to the cut) and the sources of its relations
+    (weight n - wt(leg) - l_weight, up to cut - 1).
+    """
     cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
-    buckets = monos_by_weight([i for i, c in enumerate(cartan_of) if c is None],
-                              cut, adj)
     xi_data = [(UElt.from_vec(pair.lie, xi), pair.h_weight_of(xi),
                 mod.matrix_of(pair.h.coords(xi))) for xi in pair.hl_basis]
+    wants: dict[Weight, int] = {}
+    for n in window.points():
+        for t in range(mod.dim):
+            gen = tuple(a - b for a, b in zip(n, mod.l_weights[t]))
+            wants[gen] = cut
+            for _, wxi, _ in xi_data:
+                src = tuple(a - b for a, b in zip(gen, wxi))
+                wants[src] = max(wants.get(src, -1), cut - 1)
+    buckets = monos_by_weight([i for i, c in enumerate(cartan_of) if c is None],
+                              adj, wants)
 
     def relations(n: Weight):
         for uxi, wxi, act in xi_data:

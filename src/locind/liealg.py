@@ -397,7 +397,14 @@ _FAMILIES: dict[str, Callable[[], PairData]] = {
 }
 
 
+@lru_cache(maxsize=None)
 def pair_by_name(name: str) -> PairData:
+    """The family's pair, built once per process and then shared.
+
+    Sharing keeps what is cached on the pair and its algebras (the
+    straightening memo, the torus blocks' leg products) across cases;
+    a re-presented pair (``dataclasses.replace``) starts empty.
+    """
     try:
         return _FAMILIES[name]()
     except KeyError:

@@ -12,10 +12,11 @@ memoized per algebra by (monomial, generator), since boundary assembly
 multiplies the same monomials by the same wedge legs constantly; a
 product of two elements applies it letter by letter of the right factor.
 
-The module also lists the monomials on chosen letters up to a total
-degree (grouped by their adjoint weight when there is a torus), and
-evaluates the Cartan letters of monomials against a torus weight block;
-the induction engine and the degree-zero oracle both use these.
+The module also lists monomials on chosen letters: all of them up to a
+total degree, or, grouped by adjoint weight when there is a torus, only
+those a window's blocks reach.  It evaluates the Cartan letters of
+monomials against a torus weight block; the induction engine and the
+degree-zero oracle both use these.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ def _times_gen(lie: LieAlg, mono: Mono, j: int) -> dict[Mono, Fraction]:
     With x_i the last letter of mono = rest * x_i and i > j,
     mono * x_j = (rest * x_j) * x_i + sum_k [x_i, x_j]_k (rest * x_k);
     every product on the right has a shorter left factor or is already
-    ordered, so the recursion ends.
+    ordered, so the rule ends.  The products it needs with the lower
+    powers of x_i are filled into the memo bottom-up, so the depth of
+    the recursion does not grow with the exponent of x_i.
     """
     memo = lie.__dict__.setdefault("_times_gen_memo", {})
     hit = memo.get((mono, j))
@@ -44,16 +47,38 @@ def _times_gen(lie: LieAlg, mono: Mono, j: int) -> dict[Mono, Fraction]:
     i = max((k for k, a in enumerate(mono) if a), default=-1)
     if i <= j:
         out = {mono[:j] + (mono[j] + 1,) + mono[j + 1:]: ONE}
-    else:
-        rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-        out = _times(lie, _times_gen(lie, rest, j), i)
-        for k, gamma in enumerate(lie.bracket_basis(i, j)):
-            if gamma != 0:
-                for m, c in _times_gen(lie, rest, k).items():
-                    out[m] = out.get(m, ZERO) + gamma * c
-        out = {m: c for m, c in out.items() if c != 0}
-    memo[(mono, j)] = out
-    return out
+        memo[(mono, j)] = out
+        return out
+
+    def power(b: int) -> Mono:
+        return mono[:i] + (b,) + mono[i + 1:]
+
+    # top-down, the generators each power of x_i is still missing; a
+    # product in the memo had everything below it filled when it was made
+    brackets: dict[int, Vec] = {}
+    levels: list[tuple[int, list[int]]] = []
+    want, b = {j}, mono[i]
+    while b > 0:
+        missing = [jj for jj in sorted(want) if (power(b), jj) not in memo]
+        if not missing:
+            break
+        levels.append((b, missing))
+        want = set(missing)
+        for jj in missing:
+            if jj not in brackets:
+                brackets[jj] = lie.bracket_basis(i, jj)
+            want.update(k for k, gamma in enumerate(brackets[jj]) if gamma != 0 and k < i)
+        b -= 1
+    for b, missing in reversed(levels):
+        rest = power(b - 1)
+        for jj in missing:
+            out = _times(lie, _times_gen(lie, rest, jj), i)
+            for k, gamma in enumerate(brackets[jj]):
+                if gamma != 0:
+                    for m, c in _times_gen(lie, rest, k).items():
+                        out[m] = out.get(m, ZERO) + gamma * c
+            memo[(power(b), jj)] = {m: c for m, c in out.items() if c != 0}
+    return memo[(mono, j)]
 
 
 def _times(lie: LieAlg, terms: Mapping[Mono, Fraction], j: int) -> dict[Mono, Fraction]:
@@ -189,18 +214,58 @@ def bounded_monos(free: Sequence[int], cut: int, dim: int) -> list[Mono]:
     return [m for m, _ in out]
 
 
-def monos_by_weight(free: Sequence[int], cut: int,
-                    adj: Sequence[tuple[int, ...]],
+def monos_by_weight(free: Sequence[int], adj: Sequence[tuple[int, ...]],
+                    wants: Mapping[tuple[int, ...], int],
                     ) -> dict[tuple[int, ...], list[Mono]]:
-    """``bounded_monos`` grouped by adjoint weight; adj[i] is letter i's."""
+    """The monomials on the free letters that a caller will look up.
+
+    ``wants`` maps each adjoint weight a caller reads to the largest
+    total degree it reads there; adj[i] is letter i's weight.  Bucket w
+    holds every monomial of weight w and degree at most wants[w], in the
+    order of ``bounded_monos``.  Letters are placed one at a time, and
+    each exponent is kept only while the letters after it, with the
+    degree left, can still reach the bounding box of the wanted weights:
+    per coordinate a linear bound on the exponent.
+    """
+    if not wants:
+        return {}
+    rank, dim = len(adj[0]), len(adj)
+    lo = [min(w[c] for w in wants) for c in range(rank)]
+    hi = [max(w[c] for w in wants) for c in range(rank)]
+    # (monomial, its weight, degree left for later letters)
+    out = [((0,) * dim, (0,) * rank, max(wants.values()))]
+    for p, i in enumerate(free):
+        later = [adj[k] for k in free[p + 1:]]
+        down = [min([0] + [y[c] for y in later]) for c in range(rank)]
+        up = [max([0] + [y[c] for y in later]) for c in range(rank)]
+        step = []
+        for m, w, left in out:
+            # a in [0, left] with w + a*adj[i] + (left - a)*[down, up]
+            # meeting [lo, hi] in every coordinate
+            a_lo, a_hi = 0, left
+            for c in range(rank):
+                y = adj[i][c]
+                a_lo, a_hi = _clip(a_lo, a_hi, y - down[c], hi[c] - w[c] - left * down[c])
+                a_lo, a_hi = _clip(a_lo, a_hi, up[c] - y, w[c] + left * up[c] - lo[c])
+            step += [(m[:i] + (a,) + m[i + 1:],
+                      tuple(x + a * y for x, y in zip(w, adj[i])), left - a)
+                     for a in range(a_lo, a_hi + 1)]
+        out = step
+    top = max(wants.values())
     buckets: dict[tuple[int, ...], list[Mono]] = {}
-    for mono in bounded_monos(free, cut, len(adj)):
-        w = (0,) * len(adj[0])
-        for i in free:
-            if mono[i]:
-                w = tuple(x + mono[i] * y for x, y in zip(w, adj[i]))
-        buckets.setdefault(w, []).append(mono)
+    for m, w, left in out:
+        if top - left <= wants.get(w, -1):
+            buckets.setdefault(w, []).append(m)
     return buckets
+
+
+def _clip(a_lo: int, a_hi: int, slope: int, room: int) -> tuple[int, int]:
+    """Narrow [a_lo, a_hi] to the exponents a with a * slope <= room."""
+    if slope > 0:
+        return a_lo, min(a_hi, room // slope)
+    if slope < 0:
+        return max(a_lo, -(room // -slope)), a_hi
+    return a_lo, a_hi if room >= 0 else -1
 
 
 def reduce_block(cartan_of: Sequence[int | None], adj: Sequence[tuple[int, ...]],

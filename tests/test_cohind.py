@@ -17,7 +17,8 @@ from locind.gkmod import (Character, HModule, Window, WindowTooSmall,
                           tensor_onedim)
 from locind.hecke import p_deg0_oracle
 from locind.liealg import (StructureError, Subalg, UnsupportedK, pair_by_name,
-                           vec_add, vec_scale)
+                           product_pair, vec_add, vec_scale)
+from locind.pbw import UElt
 
 WIN = Window.segment(-12, 12)
 
@@ -113,6 +114,46 @@ def test_block_cuts_match_the_window_wide_cut(pa, pd, monkeypatch):
         assert own.homology_characters() == wide.homology_characters()
         assert own.cut == wide.cut
         assert size(own) < size(wide)
+
+
+# ---------------------------------------------------------------------------
+# leg products kept on the pair
+
+D_WIN = Window.box((-4, -4), (4, 4))
+
+
+def test_a_second_build_straightens_nothing(pd, monkeypatch):
+    v = one_dim_module(pd, (-4, 0, -2, 0))
+    first = build_standard_complex(pd, v, D_WIN)
+    calls = []
+    mul = UElt.__mul__
+
+    def spy(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(UElt, "__mul__", spy)
+    second = build_standard_complex(pd, v, D_WIN)
+    assert calls == []
+    assert second.homology_characters() == first.homology_characters()
+    # the spy sees the products of a pair that has none kept yet
+    fresh = replace(pd)
+    build_standard_complex(fresh, one_dim_module(fresh, (-4, 0, -2, 0)), D_WIN)
+    assert calls
+
+
+def test_leg_products_stay_with_their_pair(pd):
+    # a leg index names a leg of one pair: after a build on the shared
+    # pair, the same legs in the other order must not reuse its products
+    values = (-2, 0, -3, 0)
+    build_standard_complex(pd, one_dim_module(pd, values), D_WIN)
+    f1, f2 = pd.hl_basis
+    swapped = replace(pd, hl_basis=(f2, f1))
+    fresh = replace(product_pair(), hl_basis=(f2, f1))
+    got = build_standard_complex(swapped, one_dim_module(swapped, values), D_WIN)
+    want = build_standard_complex(fresh, one_dim_module(fresh, values), D_WIN)
+    assert got.homology_characters() == want.homology_characters()
+    assert not want.homology_character(0).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,11 @@ def test_pair_refuses_an_l_basis_that_is_no_stabilizer():
     assert not d.two_point and b.two_point
 
 
+def test_each_family_is_built_once_per_process():
+    assert pair_by_name("D") is pair_by_name("D")
+    assert len({id(pair_by_name(fam).lie) for fam in "ABCD"}) == 4
+
+
 def test_isotropy_algebra_is_built_once_per_pair():
     for fam, values, par in (("A", (-4, 0), None), ("B", (1, 1), 0)):
         pair = pair_by_name(fam)

@@ -6,8 +6,8 @@ from itertools import product
 
 import pytest
 
-from locind.liealg import direct_sum, pair_by_name, sl2
-from locind.pbw import UElt, bounded_monos
+from locind.liealg import direct_sum, open_orbit_pair, pair_by_name, sl2
+from locind.pbw import UElt, bounded_monos, monos_by_weight
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,19 @@ def test_product_rule_matches_word_rule(name, degree):
             assert got == _word_rule(g, word + (j,), memo), (mono, j)
 
 
+def test_deep_product_does_not_grow_the_stack():
+    # x2^1000 * x1 on B's isotropy algebra, from a cold memo, equals the
+    # same product reached through steps of degree at most 100
+    direct = open_orbit_pair().halg
+    got = (UElt(direct, {(0, 1000): 1}) * UElt.gen(direct, 0)).terms
+    del direct
+    stepped = open_orbit_pair().halg
+    for a in range(100, 1001, 100):
+        want = (UElt(stepped, {(0, a): 1}) * UElt.gen(stepped, 0)).terms
+    assert got == want
+    assert len(got) == 2001 and got[(1, 1000)] == 1
+
+
 def test_bracket_matches_lie(g):
     e, h, f = (_gen(g, x) for x in "ehf")
     assert e * f - f * e == h
@@ -143,3 +156,43 @@ def test_bounded_monos_lex_order(free, cut):
                 mono[i] = a
             want.append(tuple(mono))
     assert bounded_monos(free, cut, 6) == want
+
+
+def _grouped_reference(free, adj, wants):
+    """Every monomial up to the largest cap, grouped by weight, kept where wanted."""
+    out = {}
+    for mono in bounded_monos(free, max(wants.values(), default=0), len(adj)):
+        w = tuple(sum(mono[i] * adj[i][c] for i in free) for c in range(len(adj[0])))
+        if sum(mono) <= wants.get(w, -1):
+            out.setdefault(w, []).append(mono)
+    return out
+
+
+def _tables():
+    tables = {fam: ([i for i, c in enumerate(pair_by_name(fam).cartan_of) if c is None],
+                    pair_by_name(fam).k.adjoint_weights) for fam in "AD"}
+    # a letter of weight zero and letters of mixed sign in one coordinate
+    tables["mixed"] = ([3, 0, 1, 2], ((1, 0), (0, 0), (-1, 2), (0, -1)))
+    return tables
+
+
+@pytest.mark.parametrize("table", ["A", "D", "mixed"])
+@pytest.mark.parametrize("seed", range(4))
+def test_monos_by_weight_matches_the_full_grouping(table, seed):
+    free, adj = _tables()[table]
+    rng, rank = random.Random(seed), len(adj[0])
+
+    def weight():
+        return tuple(rng.randint(-10, 10) for _ in range(rank))
+
+    cases = [
+        {},
+        {weight(): rng.randint(0, 8)},
+        # odd coordinates (A and D weights are even) or too far for the cap
+        {(1,) * rank: 6, (24,) * rank: 3, (-3,) + (0,) * (rank - 1): 5},
+        {weight(): rng.randint(0, 8) for _ in range(rng.randint(2, 12))},
+    ]
+    for wants in cases:
+        got = monos_by_weight(free, adj, wants)
+        assert got == _grouped_reference(free, adj, wants), wants
+        assert set(got) <= set(wants)
