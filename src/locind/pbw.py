@@ -229,11 +229,11 @@ def monos_by_weight(free: Sequence[int], adj: Sequence[tuple[int, ...]],
     """
     if not wants:
         return {}
-    rank, dim = len(adj[0]), len(adj)
+    rank, dim, top = len(adj[0]), len(adj), max(wants.values())
     lo = [min(w[c] for w in wants) for c in range(rank)]
     hi = [max(w[c] for w in wants) for c in range(rank)]
     # (monomial, its weight, degree left for later letters)
-    out = [((0,) * dim, (0,) * rank, max(wants.values()))]
+    out = [((0,) * dim, (0,) * rank, top)]
     for p, i in enumerate(free):
         later = [adj[k] for k in free[p + 1:]]
         down = [min([0] + [y[c] for y in later]) for c in range(rank)]
@@ -251,7 +251,6 @@ def monos_by_weight(free: Sequence[int], adj: Sequence[tuple[int, ...]],
                       tuple(x + a * y for x, y in zip(w, adj[i])), left - a)
                      for a in range(a_lo, a_hi + 1)]
         out = step
-    top = max(wants.values())
     buckets: dict[tuple[int, ...], list[Mono]] = {}
     for m, w, left in out:
         if top - left <= wants.get(w, -1):
