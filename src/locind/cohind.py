@@ -11,14 +11,27 @@ the fully reduced tensor; higher homology gives the derived functors.
 
 Everything is reduced blockwise before any elimination happens: weight
 blocks for torus symmetry, parity classes for the two-point stabilizer,
-matrix types for full sl2.  Torus and parity blocks are truncated at a
-PBW depth; the truncation is a subcomplex (the boundary raises word
-length by at most one while the budget drops by one per wedge degree),
-so each block is assembled once, at depth+1, and restricted to depth;
-homology at the two depths must agree, and disagreement raises
-WindowTooSmall instead of returning a guess.  By default each weight
-block gets its own depth, from the distance of its weight to the module
-weights.  Type blocks are finite and exact as they stand.
+matrix types for full sl2.  Type blocks are finite and exact as they
+stand.  Torus and parity blocks are truncated at a PBW depth, and the
+depth is proved, not guessed (Knapp-Vogan 1995; Weibel 1994, 4.5 and
+7.7).  Filter the complex by depth: F_c holds the algebra parts of
+degree at most c - d in wedge degree d.  It is a subcomplex, since the
+boundary raises word length by at most one while the budget drops by one
+per wedge degree.  By PBW, F_{c+1}/F_c is a graded piece of the Koszul
+complex S(g/l) (x) wedge(h/l) (x) W, whose homology is S^{c+1}(g/h) (x) W
+in wedge degree 0 alone.  So by the long exact sequence H_j for j >= 1
+is the same at every depth, and H_0 at depth c misses only the block's
+piece of S^{>c}(g/h) (x) W.  For families A and D, g/h is spanned by the
+e's, each of weight 2 in its own factor, so that piece sits in degrees
+at most half the l1 distance from the block's weight to a module weight:
+``HModule.weight_gap`` is the block's proved cut, and one less is too
+little (the tests lower it).  The parity complex is the
+Chevalley-Eilenberg resolution of W over U(h), exact at every depth; it
+is cut at dim(h/l), the least depth at which every wedge degree has a
+term, so every boundary is built and checked.  ``margin`` adds depth
+past these cuts.  The guard stays: each block is assembled once, at
+depth+1, and restricted to depth, and homology at the two depths must
+agree; disagreement raises WindowTooSmall naming the block and degree.
 
 One driver, ``_assemble``, lists the basis keys (algebra part, wedge
 legs, module slot) of each degree and builds the boundaries of every
@@ -393,29 +406,27 @@ class StdComplex:
         return self._homology
 
 
-def _homology_characters(blocks: dict, spread: Callable[[Mapping], Character],
-                         top: int) -> tuple[Character, ...]:
-    return tuple(spread({key: blk.homology(d) for key, blk in blocks.items()})
-                 for d in range(top + 1))
-
-
-def _block_cut(pair: PairData, mod: HModule, n: Weight, margin: int) -> int:
-    return mod.weight_gap(n) + 2 * pair.hl_dim() + margin
+def _homology(blocks: Mapping, spread: Callable[[Mapping], Character],
+              top: int) -> tuple[dict, tuple[Character, ...]]:
+    """Homology dimensions of each block by degree, and their characters."""
+    hom = {key: [blk.homology(d) for d in range(top + 1)] for key, blk in blocks.items()}
+    return hom, tuple(spread({key: h[d] for key, h in hom.items()}) for d in range(top + 1))
 
 
 def build_standard_complex(pair: PairData, v: HModule,
                            window: Window | None = None,
                            max_type: int | None = None,
-                           margin: int = 4) -> StdComplex:
+                           margin: int = 0) -> StdComplex:
     """Build the complex for the coefficient module v, twisted internally.
 
     The twist by the top exterior power of (ambient / isotropy) is part
     of the functor and is applied here; pass the untwisted module.  For
-    torus symmetry supply a window (each weight block gets its own depth
-    cut, from its distance to the module weights plus ``margin``); for
-    full sl2 supply max_type.  Truncated models are built once at depth
-    cut+1 and restricted to cut; the two must agree on homology,
-    otherwise WindowTooSmall is raised.
+    torus symmetry supply a window: each weight block is cut at its
+    proved depth ``weight_gap`` and each parity class at dim(h/l), plus
+    ``margin`` (see the module docstring).  For full sl2 supply
+    max_type.  Truncated models are built once at depth cut+1 and
+    restricted to cut; the two must agree on homology, otherwise
+    WindowTooSmall names the first block and degree that differ.
     """
     w = tensor_onedim(v, lambda_top(pair))
     check_module_compatible(pair, w)
@@ -425,18 +436,15 @@ def build_standard_complex(pair: PairData, v: HModule,
             raise ValueError("sl2 symmetry needs max_type")
         blocks = _sl2_blocks(pair, w, max_type)
         spread = partial(Character, "sl2-type")
-        return StdComplex(pair, blocks, spread,
-                          _homology_characters(blocks, spread, top))
+        return StdComplex(pair, blocks, spread, _homology(blocks, spread, top)[1])
     if window is None:
         raise ValueError("torus symmetry needs a window")
-    cuts = {n: _block_cut(pair, w, n, margin) for n in window.points()}
     if not pair.two_point:
+        cuts = {n: w.weight_gap(n) + margin for n in window.points()}
         deep = _torus_blocks(pair, w, {n: k + 1 for n, k in cuts.items()})
         spread = partial(Character, "torus-weight")
     else:
-        # a parity class serves every weight of its parity, so it is cut
-        # at the depth of the farthest one
-        cuts = dict.fromkeys((0, 1), max(cuts.values()))
+        cuts = dict.fromkeys((0, 1), top + margin)
         deep = _open_blocks(pair, w, cuts[0] + 1)
 
         def spread(per: Mapping[int, int]) -> Character:
@@ -446,16 +454,19 @@ def build_standard_complex(pair: PairData, v: HModule,
                              parity=live.pop() if len(live) == 1 else None)
     blocks = {key: _restrict(key, cols, blk, cuts[key])
               for key, (cols, blk) in deep.items()}
-    deeper = {key: blk for key, (_, blk) in deep.items()}
-    hom = _homology_characters(blocks, spread, top)
-    if hom != _homology_characters(deeper, spread, top):
-        raise WindowTooSmall("homology did not stabilize at depth +1; raise the margin")
-    return StdComplex(pair, blocks, spread, hom, cut=max(cuts.values()))
+    hom, chars = _homology(blocks, spread, top)
+    for key, (_, blk) in deep.items():
+        for d, h in enumerate(hom[key]):
+            if blk.homology(d) != h:
+                raise WindowTooSmall(
+                    f"block {key}, degree {d}: homology {h} at depth {cuts[key]} but "
+                    f"{blk.homology(d)} at depth {cuts[key] + 1}, past the proved cut")
+    return StdComplex(pair, blocks, spread, chars, cut=max(cuts.values()))
 
 
 def derived_p(pair: PairData, v: HModule, j: int,
               window: Window | None = None, max_type: int | None = None,
-              margin: int = 4) -> Character:
+              margin: int = 0) -> Character:
     """Character of the j-th left derived functor of the quotient-side
     induction, computed as degree-j homology of the standard complex.
     Degrees outside [0, dim(isotropy/l)] are zero.
@@ -468,7 +479,7 @@ def derived_p(pair: PairData, v: HModule, j: int,
 def derived_i(pair: PairData, v: HModule, j: int, window: Window) -> Character:
     """Character of the j-th right derived functor of the sub-side
     induction, via the contragredient module on the reflected window.
-    Torus pairs only, at the default margin.
+    Torus pairs only, at the proved cut.
     """
     dw = Window.box(tuple(-x for x in window.hi), tuple(-x for x in window.lo))
     return derived_p(pair, dual_module(v), j, window=dw).dual()

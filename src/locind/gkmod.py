@@ -335,6 +335,14 @@ class Character:
                              parity=self.parity)
         return Character(self.kind, dict(self.data), parity=self.parity)
 
+    def first_difference(self, other: "Character"):
+        """The least key whose multiplicities differ, ("parity",) when only
+        the parity tags do, and None when the two characters are equal."""
+        for k in sorted(set(self.data) | set(other.data)):
+            if self.data.get(k, 0) != other.data.get(k, 0):
+                return k
+        return ("parity",) if self.parity != other.parity else None
+
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Character) and self.kind == other.kind
                 and self.data == other.data and self.parity == other.parity)

@@ -58,14 +58,14 @@ class VerificationCase:
     lambda0: int | tuple[int, int]
     window: Window | None = None
     parity: int | None = None
-    margin: int = 4
+    margin: int = 0             # PBW depth past the proved cut
     expected: str = "match"     # "match" | "fixture" (recorded degenerate case)
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.margin < 4:
-            raise ValueError("margin must be at least 4")
+        if self.margin < 0:
+            raise ValueError("margin must not be negative")
         if self.family == "D":
             if not (isinstance(self.lambda0, tuple) and len(self.lambda0) == 2):
                 raise ValueError("family D takes a pair of twists")
@@ -73,7 +73,7 @@ class VerificationCase:
             raise ValueError("families A, B, C take a single integer twist")
         if (self.parity is None) == (self.family == "B"):
             raise ValueError("parity is required exactly for family B")
-        if self.family == "C" and (self.window is not None or self.margin != 4):
+        if self.family == "C" and (self.window is not None or self.margin != 0):
             raise ValueError("family C runs by K type and takes no window or margin")
         if self.window is not None:
             if self.window.rank != (2 if self.family == "D" else 1):
@@ -156,17 +156,6 @@ def _merge_entries(chars: Iterable[Character]) -> list[tuple]:
     return sorted((k, m) for k, m in acc.items() if m)
 
 
-def _first_difference(a: Character, b: Character):
-    na = {_entry_key(w): m for w, m in a.data.items()}
-    nb = {_entry_key(w): m for w, m in b.data.items()}
-    for w in sorted(set(na) | set(nb)):
-        if na.get(w, 0) != nb.get(w, 0):
-            return w
-    if a.parity != b.parity and not (a.is_zero() or b.is_zero()):
-        return ("parity",)
-    return None
-
-
 def _product_character(a: Character, b: Character) -> Character:
     data = {}
     for (wa,), ma in a.data.items():
@@ -221,7 +210,7 @@ def run_case(c: VerificationCase) -> Report:
     verdict, ce = "exact-match", None
     for s, j, a, g in comparisons:
         if a != g:
-            verdict, ce = "mismatch", _first_difference(a, g)
+            verdict, ce = "mismatch", _entry_key(a.first_difference(g))
             break
     if verdict == "exact-match":
         for j, ch in vanishing:
@@ -357,7 +346,7 @@ def _check_oracle() -> Report:
     want = p_deg0_oracle(pair, tensor_onedim(v, lambda_top(pair)), window=win)
     ok = got == want
     return _report("oracle-equivalence", ok,
-                   counterexample=None if ok else _first_difference(got, want))
+                   counterexample=None if ok else _entry_key(got.first_difference(want)))
 
 
 def _check_duality() -> Report:
@@ -369,7 +358,7 @@ def _check_duality() -> Report:
         right = derived_p(pair, v, j, window=win).dual()
         if left != right:
             return _report("duality", False, note=f"degree {j}",
-                           counterexample=_first_difference(left, right))
+                           counterexample=_entry_key(left.first_difference(right)))
     return _report("duality", True)
 
 
@@ -467,11 +456,7 @@ def _cases_from_args(args) -> list[VerificationCase]:
     fam = args.family
     window = _parse_window(args.window, fam) if args.window else None
     if args.lam is None:
-        cases = default_cases(fam)
-        if window is not None:
-            cases = [replace(c, window=window) for c in cases]
-        if args.margin != 4:
-            cases = [replace(c, margin=args.margin) for c in cases]
+        cases = [replace(c, window=window, margin=args.margin) for c in default_cases(fam)]
         if args.parity is not None:     # keeps B's cases of that parity, rejects the rest
             cases = [replace(c, parity=args.parity) for c in cases
                      if c.parity in (None, args.parity)]
@@ -556,7 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="two-point character for family B")
         p.add_argument("--window", default=None,
                        help="truncation lo:hi (per axis for family D)")
-        p.add_argument("--margin", type=int, default=4)
+        p.add_argument("--margin", type=int, default=0,
+                       help="PBW depth past the proved cut (default 0)")
 
     pv = sub.add_parser("verify", help="run both sides and compare")
     common(pv, "twist; a,b for family D; omit for the default grid")

@@ -504,18 +504,22 @@ def _oracle_sl2(pair: PairData, mod: HModule, max_type: int) -> dict[int, int]:
     return types
 
 
-def _default_cut(mod: HModule, window: Window, margin: int) -> int:
-    return max((mod.weight_gap(n) for n in window.points()), default=0) + margin
-
-
 def p_deg0_oracle(pair: PairData, mod: HModule, window: Window | None = None,
-                  max_type: int | None = None, margin: int = 4) -> Character:
+                  max_type: int | None = None, margin: int = 0) -> Character:
     """Character of the fully reduced degree-zero tensor, chased directly.
 
     Works block by block (or type by type) from the canonical-form basis
-    and the right-module relations alone.  For the truncated chases the
-    computation is repeated with a deeper cut and must agree, otherwise
-    WindowTooSmall is raised.
+    and the right-module relations alone.  The truncated chases are cut
+    by the argument that proves the resolution (Knapp-Vogan 1995): below
+    depth c a block misses only its piece of S^{>c}(g/h) (x) W.  For
+    families A and D g/h is spanned by the e's, so that piece is zero
+    once c reaches the block's ``weight_gap``, and one cut, the largest
+    over the window, serves every block.  For the two-point stabilizer
+    the chase presents W over U(h) and is right at every depth; it is
+    cut at dim(h/l) so that products of two legs are straightened too.
+    ``margin`` adds depth past these cuts.  The chase is repeated at
+    cut+2 and must agree, otherwise WindowTooSmall names the first
+    weight that moved.
     """
     check_module_compatible(pair, mod)
     if pair.k.kind == "sl2":
@@ -525,10 +529,17 @@ def p_deg0_oracle(pair: PairData, mod: HModule, window: Window | None = None,
     if window is None:
         raise ValueError("torus symmetry needs a window")
     if pair.two_point:
-        chase, cut = _oracle_open, 4 + margin
+        chase, cut = _oracle_open, pair.hl_dim() + margin
     else:
-        chase, cut = _oracle_torus_l, _default_cut(mod, window, margin)
+        chase, cut = _oracle_torus_l, max(map(mod.weight_gap, window.points())) + margin
     got = chase(pair, mod, window, cut)
-    if got != chase(pair, mod, window, cut + 2):
-        raise WindowTooSmall("chase did not stabilize; raise the margin")
+    deeper = chase(pair, mod, window, cut + 2)
+    n = got.first_difference(deeper)
+    if n == ("parity",):
+        raise WindowTooSmall(f"parity {got.parity} at cut {cut} but {deeper.parity} "
+                             f"at cut {cut + 2}, past the proved cut")
+    if n is not None:
+        raise WindowTooSmall(
+            f"weight {n}: multiplicity {got.data.get(n, 0)} at cut {cut} but "
+            f"{deeper.data.get(n, 0)} at cut {cut + 2}, past the proved cut")
     return got

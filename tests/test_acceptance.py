@@ -228,7 +228,7 @@ def test_criterion_10_stability():
     ok = True
     win12 = Window.segment(-12, 12)
     pa, pb, pd = pair_by_name("A"), pair_by_name("B"), pair_by_name("D")
-    # margin +1 cannot move any character
+    # five levels past the proved cut cannot move any character
     va = one_dim_module(pa, (-4, 0))
     ok &= derived_p(pa, va, 0, win12, margin=5) == derived_p(pa, va, 0, win12)
     vb = one_dim_module(pb, (-1, -1), parity=1)
@@ -246,5 +246,5 @@ def test_criterion_10_stability():
     for lam, par in ((0, 0), (2, 1)):
         ok &= laurent_module(lam, par, win12, chart="w").character() == \
             laurent_module(lam, par, win12).character().dual()
-    _verdict(10, ok, "margin +1, window growth, and chart swap leave every "
-                     "reported character fixed")
+    _verdict(10, ok, "depth past the proved cut, window growth, and chart "
+                     "swap leave every reported character fixed")

@@ -8,19 +8,24 @@ from fractions import Fraction
 
 import pytest
 
-from locind import cohind
 from locind.cohind import (ChainBlock, _open_blocks, _restrict, _torus_blocks,
                            build_standard_complex, derived_i, derived_p)
 from locind.exactla import ONE, SparseMatrix
 from locind.gkmod import (Character, HModule, Window, WindowTooSmall,
                           dual_module, lambda_top, one_dim_module,
                           tensor_onedim)
+from locind.harness import default_cases, run_case
 from locind.hecke import p_deg0_oracle
 from locind.liealg import (StructureError, Subalg, UnsupportedK, pair_by_name,
                            product_pair, vec_add, vec_scale)
 from locind.pbw import UElt
 
 WIN = Window.segment(-12, 12)
+
+
+def _lower_the_proved_cut(monkeypatch):
+    gap = HModule.weight_gap
+    monkeypatch.setattr(HModule, "weight_gap", lambda mod, n: max(gap(mod, n) - 1, 0))
 
 
 @pytest.fixture(scope="module")
@@ -103,13 +108,16 @@ def test_block_cuts_match_the_window_wide_cut(pa, pd, monkeypatch):
     def size(cx):
         return sum(sum(blk.dims) for blk in cx.blocks.values())
 
+    gap = HModule.weight_gap
     cases = [(pa, (-5, 0), WIN),
              (pd, (-4, 0, -2, 0), Window.box((-4, -4), (4, 4)))]
     for pair, values, win in cases:
         v = one_dim_module(pair, values)
         own = build_standard_complex(pair, v, win)
         with monkeypatch.context() as m:
-            m.setattr(cohind, "_block_cut", lambda *args: own.cut)
+            # every block cut at the window's largest proved cut
+            m.setattr(HModule, "weight_gap", lambda mod, n, win=win:
+                      max(gap(mod, p) for p in win.points()))
             wide = build_standard_complex(pair, v, win)
         assert own.homology_characters() == wide.homology_characters()
         assert own.cut == wide.cut
@@ -349,7 +357,29 @@ def test_truncation_guards(pa, pc, monkeypatch):
         build_standard_complex(pa, v)
     with pytest.raises(ValueError, match="max_type"):
         build_standard_complex(pc, one_dim_module(pc, (0, 0)))
-    # a depth cut that still truncates live classes must refuse loudly
-    monkeypatch.setattr(cohind, "_block_cut", lambda *args: 6)
-    with pytest.raises(WindowTooSmall):
+    # one below the proved cut wherever it is positive, every default A
+    # and D case must refuse loudly: the cut is sharp
+    _lower_the_proved_cut(monkeypatch)
+    for c in default_cases("A") + default_cases("D"):
+        with pytest.raises(WindowTooSmall):
+            run_case(c)
+
+
+def test_window_too_small_names_its_block_and_degree(pa, monkeypatch):
+    _lower_the_proved_cut(monkeypatch)
+    v = one_dim_module(pa, (-4, 0))
+    with pytest.raises(WindowTooSmall) as err:
         build_standard_complex(pa, v, WIN)
+    assert str(err.value).startswith(
+        "block (0,), degree 0: homology 0 at depth 0 but 1 at depth 1")
+
+
+def test_parity_blocks_build_every_boundary(pb):
+    # B is exact at every depth; its cut dim(h/l) = 2 is the least at
+    # which every wedge degree has a term, so both boundaries are live
+    for values, par in (((0, 0), 0), ((-1, -1), 1)):
+        cx = build_standard_complex(pb, one_dim_module(pb, values, parity=par),
+                                    Window.segment(-8, 8))
+        for blk in cx.blocks.values():
+            assert len(blk.boundaries) == 2
+            assert not any(b.is_zero() for b in blk.boundaries)

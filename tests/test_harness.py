@@ -26,7 +26,7 @@ def test_case_validation():
     with pytest.raises(ValueError, match="unknown family"):
         VerificationCase("E", 0)
     with pytest.raises(ValueError, match="margin"):
-        VerificationCase("A", -4, margin=3)
+        VerificationCase("A", -4, margin=-1)
     with pytest.raises(ValueError, match="symmetric"):
         VerificationCase("A", -4, window=Window.segment(-4, 6))
     with pytest.raises(ValueError, match="parity"):

@@ -6,9 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from locind import hecke
 from locind.exactla import ONE, SparseMatrix
-from locind.gkmod import Character, Window
+from locind.gkmod import Character, HModule, Window
 from locind.hecke import (RgKElt, RKElt, UnsupportedK, WindowTooSmall,
                           adjoint_matrices, approx_identity, clebsch_gordan,
                           fn_times_dist, formula_mul_gen, identity_support,
@@ -16,6 +15,7 @@ from locind.hecke import (RgKElt, RKElt, UnsupportedK, WindowTooSmall,
                           rep_of_uelt, rgk_mul, rk_mul, sl2_embed)
 from locind.hecke import _quotient_dim
 from locind.gkmod import lambda_top, one_dim_module, tensor_onedim
+from locind.harness import default_cases
 from locind.liealg import StructureError, Subalg, irrep_matrices, pair_by_name
 from locind.pbw import UElt
 
@@ -277,17 +277,27 @@ def test_oracle_product_pair(pd):
     assert got == Character("torus-weight", want)
 
 
-def test_oracle_guards(pa, monkeypatch):
+def test_oracle_guards(pa, pd, monkeypatch):
     w = _twisted(pa, (-4, 0))
     with pytest.raises(ValueError, match="window"):
         p_deg0_oracle(pa, w)
     pc = pair_by_name("C")
     with pytest.raises(ValueError, match="max_type"):
         p_deg0_oracle(pc, _twisted(pc, (0, 0)))
-    # a chase cut too shallow for the window must refuse loudly
-    monkeypatch.setattr(hecke, "_default_cut", lambda mod, window, margin: 0)
-    with pytest.raises(WindowTooSmall):
+    # one below the proved cut wherever it is positive, the chase must
+    # refuse loudly on every default A and D case: the cut is sharp
+    gap = HModule.weight_gap
+    monkeypatch.setattr(HModule, "weight_gap", lambda mod, n: max(gap(mod, n) - 1, 0))
+    with pytest.raises(WindowTooSmall) as err:
         p_deg0_oracle(pa, w, Window.segment(-10, 10))
+    assert str(err.value).startswith(
+        "weight (10,): multiplicity 0 at cut 5 but 1 at cut 7")
+    values = {"A": lambda lam: (lam, 0), "D": lambda lam: (lam[0], 0, lam[1], 0)}
+    for fam, pair in (("A", pa), ("D", pd)):
+        for c in default_cases(fam):
+            with pytest.raises(WindowTooSmall):
+                p_deg0_oracle(pair, _twisted(pair, values[fam](c.lambda0)),
+                              c.resolved_window())
 
 
 def test_quotient_dim_rejects_relations_that_leave_the_cut():
