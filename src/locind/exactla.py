@@ -263,12 +263,16 @@ def homology_dim(d_out: SparseMatrix, d_in: SparseMatrix) -> int:
 
     d_in maps into the middle space (d_in.rows == d_out.cols) and the
     composition is checked exactly; a nonzero product raises
-    CompositionNonzero.
+    CompositionNonzero naming its first nonzero entry and both shapes.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("d_in must map into the domain of d_out")
-    if not d_out.mul(d_in).is_zero():
-        raise CompositionNonzero("d_out . d_in != 0")
+    comp = d_out.mul(d_in)
+    if not comp.is_zero():
+        r, c, v = next(comp.entries())
+        raise CompositionNonzero(
+            f"d_out . d_in has entry {v} at ({r}, {c}); d_out is "
+            f"{d_out.rows}x{d_out.cols}, d_in {d_in.rows}x{d_in.cols}")
     return (d_out.cols - rank(d_out)) - rank(d_in)
 
 def solve(m: SparseMatrix,

@@ -396,29 +396,30 @@ def _leg_terms(act: SparseMatrix, part, t: int, ts: Iterable[int]) -> list[tuple
     return [((part, s), -act.entry(s, t)) for s in ts if act.entry(s, t) != 0]
 
 
-def _oracle_torus_l(pair: PairData, mod: HModule, window: Window,
-                    cut: int) -> Character:
+def _oracle_torus_l(pair: PairData, mod: HModule,
+                    cuts: Mapping[Weight, int]) -> Character:
     """Relation chase for pairs whose stabilizer meets K in the full torus.
 
-    Lists only the monomials the chase reads: the generators of block n
-    (weight n - l_weight, up to the cut) and the sources of its relations
-    (weight n - wt(leg) - l_weight, up to cut - 1).
+    Block n is chased at depth cuts[n].  Lists only the monomials the
+    chase reads: the generators of block n (weight n - l_weight, up to
+    its cut) and the sources of its relations (weight
+    n - wt(leg) - l_weight, up to its cut - 1).
     """
     cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
     xi_data = [(UElt.from_vec(pair.lie, xi), pair.h_weight_of(xi),
                 mod.matrix_of(pair.h.coords(xi))) for xi in pair.hl_basis]
     wants: dict[Weight, int] = {}
-    for n in window.points():
+    for n, cut in cuts.items():
         for t in range(mod.dim):
             gen = tuple(a - b for a, b in zip(n, mod.l_weights[t]))
-            wants[gen] = cut
+            wants[gen] = max(wants.get(gen, -1), cut)
             for _, wxi, _ in xi_data:
                 src = tuple(a - b for a, b in zip(gen, wxi))
                 wants[src] = max(wants.get(src, -1), cut - 1)
     buckets = monos_by_weight([i for i, c in enumerate(cartan_of) if c is None],
                               adj, wants)
 
-    def relations(n: Weight):
+    def relations(n: Weight, cut: int):
         for uxi, wxi, act in xi_data:
             for t in range(mod.dim):
                 src = tuple(a - b - c for a, b, c in zip(n, wxi, mod.l_weights[t]))
@@ -431,12 +432,13 @@ def _oracle_torus_l(pair: PairData, mod: HModule, window: Window,
                            + _leg_terms(act, mono, t, range(mod.dim)))
 
     dims: dict[Weight, int] = {}
-    for n in window.points():
+    for n, cut in cuts.items():
         cols = [(mono, t) for t in range(mod.dim) for mono in
-                buckets.get(tuple(a - b for a, b in zip(n, mod.l_weights[t])), ())]
+                buckets.get(tuple(a - b for a, b in zip(n, mod.l_weights[t])), ())
+                if sum(mono) <= cut]
         if not cols:
             continue
-        d = _quotient_dim(cols, relations(n))
+        d = _quotient_dim(cols, relations(n, cut))
         if d:
             dims[n] = d
     return Character("torus-weight", dims)
@@ -513,13 +515,13 @@ def p_deg0_oracle(pair: PairData, mod: HModule, window: Window | None = None,
     by the argument that proves the resolution (Knapp-Vogan 1995): below
     depth c a block misses only its piece of S^{>c}(g/h) (x) W.  For
     families A and D g/h is spanned by the e's, so that piece is zero
-    once c reaches the block's ``weight_gap``, and one cut, the largest
-    over the window, serves every block.  For the two-point stabilizer
-    the chase presents W over U(h) and is right at every depth; it is
-    cut at dim(h/l) so that products of two legs are straightened too.
-    ``margin`` adds depth past these cuts.  The chase is repeated at
-    cut+2 and must agree, otherwise WindowTooSmall names the first
-    weight that moved.
+    once c reaches the block's ``weight_gap``, and each block is chased
+    at its own cut.  For the two-point stabilizer the chase presents W
+    over U(h) and is right at every depth; it is cut at dim(h/l) so
+    that products of two legs are straightened too.  ``margin`` adds
+    depth past these cuts.  Each block is chased again at its cut+2 and
+    must agree, otherwise WindowTooSmall names the first weight that
+    moved.
     """
     check_module_compatible(pair, mod)
     if pair.k.kind == "sl2":
@@ -529,17 +531,19 @@ def p_deg0_oracle(pair: PairData, mod: HModule, window: Window | None = None,
     if window is None:
         raise ValueError("torus symmetry needs a window")
     if pair.two_point:
-        chase, cut = _oracle_open, pair.hl_dim() + margin
+        cut = pair.hl_dim() + margin
+        cuts = dict.fromkeys(window.points(), cut)
+        got, deeper = (_oracle_open(pair, mod, window, cut + k) for k in (0, 2))
     else:
-        chase, cut = _oracle_torus_l, max(map(mod.weight_gap, window.points())) + margin
-    got = chase(pair, mod, window, cut)
-    deeper = chase(pair, mod, window, cut + 2)
+        cuts = {n: mod.weight_gap(n) + margin for n in window.points()}
+        got, deeper = (_oracle_torus_l(pair, mod, {n: c + k for n, c in cuts.items()})
+                       for k in (0, 2))
     n = got.first_difference(deeper)
-    if n == ("parity",):
+    if n == ("parity",):    # only the two-point chase, at one cut, has a parity
         raise WindowTooSmall(f"parity {got.parity} at cut {cut} but {deeper.parity} "
                              f"at cut {cut + 2}, past the proved cut")
     if n is not None:
         raise WindowTooSmall(
-            f"weight {n}: multiplicity {got.data.get(n, 0)} at cut {cut} but "
-            f"{deeper.data.get(n, 0)} at cut {cut + 2}, past the proved cut")
+            f"weight {n}: multiplicity {got.data.get(n, 0)} at cut {cuts[n]} but "
+            f"{deeper.data.get(n, 0)} at cut {cuts[n] + 2}, past the proved cut")
     return got

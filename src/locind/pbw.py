@@ -222,49 +222,31 @@ def monos_by_weight(free: Sequence[int], adj: Sequence[tuple[int, ...]],
     ``wants`` maps each adjoint weight a caller reads to the largest
     total degree it reads there; adj[i] is letter i's weight.  Bucket w
     holds every monomial of weight w and degree at most wants[w], in the
-    order of ``bounded_monos``.  Letters are placed one at a time, and
-    each exponent is kept only while the letters after it, with the
-    degree left, can still reach the bounding box of the wanted weights:
-    per coordinate a linear bound on the exponent.
+    order of ``bounded_monos``: each monomial up to the largest wanted
+    degree is listed, its weight tracked letter by letter like its
+    degree, and kept where its weight's cap allows.  The listing is
+    streamed, so only the kept monomials are held.  Nothing is pruned:
+    at the proved cuts a bounding box of the wanted weights saved no
+    time on the windows in use.
     """
     if not wants:
         return {}
-    rank, dim, top = len(adj[0]), len(adj), max(wants.values())
-    lo = [min(w[c] for w in wants) for c in range(rank)]
-    hi = [max(w[c] for w in wants) for c in range(rank)]
-    # (monomial, its weight, degree left for later letters)
-    out = [((0,) * dim, (0,) * rank, top)]
-    for p, i in enumerate(free):
-        later = [adj[k] for k in free[p + 1:]]
-        down = [min([0] + [y[c] for y in later]) for c in range(rank)]
-        up = [max([0] + [y[c] for y in later]) for c in range(rank)]
-        step = []
-        for m, w, left in out:
-            # a in [0, left] with w + a*adj[i] + (left - a)*[down, up]
-            # meeting [lo, hi] in every coordinate
-            a_lo, a_hi = 0, left
-            for c in range(rank):
-                y = adj[i][c]
-                a_lo, a_hi = _clip(a_lo, a_hi, y - down[c], hi[c] - w[c] - left * down[c])
-                a_lo, a_hi = _clip(a_lo, a_hi, up[c] - y, w[c] + left * up[c] - lo[c])
-            step += [(m[:i] + (a,) + m[i + 1:],
-                      tuple(x + a * y for x, y in zip(w, adj[i])), left - a)
-                     for a in range(a_lo, a_hi + 1)]
-        out = step
+    top = max(wants.values())
+
+    def place(stage, i):
+        # every exponent of letter i on each (monomial, weight, degree left)
+        return ((m[:i] + (a,) + m[i + 1:], tuple(x + a * y for x, y in zip(w, adj[i])),
+                 left - a)
+                for m, w, left in stage for a in range(left + 1))
+
+    out = [((0,) * len(adj), (0,) * len(adj[0]), top)]
+    for i in free:
+        out = place(out, i)
     buckets: dict[tuple[int, ...], list[Mono]] = {}
     for m, w, left in out:
         if top - left <= wants.get(w, -1):
             buckets.setdefault(w, []).append(m)
     return buckets
-
-
-def _clip(a_lo: int, a_hi: int, slope: int, room: int) -> tuple[int, int]:
-    """Narrow [a_lo, a_hi] to the exponents a with a * slope <= room."""
-    if slope > 0:
-        return a_lo, min(a_hi, room // slope)
-    if slope < 0:
-        return max(a_lo, -(room // -slope)), a_hi
-    return a_lo, a_hi if room >= 0 else -1
 
 
 def reduce_block(cartan_of: Sequence[int | None], adj: Sequence[tuple[int, ...]],

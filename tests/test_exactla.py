@@ -117,7 +117,8 @@ def test_homology_dim_exact_and_nonexact():
     assert homology_dim(d_out, d_in) == 0
     # drop the incoming map: homology picks up the kernel line
     assert homology_dim(d_out, SparseMatrix.zero(2, 0)) == 1
-    with pytest.raises(CompositionNonzero):
+    with pytest.raises(CompositionNonzero,
+                       match=r"entry 1 at \(0, 0\); d_out is 1x2, d_in 2x1$"):
         homology_dim(d_out, SparseMatrix.from_rows([[1], [0]]))
     with pytest.raises(ValueError):
         homology_dim(d_out, SparseMatrix.zero(3, 1))

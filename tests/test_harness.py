@@ -154,6 +154,30 @@ def test_run_case_twist_far_below_the_window(family, lam, window):
         "exact-match"
 
 
+def test_family_c_is_a_difference_of_family_a():
+    # H_1 - H_0 of C at twist n, spread from K types to weights, equals
+    # H_0(A, -n-2) - H_0(A, n) on a window holding every weight of it,
+    # with no shift: the type model against the torus-block engine
+    win = Window.segment(-12, 12)
+
+    def h0_a(lam):
+        return harness._algebraic(VerificationCase("A", lam, window=win))[0].data
+
+    for n in range(-8, 9):
+        c0, c1 = harness._algebraic(VerificationCase("C", n))
+        spread = {}
+        for ch, sign in ((c1, 1), (c0, -1)):
+            for m, mult in ch.data.items():
+                for k in range(-m, m + 1, 2):
+                    spread[(k,)] = spread.get((k,), 0) + sign * mult
+        diff = dict(h0_a(-n - 2))
+        for w, mult in h0_a(n).items():
+            diff[w] = diff.get(w, 0) - mult
+        spread = {w: mult for w, mult in spread.items() if mult}
+        assert spread == {w: mult for w, mult in diff.items() if mult}, n
+        assert bool(spread) == (n != -1), n
+
+
 # ---------------------------------------------------------------------------
 # report schema
 

@@ -13,6 +13,7 @@ from locind.hecke import (RgKElt, RKElt, UnsupportedK, WindowTooSmall,
                           fn_times_dist, formula_mul_gen, identity_support,
                           invariant_form, p_deg0_oracle,
                           rep_of_uelt, rgk_mul, rk_mul, sl2_embed)
+from locind import hecke
 from locind.hecke import _quotient_dim
 from locind.gkmod import lambda_top, one_dim_module, tensor_onedim
 from locind.harness import default_cases
@@ -291,13 +292,40 @@ def test_oracle_guards(pa, pd, monkeypatch):
     with pytest.raises(WindowTooSmall) as err:
         p_deg0_oracle(pa, w, Window.segment(-10, 10))
     assert str(err.value).startswith(
-        "weight (10,): multiplicity 0 at cut 5 but 1 at cut 7")
+        "weight (0,): multiplicity 0 at cut 0 but 1 at cut 2")
     values = {"A": lambda lam: (lam, 0), "D": lambda lam: (lam[0], 0, lam[1], 0)}
     for fam, pair in (("A", pa), ("D", pd)):
         for c in default_cases(fam):
             with pytest.raises(WindowTooSmall):
                 p_deg0_oracle(pair, _twisted(pair, values[fam](c.lambda0)),
                               c.resolved_window())
+
+
+def test_oracle_block_cuts_match_the_window_wide_cut(pa, pd, monkeypatch):
+    gap, quotient = HModule.weight_gap, hecke._quotient_dim
+    columns = []
+
+    def spy(cols, relations):
+        columns.append(len(cols))
+        return quotient(cols, relations)
+
+    monkeypatch.setattr(hecke, "_quotient_dim", spy)
+    cases = [(pa, (-5, 0), Window.segment(-12, 12)),
+             (pd, (-4, 0, -2, 0), Window.box((-4, -4), (4, 4)))]
+    for pair, values, win in cases:
+        w = _twisted(pair, values)
+        columns.clear()
+        own = p_deg0_oracle(pair, w, win)
+        own_cols = sum(columns)
+        columns.clear()
+        with monkeypatch.context() as m:
+            # every block cut at the window's largest proved cut
+            m.setattr(HModule, "weight_gap", lambda mod, n, win=win:
+                      max(gap(mod, p) for p in win.points()))
+            wide = p_deg0_oracle(pair, w, win)
+        assert not own.is_zero()
+        assert own == wide
+        assert own_cols < sum(columns)
 
 
 def test_quotient_dim_rejects_relations_that_leave_the_cut():
