@@ -39,7 +39,9 @@ block.  Each of the three models gives it only two closures: the
 (part, slot) pairs that go with given legs in a degree, and the product
 of a part with a leg, reduced in the block.  A ``spread`` per model
 turns one number per block into a character.  Torus tables and sl2
-irreducibles come from liealg, nothing from the oracle or locp1.
+irreducibles come from liealg, nothing from the oracle or locp1.  Most
+blocks have no basis in any degree; each keeps its key, with zero dims,
+and costs no boundary, restriction or elimination.
 
 ``derived_p`` is the homology of this complex after the coefficient
 module is twisted by the top exterior power of the quotient;
@@ -77,8 +79,10 @@ class ChainBlock:
     """A finite complex X_top -> ... -> X_1 -> X_0 with exact boundaries.
 
     ``boundaries[d]`` is the matrix of the map X_{d+1} -> X_d; the square
-    of the boundary is checked on every homology call, so a sign slip
-    anywhere surfaces as CompositionNonzero rather than a wrong number.
+    of the boundary is checked on every homology call at a nonzero term,
+    so a sign slip anywhere surfaces as CompositionNonzero rather than a
+    wrong number.  Through a zero term d.d is zero by shape, and its
+    homology is 0 with no elimination.
     """
 
     dims: tuple[int, ...]
@@ -102,8 +106,13 @@ class ChainBlock:
         size = self.dims[d] if 0 <= d <= self.top else 0
         return SparseMatrix.zero(0 if d <= 0 else size, size if d <= 0 else 0)
 
+    @classmethod
+    def empty(cls, top: int) -> "ChainBlock":
+        """The block with no basis in any degree 0..top."""
+        return cls((0,) * (top + 1), (SparseMatrix.zero(0, 0),) * top)
+
     def homology(self, d: int) -> int:
-        if d < 0 or d > self.top:
+        if d < 0 or d > self.top or not self.dims[d]:
             return 0
         d_out = self.boundary(d)
         d_in = (self.boundaries[d] if d < self.top
@@ -212,7 +221,8 @@ def _assemble(wedge: _WedgeData, parts: Callable, rmul: Callable,
     go with the wedge legs in degree d, and ``rmul(part, leg)`` gives the
     (part, coefficient) terms of the part times the leg, reduced in the
     block.  Returns the block with its basis keys (part, legs, slot) per
-    degree, numbered in the order listed, for ``_restrict``.
+    degree, numbered in the order listed, for ``_restrict``; a block that
+    lists no key in any degree builds no boundary.
     """
     cols: list[dict] = []
     for d, subsets in enumerate(wedge.subsets):
@@ -221,6 +231,8 @@ def _assemble(wedge: _WedgeData, parts: Callable, rmul: Callable,
             for part, t in parts(d, legs):
                 cd[(part, legs, t)] = len(cd)
         cols.append(cd)
+    if not any(cols):
+        return cols, ChainBlock.empty(len(cols) - 1)
     bnds = tuple(_boundary_matrix(cols[d + 1], cols[d], rmul, wedge)
                  for d in range(len(cols) - 1))
     return cols, ChainBlock(tuple(len(c) for c in cols), bnds)
@@ -317,8 +329,11 @@ def _restrict(key, cols: Sequence[Mapping], blk: ChainBlock,
     to their indices; the kept keys are those whose algebra part has
     degree at most cut - d.  Because the truncation is a subcomplex, no
     kept column may have an entry in a dropped row; one that does raises
-    StructureError naming the block and the degree.
+    StructureError naming the block and the degree.  A block with no
+    basis is its own truncation.
     """
+    if not any(blk.dims):
+        return blk
     index = [{i: j for j, i in enumerate(i for (mono, _, _), i in cd.items()
                                          if sum(mono) <= cut - d)}
              for d, cd in enumerate(cols)]
@@ -345,26 +360,37 @@ def _sl2_blocks(pair: PairData, mod: HModule,
     Left equivariance cuts each matrix block to a single row slice; the
     slice entry at column b carries grading m - 2b, and only the slots
     balancing the wedge and module gradings survive the l-part tensor,
-    so each term is a short explicit list and no depth cut is needed.
+    so each term is a short explicit list and no depth cut is needed.  A
+    type that no grading reaches has no basis in any degree; it gets an
+    empty block without building its irreducible.
     """
     wedge = _wedge_data(pair, mod)
     leg_w = [pair.h_weight_of(xi)[0] for xi in pair.hl_basis]
     # the irreducibles act through K's (e, h, f), so a leg is read in the
     # coordinates of the K embedding, not of the ambient basis
     leg_k = [pair.lie.expand(xi, pair.k.embedding) for xi in pair.hl_basis]
+    # the grading of each (legs, slot): the legs' weights plus the slot's
+    grades = {legs: [(t, sum(leg_w[i] for i in legs) + mod.l_weights[t][0])
+                     for t in range(mod.dim)]
+              for subsets in wedge.subsets for legs in subsets}
+
+    def reaches(m: int, w: int) -> bool:
+        # b = (m - w)/2 is the one row slot of grading w, if 0 <= b <= m
+        return abs(w) <= m and (m - w) % 2 == 0
 
     def parts(m: int, d: int, legs: tuple[int, ...]) -> list[tuple[int, int]]:
-        # b = (m - w)/2 is the one row slot of grading w, if 0 <= b <= m
-        ws = [(t, sum(leg_w[i] for i in legs) + mod.l_weights[t][0])
-              for t in range(mod.dim)]
-        return [((m - w) // 2, t) for t, w in ws if abs(w) <= m and (m - w) % 2 == 0]
+        return [((m - w) // 2, t) for t, w in grades[legs] if reaches(m, w)]
 
     def rmul(pms: list[SparseMatrix], b: int, leg: int) -> list:
         pm = pms[leg]
         return [(c, pm.entry(b, c)) for c in range(pm.cols) if pm.entry(b, c) != 0]
 
+    weights = {w for ws in grades.values() for _, w in ws}
     blocks: dict[int, ChainBlock] = {}
     for m in range(max_type + 1):
+        if not any(reaches(m, w) for w in weights):
+            blocks[m] = ChainBlock.empty(pair.hl_dim())
+            continue
         pms = [rep_of_vec(xk, m) for xk in leg_k]
         blocks[m] = _assemble(wedge, partial(parts, m), partial(rmul, pms))[1]
     return blocks

@@ -201,8 +201,12 @@ def lambda_top(pair: PairData) -> HModule:
 
     The isotropy algebra acts on the quotient by its adjoint action; on
     the top wedge this is the trace, i.e. trace on the ambient algebra
-    minus trace on the isotropy algebra.
+    minus trace on the isotropy algebra.  It depends on the pair alone,
+    so it is built once and kept on the pair, like its leg products.
     """
+    kept = pair.__dict__.get("_lambda_top")
+    if kept is not None:
+        return kept
     halg = pair.halg
     vals = [_ad_trace(pair.lie, x) - _ad_trace(halg, halg.basis_vector(i))
             for i, x in enumerate(pair.h.basis)]
@@ -213,7 +217,8 @@ def lambda_top(pair: PairData) -> HModule:
         parity = 0
     else:
         parity = None
-    return one_dim_module(pair, vals, parity=parity)
+    kept = pair.__dict__["_lambda_top"] = one_dim_module(pair, vals, parity=parity)
+    return kept
 
 
 def tensor_onedim(m: HModule, c: HModule) -> HModule:

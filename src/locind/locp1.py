@@ -419,8 +419,14 @@ def cech_cohomology_On(n: int) -> tuple[Character, Character]:
     glues to z^(n-j)); kernel and cokernel are assembled weight by
     weight and peeled into irreducible type multiplicities, which
     raises if the weights do not form a genuine representation.
+
+    Chart exponents up to |n| are enough.  For n >= 0, H^0 is spanned by
+    z^0 ... z^n (the w chart glues them to w^n ... w^0) and H^1 is zero.
+    For n < 0, H^0 is zero and H^1 lives at the overlap exponents a with
+    n < a < 0, which neither chart reaches; the band of exponents
+    2n ... -n covers them, and every other exponent in it is hit.
     """
-    big = abs(n) + 2
+    big = abs(n)
     zs = {n - 2 * i: i for i in range(big + 1)}             # z^i, weight n-2i
     ws = {2 * j - n: j for j in range(big + 1)}             # w^j, weight 2j-n
     lo, hi = min(0, n - big), max(big, n)

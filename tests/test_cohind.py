@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from locind import cohind
 from locind.cohind import (ChainBlock, _open_blocks, _restrict, _torus_blocks,
                            build_standard_complex, derived_i, derived_p)
-from locind.exactla import ONE, SparseMatrix
+from locind.exactla import ONE, CompositionNonzero, SparseMatrix
 from locind.gkmod import (Character, HModule, Window, WindowTooSmall,
                           dual_module, lambda_top, one_dim_module,
                           tensor_onedim)
@@ -62,6 +63,20 @@ def test_chain_block_basics():
         ChainBlock((2, 2), (SparseMatrix.zero(1, 2),))
     with pytest.raises(StructureError, match="boundary"):
         ChainBlock((2, 2), ())
+
+
+def test_zero_terms_cost_nothing_and_nonzero_terms_keep_the_guard():
+    # through a zero term d.d is zero by shape: homology 0, no check needed
+    hollow = ChainBlock((1, 0, 1), (SparseMatrix.zero(1, 0), SparseMatrix.zero(0, 1)))
+    assert [hollow.homology(d) for d in range(3)] == [1, 0, 1]
+    empty = ChainBlock.empty(2)
+    assert empty.dims == (0, 0, 0) and empty.top == 2
+    assert [empty.homology(d) for d in range(3)] == [0, 0, 0]
+    # a nonzero middle term with d.d != 0 still refuses
+    one = SparseMatrix.identity(1)
+    bad = ChainBlock((1, 1, 1), (one, one))
+    with pytest.raises(CompositionNonzero):
+        bad.homology(1)
 
 
 def test_restriction_refuses_a_non_subcomplex():
@@ -278,6 +293,44 @@ def test_full_sl2_characters(pc):
         h1 = derived_p(pc, v, 1, max_type=8)
         assert h0 == Character("sl2-type", {} if t0 is None else {t0: 1})
         assert h1 == Character("sl2-type", {} if t1 is None else {t1: 1})
+
+
+def test_full_sl2_keeps_every_type_block(pc):
+    # types below the live range have no basis, but keep their keys
+    cx = build_standard_complex(pc, one_dim_module(pc, (-60, 0)), max_type=64)
+    assert sorted(cx.blocks) == list(range(65))
+    live = [m for m, blk in cx.blocks.items() if any(blk.dims)]
+    assert min(live) == 58
+    assert all(cx.blocks[m].dims == (0, 0) for m in range(58))
+    assert cx.homology_characters() == (Character("sl2-type", {58: 1}),
+                                        Character("sl2-type", {}))
+
+
+def test_homology_runs_only_at_nonzero_terms(pa, pc, monkeypatch):
+    calls = []
+    real = cohind.homology_dim
+
+    def spy(d_out, d_in):
+        calls.append(d_out.cols)
+        return real(d_out, d_in)
+
+    monkeypatch.setattr(cohind, "homology_dim", spy)
+
+    def nonzero_terms(blocks):
+        return sum(1 for blk in blocks for n in blk.dims if n)
+
+    cx = build_standard_complex(pc, one_dim_module(pc, (-60, 0)), max_type=64)
+    assert 0 < len(calls) <= nonzero_terms(cx.blocks.values())
+    # a torus build takes homology at two depths: the returned blocks and
+    # the same blocks built one deeper
+    calls.clear()
+    v = one_dim_module(pa, (-4, 0))
+    cx = build_standard_complex(pa, v, WIN)
+    w = tensor_onedim(v, lambda_top(pa))
+    deep = _torus_blocks(pa, w, {n: w.weight_gap(n) + 1 for n in WIN.points()})
+    assert 0 < len(calls) <= (nonzero_terms(cx.blocks.values())
+                              + nonzero_terms(blk for _, blk in deep.values()))
+    assert all(calls)
 
 
 def test_full_sl2_matches_oracle(pc):

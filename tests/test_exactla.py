@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from locind.exactla import (ONE, ZERO, CompositionNonzero, SparseMatrix,
-                            homology_dim, inverse, kernel_basis, rank, scalar,
-                            solve)
+                            _echelon, homology_dim, inverse, kernel_basis,
+                            rank, scalar, solve)
 
 
 def test_scalar_coercion():
@@ -199,6 +199,29 @@ def test_rank_of_non_integral_matrix_matches_rref():
         q = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
         base.append([x + q * y for x, y in zip(base[i], base[j])])
         _check_against_reference(base)
+
+
+def test_rank_of_a_single_row_or_column_needs_no_elimination(monkeypatch):
+    rng = random.Random(5)
+    cases = []
+    for rows, cols in ((0, 4), (4, 0), (1, 5), (5, 1), (1, 1), (4, 4)):
+        for _ in range(20):
+            vals = [[rng.choice((0, 0, rng.randint(-4, 4),
+                                 Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+                     for _ in range(cols)] for _ in range(rows)]
+            if rows:
+                vals[rng.randrange(rows)] = [0] * cols
+            cases.append(SparseMatrix(rows, cols, [(r, c, v) for r, row in enumerate(vals)
+                                                   for c, v in enumerate(row)]))
+    want = [len(_echelon(m)) for m in cases]
+    assert [rank(m) for m in cases] == want
+
+    def boom(*_):
+        raise AssertionError("eliminated a single row or column")
+
+    monkeypatch.setattr("locind.exactla._echelon", boom)
+    assert rank(SparseMatrix(1, 3, [(0, 1, Fraction(1, 2))])) == 1
+    assert rank(SparseMatrix(3, 1)) == 0
 
 
 def test_rank_is_kept_on_the_matrix(monkeypatch):

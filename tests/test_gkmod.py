@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,13 @@ def test_character_cleanup_and_zero():
     z = Character("torus-weight", {3: 0}, parity=1)
     assert z.is_zero()
     assert z.parity is None  # the zero character forgets its parity
+
+
+def test_character_equality_sees_parity():
+    data = {(2,): 1, (4,): 2}
+    even = Character("torus-weight", data, parity=0)
+    assert even == Character("torus-weight", data, parity=0)
+    assert even != Character("torus-weight", data, parity=1)
 
 
 def test_character_dual_and_restrict():
@@ -163,6 +171,12 @@ def test_lambda_top_values():
     assert top_b.parity == (0,)
     assert tuple(lambda_top(pair_by_name("D")).value(i) for i in range(4)) == \
         (Fraction(2), Fraction(0), Fraction(2), Fraction(0))
+    # built once per pair; a re-presented pair builds its own
+    pa = pair_by_name("A")
+    assert lambda_top(pa) is lambda_top(pa)
+    fresh = replace(pa)
+    assert lambda_top(fresh) is not lambda_top(pa)
+    assert lambda_top(fresh).value(0) == lambda_top(pa).value(0)
 
 
 def test_tensor_and_dual():
