@@ -41,7 +41,7 @@ of a part with a leg, reduced in the block.  A ``spread`` per model
 turns one number per block into a character.  Torus tables and sl2
 irreducibles come from liealg, nothing from the oracle or locp1.  Most
 blocks have no basis in any degree; each keeps its key, with zero dims,
-and costs no boundary, restriction or elimination.
+and takes no elimination.
 
 ``derived_p`` is the homology of this complex after the coefficient
 module is twisted by the top exterior power of the quotient;
@@ -221,8 +221,7 @@ def _assemble(wedge: _WedgeData, parts: Callable, rmul: Callable,
     go with the wedge legs in degree d, and ``rmul(part, leg)`` gives the
     (part, coefficient) terms of the part times the leg, reduced in the
     block.  Returns the block with its basis keys (part, legs, slot) per
-    degree, numbered in the order listed, for ``_restrict``; a block that
-    lists no key in any degree builds no boundary.
+    degree, numbered in the order listed, for ``_restrict``.
     """
     cols: list[dict] = []
     for d, subsets in enumerate(wedge.subsets):
@@ -231,8 +230,6 @@ def _assemble(wedge: _WedgeData, parts: Callable, rmul: Callable,
             for part, t in parts(d, legs):
                 cd[(part, legs, t)] = len(cd)
         cols.append(cd)
-    if not any(cols):
-        return cols, ChainBlock.empty(len(cols) - 1)
     bnds = tuple(_boundary_matrix(cols[d + 1], cols[d], rmul, wedge)
                  for d in range(len(cols) - 1))
     return cols, ChainBlock(tuple(len(c) for c in cols), bnds)
@@ -329,11 +326,8 @@ def _restrict(key, cols: Sequence[Mapping], blk: ChainBlock,
     to their indices; the kept keys are those whose algebra part has
     degree at most cut - d.  Because the truncation is a subcomplex, no
     kept column may have an entry in a dropped row; one that does raises
-    StructureError naming the block and the degree.  A block with no
-    basis is its own truncation.
+    StructureError naming the block and the degree.
     """
-    if not any(blk.dims):
-        return blk
     index = [{i: j for j, i in enumerate(i for (mono, _, _), i in cd.items()
                                          if sum(mono) <= cut - d)}
              for d, cd in enumerate(cols)]

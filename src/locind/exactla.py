@@ -14,8 +14,7 @@ leaves its span unchanged, and is 1 on an integer row), then
 cross-multiplied against pivot rows keyed by their leading column, and
 divided by its content after every step, so its entries stay bounded.
 ``rank`` counts the pivot rows and is kept on the (immutable) matrix,
-so a boundary shared by two homology degrees is eliminated once; a
-single row or column needs no elimination.
+so a boundary shared by two homology degrees is eliminated once.
 ``rref`` back-substitutes the same rows, still in integers, from the
 last pivot to the first, then divides each row by its pivot, once;
 ``kernel_basis``, ``solve`` and ``inverse`` read their answers off it.
@@ -236,14 +235,9 @@ def _echelon(m: SparseMatrix) -> dict[int, dict[int, int]]:
 
 
 def rank(m: SparseMatrix) -> int:
-    """Rank over the rationals, computed once and kept on the matrix.
-
-    A matrix with at most one row or one column has rank 1 when it has an
-    entry (no zero is stored) and 0 otherwise, with no elimination.
-    """
+    """Rank over the rationals, computed once and kept on the matrix."""
     if m._rank is None:
-        m._rank = (len(_echelon(m)) if m.rows > 1 and m.cols > 1
-                   else int(bool(m._data)))
+        m._rank = len(_echelon(m))
     return m._rank
 
 
