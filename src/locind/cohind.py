@@ -37,11 +37,12 @@ One driver, ``_assemble``, lists the basis keys (algebra part, wedge
 legs, module slot) of each degree and builds the boundaries of every
 block.  Each of the three models gives it only two closures: the
 (part, slot) pairs that go with given legs in a degree, and the product
-of a part with a leg, reduced in the block.  A ``spread`` per model
-turns one number per block into a character.  Torus tables and sl2
-irreducibles come from liealg, nothing from the oracle or locp1.  Most
-blocks have no basis in any degree; each keeps its key, with zero dims,
-and takes no elimination.
+of a part with a leg, reduced in the block.  The torus and type models
+grade each (legs, slot) key once per build, in one table ``_grades``.
+A ``spread`` per model turns one number per block into a character.
+Torus tables and sl2 irreducibles come from liealg, nothing from the
+oracle or locp1.  Most blocks have no basis in any degree; each keeps
+its key, with zero dims, and takes no elimination.
 
 ``derived_p`` is the homology of this complex after the coefficient
 module is twisted by the top exterior power of the quotient;
@@ -60,7 +61,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .exactla import ONE, ZERO, SparseMatrix, homology_dim
 from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
                     check_module_compatible, dual_module, lambda_top,
-                    tensor_onedim, weight_add)
+                    tensor_onedim)
 from .liealg import PairData, StructureError, rep_of_vec
 from .pbw import Mono, UElt, bounded_monos, monos_by_weight, reduce_block
 
@@ -103,8 +104,8 @@ class ChainBlock:
         """Matrix of X_d -> X_{d-1}, with zero caps at both ends."""
         if 1 <= d <= self.top:
             return self.boundaries[d - 1]
-        size = self.dims[d] if 0 <= d <= self.top else 0
-        return SparseMatrix.zero(0 if d <= 0 else size, size if d <= 0 else 0)
+        return SparseMatrix.zero(self.dims[-1] if d == self.top + 1 else 0,
+                                 self.dims[0] if d == 0 else 0)
 
     @classmethod
     def empty(cls, top: int) -> "ChainBlock":
@@ -114,10 +115,7 @@ class ChainBlock:
     def homology(self, d: int) -> int:
         if d < 0 or d > self.top or not self.dims[d]:
             return 0
-        d_out = self.boundary(d)
-        d_in = (self.boundaries[d] if d < self.top
-                else SparseMatrix.zero(self.dims[d], 0))
-        return homology_dim(d_out, d_in)
+        return homology_dim(self.boundary(d), self.boundary(d + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +149,18 @@ def _wedge_data(pair: PairData, mod: HModule) -> _WedgeData:
                 brackets[(i, j)] = cls
     acts = tuple(mod.matrix_of(pair.h.coords(xi)) for xi in pair.hl_basis)
     return _WedgeData(subsets, brackets, acts)
+
+
+def _grades(pair: PairData, mod: HModule,
+            subsets: Iterable[Iterable[tuple[int, ...]]],
+            ) -> dict[tuple[int, ...], list[tuple[int, Weight]]]:
+    """Per leg subset, [(slot, the legs' K weights plus the slot's
+    l-weight)]: the grading of each (legs, slot) key.  Not a
+    ``_WedgeData`` field, since family B's legs are not weight vectors."""
+    wts = [pair.h_weight_of(xi) for xi in pair.hl_basis]
+    return {legs: [(t, tuple(map(sum, zip(lw, *(wts[i] for i in legs)))))
+                   for t, lw in enumerate(mod.l_weights)]
+            for degree in subsets for legs in degree}
 
 
 def _boundary_matrix(cols_hi: Mapping, cols_lo: Mapping, rmul: Callable,
@@ -242,7 +252,7 @@ def _torus_blocks(pair: PairData, mod: HModule,
 
     Returns each block with its basis keys per degree, for ``_restrict``.
     Only the monomials some block reads are listed: for each block,
-    degree and legs, the weight n - wt(legs) - l_weight up to degree
+    degree and legs, the weight n - grade (``_grades``) up to degree
     depth - d.  The product of a monomial with a wedge leg does not
     depend on the block or the module, so it is straightened once per
     (monomial, leg) and kept on the pair, whose legs the index names;
@@ -251,16 +261,12 @@ def _torus_blocks(pair: PairData, mod: HModule,
     cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
     wedge = _wedge_data(pair, mod)
     leg_u = [UElt.from_vec(pair.lie, xi) for xi in pair.hl_basis]
-    leg_w = [pair.h_weight_of(xi) for xi in pair.hl_basis]
+    grades = _grades(pair, mod, wedge.subsets)
     prods: dict[tuple[Mono, int], Mapping[Mono, Fraction]] = \
         pair.__dict__.setdefault("_leg_products", {})
 
     def needs(n: Weight, legs: tuple[int, ...]) -> list[tuple[int, Weight]]:
-        wi = (0,) * pair.k.rank
-        for i in legs:
-            wi = weight_add(wi, leg_w[i])
-        return [(t, tuple(a - b - c for a, b, c in zip(n, wi, mod.l_weights[t])))
-                for t in range(mod.dim)]
+        return [(t, tuple(a - b for a, b in zip(n, g))) for t, g in grades[legs]]
 
     wants: dict[Weight, int] = {}
     for n, cut in depths.items():
@@ -359,27 +365,23 @@ def _sl2_blocks(pair: PairData, mod: HModule,
     empty block without building its irreducible.
     """
     wedge = _wedge_data(pair, mod)
-    leg_w = [pair.h_weight_of(xi)[0] for xi in pair.hl_basis]
+    grades = _grades(pair, mod, wedge.subsets)
     # the irreducibles act through K's (e, h, f), so a leg is read in the
     # coordinates of the K embedding, not of the ambient basis
     leg_k = [pair.lie.expand(xi, pair.k.embedding) for xi in pair.hl_basis]
-    # the grading of each (legs, slot): the legs' weights plus the slot's
-    grades = {legs: [(t, sum(leg_w[i] for i in legs) + mod.l_weights[t][0])
-                     for t in range(mod.dim)]
-              for subsets in wedge.subsets for legs in subsets}
 
     def reaches(m: int, w: int) -> bool:
         # b = (m - w)/2 is the one row slot of grading w, if 0 <= b <= m
         return abs(w) <= m and (m - w) % 2 == 0
 
     def parts(m: int, d: int, legs: tuple[int, ...]) -> list[tuple[int, int]]:
-        return [((m - w) // 2, t) for t, w in grades[legs] if reaches(m, w)]
+        return [((m - w) // 2, t) for t, (w,) in grades[legs] if reaches(m, w)]
 
     def rmul(pms: list[SparseMatrix], b: int, leg: int) -> list:
         pm = pms[leg]
         return [(c, pm.entry(b, c)) for c in range(pm.cols) if pm.entry(b, c) != 0]
 
-    weights = {w for ws in grades.values() for _, w in ws}
+    weights = {w for ws in grades.values() for _, (w,) in ws}
     blocks: dict[int, ChainBlock] = {}
     for m in range(max_type + 1):
         if not any(reaches(m, w) for w in weights):

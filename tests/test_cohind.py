@@ -59,6 +59,15 @@ def test_chain_block_basics():
     assert blk.homology(0) == 1 and blk.homology(1) == 0
     assert blk.homology(5) == 0 and blk.homology(-1) == 0
     assert blk.boundary(0).rows == 0 and blk.boundary(2).cols == 0
+    # the caps are 0 x dims[0] below and dims[top] x 0 above, so they
+    # compose with the end boundaries
+    wide = ChainBlock((2, 3), (SparseMatrix.from_rows([[1, 0, 1], [0, 1, 0]]),))
+    cap = wide.boundary(wide.top + 1)
+    assert (cap.rows, cap.cols) == (3, 0)
+    assert (wide.boundary(0).rows, wide.boundary(0).cols) == (0, 2)
+    assert wide.boundary(wide.top).mul(cap).is_zero()
+    assert wide.boundary(0).mul(wide.boundary(1)).is_zero()
+    assert wide.homology(0) == 0 and wide.homology(1) == 1
     with pytest.raises(StructureError, match="shape"):
         ChainBlock((2, 2), (SparseMatrix.zero(1, 2),))
     with pytest.raises(StructureError, match="boundary"):
