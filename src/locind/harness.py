@@ -20,9 +20,9 @@ from functools import partial
 from typing import Iterable, Sequence
 
 from .cohind import build_standard_complex, derived_i, derived_p
-from .exactla import SparseMatrix
-from .gkmod import (Character, Weight, Window, dual_module, lambda_top,
-                    one_dim_module, tensor_onedim)
+from .exactla import CompositionNonzero, SparseMatrix
+from .gkmod import (Character, Weight, Window, WindowTooSmall, dual_module,
+                    lambda_top, one_dim_module, tensor_onedim)
 from .hecke import (RgKElt, approx_identity, identity_support, p_deg0_oracle,
                     rgk_mul)
 from .liealg import LieAlg, StructureError, pair_by_name
@@ -595,7 +595,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError, OSError) as err:
+    except (CompositionNonzero, WindowTooSmall, StructureError, ArithmeticError) as err:
+        print(f"error: {err}", file=sys.stderr)     # a failed internal check
+        return 3
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -11,9 +11,10 @@ origin) and the solver asserts uniqueness.
 On top of that sit the orbit direct images used for the comparison.
 Three of them are spans of powers coordinate**a, one per torus weight,
 on which the chart operators act through one helper, ``_power_module``.
-Each operator sends a power to a multiple of one other power, so such a
-model is a ``PowerModule``: its weights and one scalar per weight and
-operator.  The three are:
+It indexes each power by its doubled exponent 2a, an int even where a is
+half-integral.  Each operator sends a power to a multiple of one other
+power, so such a model is a ``PowerModule``: its weights and one scalar
+per weight and operator.  The three are:
 
 * the Laurent module of sections on the open torus orbit (every a in
   one coset of the integers, with its two-point parity bookkeeping);
@@ -157,26 +158,27 @@ class ChartOp:
         if self.chart != other.chart:
             raise ValueError("operators live on different charts")
 
-    def apply_exp(self, a: int | Fraction) -> dict:
-        """Apply to the formal power coordinate**a, as {exponent: coefficient}.
+    def apply_exp2(self, a2: int) -> dict[int, int | Fraction]:
+        """Apply to the formal power coordinate**(a2/2), as {a2 of the image:
+        coefficient}.
 
-        The exponent is used as given: an int for the powers of the delta
-        module, the jets and the integral Laurent sections, a Fraction only
-        for the half-integral Laurent sections of the other parity.  The
-        image exponents have the same type.
+        Exponents go in and come out doubled, so a half-integral power (a
+        Laurent section of the square-root twist) is an int like any other.
         """
-        out: dict = {}
+        den = 1 << len(self.coeffs)
+        out: dict[int, int | Fraction] = {}
         for k, p in enumerate(self.coeffs):
-            fall = 1
+            fall = den >> k     # ends as den times a(a - 1)...(a - k + 1), an int
             for i in range(k):
-                fall *= a - i
+                fall *= a2 - 2 * i
             if fall == 0 or not p:
                 continue
             for j, c in enumerate(p):
                 if c != 0:
-                    key = a - k + j
+                    key = a2 + 2 * (j - k)
                     out[key] = out.get(key, ZERO) + c * fall
-        return {e: c for e, c in out.items() if c != 0}
+        return {e: c // den if c % den == 0 else Fraction(c, den)
+                for e, c in out.items() if c != 0}
 
     def __repr__(self) -> str:
         def poly(p: tuple[Fraction, ...]) -> str:
@@ -328,41 +330,38 @@ def _power_module(lambda0: int, chart: str, weights,
                   top: int | None = None, parity: int | None = None) -> PowerModule:
     """Scalars of e, h, f and z on one power coordinate**a per weight.
 
-    The power of weight wt has a = (lambda0 - wt)/2 on the z chart and
-    (lambda0 + wt)/2 on the w chart: an int when integral, a Fraction
-    when half-integral.  Powers at an exponent of at least ``top`` are
-    dropped, and so are their images: top = 0 is the quotient by regular
-    functions, top = p the quotient by coordinate**p and no top the
-    Laurent sections; images leaving the weights given fall outside the
-    window.  The Cartan element must act on each power by its weight,
-    which is checked.  A term that lands on the power of another weight
-    than the target means the operator is not weight-homogeneous.
+    The power of weight wt has the doubled exponent a2 = 2a = lambda0 - wt
+    on the z chart and lambda0 + wt on the w chart, so a power of doubled
+    exponent a2 has weight +-(lambda0 - a2).  Powers at an exponent of at
+    least ``top`` are dropped, and so are their images: top = 0 is the
+    quotient by regular functions, top = p the quotient by coordinate**p
+    and no top the Laurent sections; images leaving the weights given fall
+    outside the window.  The Cartan element must act on each power by its
+    weight, which is checked.  A term that lands on the power of another
+    weight than the target means the operator is not weight-homogeneous.
     """
     rho = twisted_rep(lambda0, chart)
-    exps = {}
-    for wt in weights:
-        num = lambda0 - wt if chart == "z" else lambda0 + wt
-        a = num // 2 if num % 2 == 0 else Fraction(num, 2)
-        if top is None or a < top:
-            exps[wt] = a
-    for wt, a in exps.items():
-        if rho["h"].apply_exp(a) != ({a: wt} if wt else {}):
+    sign = 1 if chart == "z" else -1
+    exps = {wt: lambda0 - sign * wt for wt in weights}
+    if top is not None:
+        exps = {wt: a2 for wt, a2 in exps.items() if a2 < 2 * top}
+    for wt, a2 in exps.items():
+        if rho["h"].apply_exp2(a2) != ({a2: wt} if wt else {}):
             raise ArithmeticError("Cartan action disagrees with the exponent")
-    zshift = -2 if chart == "z" else 2
     chart_ops = {**rho, "z": ChartOp.mult((ZERO, ONE), chart)}
-    shifts = {"e": 2, "h": 0, "f": -2, "z": zshift}
-    wt_of = {a: wt for wt, a in exps.items()}
-    ops: dict[str, tuple[int, dict[int, Fraction]]] = {}
+    shifts = {"e": 2, "h": 0, "f": -2, "z": -2 * sign}
+    ops: dict[str, tuple[int, dict[int, int | Fraction]]] = {}
     for name, op in chart_ops.items():
         scalars = {}
-        for wt, a in exps.items():
+        for wt, a2 in exps.items():
             entry = ZERO
-            for b, v in op.apply_exp(a).items():
-                hit = wt_of.get(b)
-                if hit == wt + shifts[name]:
-                    entry += v
-                elif hit is not None:
+            for b2, v in op.apply_exp2(a2).items():
+                hit = sign * (lambda0 - b2)
+                if hit not in exps:
+                    continue
+                if hit != wt + shifts[name]:
                     raise ArithmeticError(f"operator {name!r} is not weight-homogeneous")
+                entry += v
             if entry != 0:
                 scalars[wt] = entry
         ops[name] = (shifts[name], scalars)

@@ -53,27 +53,19 @@ def _times_gen(lie: LieAlg, mono: Mono, j: int) -> dict[Mono, Fraction]:
     def power(b: int) -> Mono:
         return mono[:i] + (b,) + mono[i + 1:]
 
-    # top-down, the generators each power of x_i is still missing; a
-    # product in the memo had everything below it filled when it was made
-    brackets: dict[int, Vec] = {}
-    levels: list[tuple[int, list[int]]] = []
-    want, b = {j}, mono[i]
-    while b > 0:
-        missing = [jj for jj in sorted(want) if (power(b), jj) not in memo]
-        if not missing:
-            break
-        levels.append((b, missing))
-        want = set(missing)
-        for jj in missing:
-            if jj not in brackets:
-                brackets[jj] = lie.bracket_basis(i, jj)
-            want.update(k for k, gamma in enumerate(brackets[jj]) if gamma != 0 and k < i)
-        b -= 1
-    for b, missing in reversed(levels):
+    # the generators the rule reaches from j: each adds the letters below
+    # x_i of its bracket with x_i
+    gens = [j]
+    for jj in gens:
+        gens += [k for k, gamma in enumerate(lie.bracket_basis(i, jj))
+                 if gamma != 0 and k < i and k not in gens]
+    for b in range(1, mono[i] + 1):
         rest = power(b - 1)
-        for jj in missing:
+        for jj in gens:
+            if (power(b), jj) in memo:
+                continue
             out = _times(lie, _times_gen(lie, rest, jj), i)
-            for k, gamma in enumerate(brackets[jj]):
+            for k, gamma in enumerate(lie.bracket_basis(i, jj)):
                 if gamma != 0:
                     for m, c in _times_gen(lie, rest, k).items():
                         out[m] = out.get(m, ZERO) + gamma * c

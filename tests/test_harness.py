@@ -10,12 +10,12 @@ import pytest
 
 from locind import harness
 from locind.cohind import ChainBlock
-from locind.exactla import SparseMatrix, kernel_basis, rank
-from locind.gkmod import Character, Window
+from locind.exactla import CompositionNonzero, SparseMatrix, kernel_basis, rank
+from locind.gkmod import Character, Window, WindowTooSmall
 from locind.harness import (LEDGER, Report, VerificationCase, default_cases,
                             main, run_case, selftest)
 from locind.harness import _fuse_dashed_values
-from locind.liealg import pair_by_name
+from locind.liealg import StructureError, pair_by_name
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +316,21 @@ def test_cli_bad_usage(capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert main(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize("err", [
+    CompositionNonzero("d∘d is not zero"), WindowTooSmall("unstable at two depths"),
+    StructureError("boundary image left the block basis"),
+    ArithmeticError("twist constraints are inconsistent"),
+], ids=lambda err: type(err).__name__)
+def test_cli_internal_check_failure_exit(err, monkeypatch, capsys):
+    # a failed internal check is a defect: exit 3, not the mismatch or usage code
+    def fail(case):
+        raise err
+    monkeypatch.setattr(harness, "run_case", fail)
+    assert main(["verify", "--family", "A", "--lambda", "-4"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -34,12 +34,19 @@ def test_chartop_commutation():
 
 
 def test_chartop_apply_exp():
+    # exponents go in and come out doubled: z^3 is 6, z^(1/2) is 1
     d = ChartOp("z", ((), (ONE,)))
-    assert d.apply_exp(Fraction(3)) == {Fraction(2): Fraction(3)}
-    # fractional exponents arise for half-integral section gradings
-    assert d.apply_exp(Fraction(1, 2)) == {Fraction(-1, 2): Fraction(1, 2)}
+    assert d.apply_exp2(6) == {4: 3}
+    assert d.apply_exp2(1) == {-1: Fraction(1, 2)}
     z = ChartOp.mult((ZERO, ONE), "z")
-    assert z.apply_exp(Fraction(-1)) == {Fraction(0): ONE}
+    assert z.apply_exp2(-2) == {0: ONE}
+    # second order: d^2 z^(-1/2) = 3/4 z^(-5/2), and d^2 z^(3/2) = 3/4 z^(-1/2)
+    d2 = ChartOp("z", ((), (), (ONE,)))
+    assert d2.apply_exp2(-1) == {-5: Fraction(3, 4)}
+    assert d2.apply_exp2(3) == {-1: Fraction(3, 4)}
+    assert d2.apply_exp2(2) == {} and d2.apply_exp2(0) == {}
+    for out in (d.apply_exp2(6), z.apply_exp2(-2), d2.apply_exp2(4)):
+        assert all(type(e) is int and type(c) is int for e, c in out.items())
 
 
 def test_chartop_chart_mismatch():
@@ -138,19 +145,35 @@ def test_delta_module_twist_far_below_the_window():
 # Laurent sections on the open orbit
 
 
+def _ints_where_integral(values):
+    return all(type(c) is int for c in values if Fraction(c).denominator == 1)
+
+
 def test_laurent_module_weights_and_coefficients():
+    # an integral scalar is an int, on the half-integral powers too, and
+    # in the delta module and the jets
     win = Window.segment(-12, 12)
-    for lam in (-3, 0, 2):
-        for par in (0, 1):
-            gm = laurent_module(lam, par, win)
-            ws = gm.weights
-            assert ws == tuple(w for w in range(-12, 13) if w % 2 == par)
-            assert gm.parity == par
-            for w in ws[1:-1]:
-                tw, c = _apply(gm, "e", w)
-                assert tw == w + 2 and c == Fraction(w - lam, 2)
-                tw, c = _apply(gm, "f", w)
-                assert tw == w - 2 and c == Fraction(-(lam + w), 2)
+    pa = pair_by_name("A")
+    for lam in (-3, 0, 2, 5):
+        for chart in ("z", "w"):
+            for par in (0, 1):
+                gm = laurent_module(lam, par, win, chart=chart)
+                ws = gm.weights
+                assert ws == tuple(w for w in range(-12, 13) if w % 2 == par)
+                assert gm.parity == par
+                for w in ws[1:-1]:
+                    tw, c = _apply(gm, "e", w)
+                    assert tw == w + 2 and c == Fraction(w - lam, 2)
+                    tw, c = _apply(gm, "f", w)
+                    assert tw == w - 2 and c == Fraction(-(lam + w), 2)
+                    assert _apply(gm, "h", w) == (w, w)
+                assert all(_ints_where_integral(sc.values()) for _, sc in gm.ops.values())
+            dm = delta_module(lam, win, chart=chart)
+            assert all(_ints_where_integral(sc.values()) for _, sc in dm.ops.values())
+        for p in (1, 2, 4):
+            jm = jet_associated_module(one_dim_module(pa, (lam, 0)), p)
+            for mat in (*jm.ops.values(), jm.mult):
+                assert _ints_where_integral(v for _, _, v in mat.entries())
 
 
 def test_laurent_module_interior_casimir():
