@@ -42,7 +42,8 @@ grade each (legs, slot) key once per build, in one table ``_grades``.
 A ``spread`` per model turns one number per block into a character.
 Torus tables and sl2 irreducibles come from liealg, nothing from the
 oracle or locp1.  Most blocks have no basis in any degree; each keeps
-its key, with zero dims, and takes no elimination.
+its key and is the one shared ``ChainBlock.empty`` of its top degree.
+It is not assembled, restricted, eliminated or compared at depth+1.
 
 ``derived_p`` is the homology of this complex after the coefficient
 module is twisted by the top exterior power of the quotient;
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -63,7 +64,7 @@ from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
                     check_module_compatible, dual_module, lambda_top,
                     tensor_onedim)
 from .liealg import PairData, StructureError, rep_of_vec
-from .pbw import Mono, UElt, bounded_monos, monos_by_weight, reduce_block
+from .pbw import Mono, UElt, monos_by_weight, reduce_block
 
 __all__ = [
     "ChainBlock", "StdComplex", "build_standard_complex",
@@ -108,8 +109,9 @@ class ChainBlock:
                                  self.dims[0] if d == 0 else 0)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def empty(cls, top: int) -> "ChainBlock":
-        """The block with no basis in any degree 0..top."""
+        """The block with no basis in any degree 0..top, one per top."""
         return cls((0,) * (top + 1), (SparseMatrix.zero(0, 0),) * top)
 
     def homology(self, d: int) -> int:
@@ -253,10 +255,12 @@ def _torus_blocks(pair: PairData, mod: HModule,
     Returns each block with its basis keys per degree, for ``_restrict``.
     Only the monomials some block reads are listed: for each block,
     degree and legs, the weight n - grade (``_grades``) up to degree
-    depth - d.  The product of a monomial with a wedge leg does not
-    depend on the block or the module, so it is straightened once per
-    (monomial, leg) and kept on the pair, whose legs the index names;
-    only the evaluation of its Cartan letters is per block.
+    depth - d.  A block none of whose weights has a monomial is the
+    shared empty block, with no keys, and is not assembled.  The product
+    of a monomial with a wedge leg does not depend on the block or the
+    module, so it is straightened once per (monomial, leg) and kept on
+    the pair, whose legs the index names; only the evaluation of its
+    Cartan letters is per block.
     """
     cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
     wedge = _wedge_data(pair, mod)
@@ -265,21 +269,22 @@ def _torus_blocks(pair: PairData, mod: HModule,
     prods: dict[tuple[Mono, int], Mapping[Mono, Fraction]] = \
         pair.__dict__.setdefault("_leg_products", {})
 
-    def needs(n: Weight, legs: tuple[int, ...]) -> list[tuple[int, Weight]]:
-        return [(t, tuple(a - b for a, b in zip(n, g))) for t, g in grades[legs]]
-
+    # per block, per legs: [(slot, the weight its algebra parts have)]
+    needs: dict[Weight, dict[tuple[int, ...], list[tuple[int, Weight]]]] = {}
     wants: dict[Weight, int] = {}
     for n, cut in depths.items():
+        per = needs[n] = {}
         for d, subsets in enumerate(wedge.subsets):
             for legs in subsets:
-                for _, need in needs(n, legs):
+                per[legs] = [(t, tuple(a - b for a, b in zip(n, g))) for t, g in grades[legs]]
+                for _, need in per[legs]:
                     wants[need] = max(wants.get(need, -1), cut - d)
     buckets = monos_by_weight([i for i, c in enumerate(cartan_of) if c is None],
                               adj, wants)
 
     def parts(n: Weight, cut: int, d: int,
               legs: tuple[int, ...]) -> Iterable[tuple[Mono, int]]:
-        for t, need in needs(n, legs):
+        for t, need in needs[n][legs]:
             for mono in buckets.get(need, ()):
                 if sum(mono) <= cut - d:
                     yield mono, t
@@ -291,7 +296,10 @@ def _torus_blocks(pair: PairData, mod: HModule,
             prods[(mono, leg)] = terms
         return reduce_block(cartan_of, adj, n, terms).items()
 
+    empty = ((), ChainBlock.empty(pair.hl_dim()))
     return {n: _assemble(wedge, partial(parts, n, cut), partial(rmul, n))
+            if any(need in buckets for ns in needs[n].values() for _, need in ns)
+            else empty
             for n, cut in depths.items()}
 
 
@@ -310,7 +318,7 @@ def _open_blocks(pair: PairData, mod: HModule,
     halg = pair.halg
     leg_u = [UElt.from_vec(halg, pair.h.coords(xi)) for xi in pair.hl_basis]
     wedge = _wedge_data(pair, mod)
-    monos = bounded_monos(range(halg.dim), cut, halg.dim)
+    monos = monos_by_weight(range(halg.dim), [()] * halg.dim, {(): cut})[()]
 
     def rmul(mono: Mono, leg: int) -> Iterable:
         return (UElt(halg, {mono: ONE}) * leg_u[leg]).terms.items()
@@ -431,7 +439,9 @@ class StdComplex:
 def _homology(blocks: Mapping, spread: Callable[[Mapping], Character],
               top: int) -> tuple[dict, tuple[Character, ...]]:
     """Homology dimensions of each block by degree, and their characters."""
-    hom = {key: [blk.homology(d) for d in range(top + 1)] for key, blk in blocks.items()}
+    zeros = (0,) * (top + 1)
+    hom = {key: tuple(blk.homology(d) for d in range(top + 1)) if any(blk.dims) else zeros
+           for key, blk in blocks.items()}
     return hom, tuple(spread({key: h[d] for key, h in hom.items()}) for d in range(top + 1))
 
 
@@ -474,10 +484,13 @@ def build_standard_complex(pair: PairData, v: HModule,
             live = {p for p, m in per.items() if m}
             return Character("torus-weight", dims,
                              parity=live.pop() if len(live) == 1 else None)
-    blocks = {key: _restrict(key, cols, blk, cuts[key])
-              for key, (cols, blk) in deep.items()}
+    # a block with no basis at depth+1 has none at depth, and no homology
+    blocks = {key: _restrict(key, cols, blk, cuts[key]) if any(blk.dims)
+              else ChainBlock.empty(top) for key, (cols, blk) in deep.items()}
     hom, chars = _homology(blocks, spread, top)
     for key, (_, blk) in deep.items():
+        if not any(blk.dims):
+            continue
         for d, h in enumerate(hom[key]):
             if blk.homology(d) != h:
                 raise WindowTooSmall(

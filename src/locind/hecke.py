@@ -32,7 +32,7 @@ from .exactla import ONE, ZERO, SparseMatrix, inverse, kernel_basis, rank, scala
 from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
                     as_weight, check_module_compatible, weight_add, weight_neg)
 from .liealg import PairData, StructureError, UnsupportedK, irrep_matrices, rep_of_vec
-from .pbw import Mono, UElt, bounded_monos, monos_by_weight, reduce_block
+from .pbw import Mono, UElt, monos_by_weight, reduce_block
 
 __all__ = [
     "UnsupportedK", "RKElt", "rk_mul", "RgKElt", "rgk_mul",
@@ -453,7 +453,7 @@ def _oracle_open(pair: PairData, mod: HModule, window: Window,
     parity class serves all blocks of that parity.
     """
     halg = pair.halg
-    monos = bounded_monos(range(halg.dim), cut, halg.dim)
+    monos = monos_by_weight(range(halg.dim), [()] * halg.dim, {(): cut})[()]
     products = []       # (part, straightened part*leg, leg action) below the cut
     for xi in pair.hl_basis:
         coords = pair.h.coords(xi)

@@ -129,8 +129,17 @@ class LieAlg:
         return self.labels.index(label)
 
     def expand(self, v: Vec, spanning: Sequence[Vec]) -> Vec | None:
-        """Coordinates of v in the given spanning vectors, or None."""
-        return solve(_columns(self.dim, spanning), v)
+        """Coordinates of v in the given spanning vectors, or None.
+
+        Solved once per (v, spanning) and kept on the algebra: the
+        builds of one pair expand the same legs, brackets and module
+        generators again and again.
+        """
+        memo = self.__dict__.setdefault("_expand_memo", {})
+        key = (v, tuple(spanning))
+        if key not in memo:
+            memo[key] = solve(_columns(self.dim, spanning), v)
+        return memo[key]
 
     def __repr__(self) -> str:
         return f"LieAlg({'+'.join(self.labels)})"

@@ -12,9 +12,9 @@ memoized per algebra by (monomial, generator), since boundary assembly
 multiplies the same monomials by the same wedge legs constantly; a
 product of two elements applies it letter by letter of the right factor.
 
-The module also lists monomials on chosen letters: all of them up to a
-total degree, or, grouped by adjoint weight when there is a torus, only
-those a window's blocks reach.  It evaluates the Cartan letters of
+The module also lists monomials on chosen letters, grouped by adjoint
+weight, only those a window's blocks reach (on weightless letters, all
+of them up to a total degree), and evaluates the Cartan letters of
 monomials against a torus weight block; the induction engine and the
 degree-zero oracle both use these.
 """
@@ -38,7 +38,8 @@ def _times_gen(lie: LieAlg, mono: Mono, j: int) -> dict[Mono, Fraction]:
     every product on the right has a shorter left factor or is already
     ordered, so the rule ends.  The products it needs with the lower
     powers of x_i are filled into the memo bottom-up, so the depth of
-    the recursion does not grow with the exponent of x_i.
+    the recursion does not grow with the exponent of x_i; the top power
+    is filled for x_j alone.
     """
     memo = lie.__dict__.setdefault("_times_gen_memo", {})
     hit = memo.get((mono, j))
@@ -53,19 +54,22 @@ def _times_gen(lie: LieAlg, mono: Mono, j: int) -> dict[Mono, Fraction]:
     def power(b: int) -> Mono:
         return mono[:i] + (b,) + mono[i + 1:]
 
-    # the generators the rule reaches from j: each adds the letters below
-    # x_i of its bracket with x_i
-    gens = [j]
+    # the generators the rule reaches from j, each with its bracket with
+    # x_i; below the top power, a bracket adds its letters below x_i
+    gens, brackets = [j], {}
     for jj in gens:
-        gens += [k for k, gamma in enumerate(lie.bracket_basis(i, jj))
-                 if gamma != 0 and k < i and k not in gens]
+        brackets[jj] = lie.bracket_basis(i, jj)
+        if mono[i] > 1:
+            gens += [k for k, gamma in enumerate(brackets[jj])
+                     if gamma != 0 and k < i and k not in gens]
     for b in range(1, mono[i] + 1):
         rest = power(b - 1)
-        for jj in gens:
+        # below the top power every reached generator is read; at it, only j
+        for jj in gens if b < mono[i] else (j,):
             if (power(b), jj) in memo:
                 continue
             out = _times(lie, _times_gen(lie, rest, jj), i)
-            for k, gamma in enumerate(lie.bracket_basis(i, jj)):
+            for k, gamma in enumerate(brackets[jj]):
                 if gamma != 0:
                     for m, c in _times_gen(lie, rest, k).items():
                         out[m] = out.get(m, ZERO) + gamma * c
@@ -194,16 +198,32 @@ class UElt:
 # monomial enumeration and Cartan-letter evaluation
 
 
-def bounded_monos(free: Sequence[int], cut: int, dim: int) -> list[Mono]:
-    """All monomials on the given letters with total degree at most cut.
+def _suffix_cap(caps: list[dict], rays: Sequence, k: int, x: tuple[int, ...]) -> int:
+    """cap_k(x): the largest wants[x + wt(s)] - deg(s) over the monomials
+    s on letters k, k+1, ... of a listing, or -1 when none is wanted.
 
-    Lexicographic in the exponents of the letters, in the order given.
+    cap_k(x) = max(cap_{k+1}(x), cap_k(x + wt_k) - 1), and caps[k] holds
+    the values filled so far, caps[-1] the wanted caps.  rays[k] is letter
+    k's weight with the box outside which the letters from k on reach no
+    wanted weight (cap -1), or None for a letter of weight 0, which passes
+    cap_{k+1} through.  A miss fills caps[k] along the ray from x to the
+    box's edge, far end first, so every stored value is exact.
     """
-    out = [((0,) * dim, cut)]   # (monomial, degree left for later letters)
-    for i in free:
-        out = [(m[:i] + (a,) + m[i + 1:], left - a)
-               for m, left in out for a in range(left + 1)]
-    return [m for m, _ in out]
+    while k < len(rays) and rays[k] is None:
+        k += 1
+    memo = caps[k]
+    v = memo.get(x)
+    if v is not None or k == len(rays):
+        return -1 if v is None else v
+    wt, lo, hi = rays[k]
+    ray = []
+    while x not in memo and all(a <= c <= b for a, c, b in zip(lo, x, hi)):
+        ray.append(x)
+        x = tuple(c + y for c, y in zip(x, wt))
+    v = memo.get(x, -1)
+    for y in reversed(ray):
+        v = memo[y] = max(_suffix_cap(caps, rays, k + 1, y), v - 1)
+    return v
 
 
 def monos_by_weight(free: Sequence[int], adj: Sequence[tuple[int, ...]],
@@ -212,32 +232,46 @@ def monos_by_weight(free: Sequence[int], adj: Sequence[tuple[int, ...]],
     """The monomials on the free letters that a caller will look up.
 
     ``wants`` maps each adjoint weight a caller reads to the largest
-    total degree it reads there; adj[i] is letter i's weight.  Bucket w
-    holds every monomial of weight w and degree at most wants[w], in the
-    order of ``bounded_monos``: each monomial up to the largest wanted
-    degree is listed, its weight tracked letter by letter like its
-    degree, and kept where its weight's cap allows.  The listing is
-    streamed, so only the kept monomials are held.  Nothing is pruned:
-    at the proved cuts a bounding box of the wanted weights saved no
-    time on the windows in use.
+    total degree it reads there; adj[i] is letter i's weight (``()`` on
+    weightless letters, with ``wants = {(): cut}`` for every monomial up
+    to degree cut).  Bucket w holds every monomial of weight w and degree
+    at most wants[w], lexicographic in the exponents of the letters in
+    the order given.  The letters are placed one at a time, and a prefix
+    is extended only where the suffix caps (``_suffix_cap``) say some
+    completion is kept, so the cost follows the monomials kept, not all
+    those up to the largest wanted degree.
     """
-    if not wants:
+    kept = {w: c for w, c in wants.items() if c >= 0}
+    if not kept:
         return {}
-    top = max(wants.values())
-
-    def place(stage, i):
-        # every exponent of letter i on each (monomial, weight, degree left)
-        return ((m[:i] + (a,) + m[i + 1:], tuple(x + a * y for x, y in zip(w, adj[i])),
-                 left - a)
-                for m, w, left in stage for a in range(left + 1))
-
-    out = [((0,) * len(adj), (0,) * len(adj[0]), top)]
-    for i in free:
-        out = place(out, i)
+    top, letters, rank = max(kept.values()), list(free), len(adj[0])
+    lo = [min(w[c] for w in kept) for c in range(rank)]
+    hi = [max(w[c] for w in kept) for c in range(rank)]
+    # the letters from k on move coordinate c by at most top times their
+    # largest step up (down), so a weight further out reaches no wanted one
+    rays: list = []
+    for k, i in enumerate(letters):
+        up = [max(0, *(adj[j][c] for j in letters[k:])) for c in range(rank)]
+        down = [max(0, *(-adj[j][c] for j in letters[k:])) for c in range(rank)]
+        rays.append((adj[i], tuple(a - top * b for a, b in zip(lo, up)),
+                     tuple(a + top * b for a, b in zip(hi, down)))
+                    if any(adj[i]) else None)
+    caps: list[dict] = [{} for _ in letters] + [kept]
+    stage = [((0,) * len(adj), (0,) * rank, 0)]   # (monomial, weight, degree)
+    for k, i in enumerate(letters):
+        nxt = []
+        for m, w, u in stage:
+            # raise letter k while some completion is kept; keep the
+            # prefix where letters k+1, ... alone can complete it
+            a = 0
+            while _suffix_cap(caps, rays, k, w) >= u + a:
+                if _suffix_cap(caps, rays, k + 1, w) >= u + a:
+                    nxt.append((m[:i] + (a,) + m[i + 1:], w, u + a))
+                w, a = tuple(x + y for x, y in zip(w, adj[i])), a + 1
+        stage = nxt
     buckets: dict[tuple[int, ...], list[Mono]] = {}
-    for m, w, left in out:
-        if top - left <= wants.get(w, -1):
-            buckets.setdefault(w, []).append(m)
+    for m, w, _ in stage:
+        buckets.setdefault(w, []).append(m)
     return buckets
 
 

@@ -311,8 +311,28 @@ def test_full_sl2_keeps_every_type_block(pc):
     live = [m for m, blk in cx.blocks.items() if any(blk.dims)]
     assert min(live) == 58
     assert all(cx.blocks[m].dims == (0, 0) for m in range(58))
+    assert all(cx.blocks[m] is ChainBlock.empty(1) for m in range(58))
     assert cx.homology_characters() == (Character("sl2-type", {58: 1}),
                                         Character("sl2-type", {}))
+
+
+@pytest.mark.parametrize("fam, values, win", [
+    ("A", (-5, 0), Window.segment(-120, 120)),
+    ("D", (-2, 0, -3, 0), Window.box((-6, -6), (6, 6))),
+])
+def test_blocks_with_no_basis_share_one_empty_block(fam, values, win, monkeypatch):
+    # every window point keeps its key; each block with no basis is the
+    # one shared empty block of its top degree, and none is assembled
+    pair = pair_by_name(fam)
+    calls = []
+    real = cohind._assemble
+    monkeypatch.setattr(cohind, "_assemble", lambda *args: calls.append(1) or real(*args))
+    cx = build_standard_complex(pair, one_dim_module(pair, values), win)
+    assert set(cx.blocks) == set(win.points())
+    hollow = [n for n, blk in cx.blocks.items() if not any(blk.dims)]
+    assert 0 < len(hollow) < len(cx.blocks)
+    assert all(cx.blocks[n] is ChainBlock.empty(pair.hl_dim()) for n in hollow)
+    assert len(calls) == len(cx.blocks) - len(hollow)
 
 
 def test_homology_runs_only_at_nonzero_terms(pa, pc, monkeypatch):

@@ -4,6 +4,7 @@ and the command line driver."""
 import gc
 import json
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -176,6 +177,27 @@ def test_family_c_is_a_difference_of_family_a():
         spread = {w: mult for w, mult in spread.items() if mult}
         assert spread == {w: mult for w, mult in diff.items() if mult}, n
         assert bool(spread) == (n != -1), n
+
+
+def test_family_b_is_the_orbit_stratification_of_a_and_c():
+    # the local-cohomology sequence of O(lam) along {0, inf}: Laurent =
+    # delta_0 + delta_inf + H^0 - H^1, so H_0(B, lam, p = lam mod 2)
+    # equals H_0(A, lam), plus its mirror, plus T(H_1(C)) - T(H_0(C)),
+    # T spreading a K type m over the weights -m, -m + 2, ..., m: the
+    # parity model against the torus-block and type models
+    win = Window.segment(-20, 20)
+    for lam in range(-12, 13):
+        want = Counter()
+        for w, mult in harness._algebraic(VerificationCase("A", lam, window=win))[0].data.items():
+            want[w] += mult
+            want[(-w[0],)] += mult
+        c0, c1 = harness._algebraic(VerificationCase("C", lam))
+        for ch, sign in ((c1, 1), (c0, -1)):
+            for m, mult in ch.data.items():
+                for k in range(-m, m + 1, 2):
+                    want[(k,)] += sign * mult
+        b = VerificationCase("B", lam, window=win, parity=lam % 2)
+        assert harness._algebraic(b)[0].data == {w: m for w, m in want.items() if m}, lam
 
 
 # ---------------------------------------------------------------------------

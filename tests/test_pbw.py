@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from locind.liealg import direct_sum, open_orbit_pair, pair_by_name, sl2
-from locind.pbw import UElt, bounded_monos, monos_by_weight
+from locind.pbw import UElt, monos_by_weight
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +88,7 @@ def _word_rule(lie, word, memo):
 def test_product_rule_matches_word_rule(name, degree):
     # every monomial up to the degree times every generator, term for term
     g, memo = _algebras()[name], {}
-    for mono in bounded_monos(range(g.dim), degree, g.dim):
+    for mono in _lex_monos(range(g.dim), degree, g.dim):
         word = sum(((i,) * a for i, a in enumerate(mono)), ())
         for j in range(g.dim):
             got = (UElt(g, {mono: 1}) * UElt.gen(g, j)).terms
@@ -143,25 +143,30 @@ def test_monomial_guard(g):
         UElt.from_vec(g, (1, 0))
 
 
+def _lex_monos(free, cut, dim):
+    """Every exponent vector on the free letters up to degree cut, once,
+    lexicographic with the letters in the order given."""
+    out = []
+    for expo in product(range(cut + 1), repeat=len(free)):
+        if sum(expo) <= cut:
+            mono = [0] * dim
+            for i, a in zip(free, expo):
+                mono[i] = a
+            out.append(tuple(mono))
+    return out
+
+
 @pytest.mark.parametrize("free, cut", [((0, 2, 3, 5), 6), ((3, 1), 9),
                                        ((), 4), ((2,), 0)])
 def test_bounded_monos_lex_order(free, cut):
-    # every exponent vector on the free letters up to degree cut, once,
-    # lexicographic with the letters in the order given
-    want = []
-    for expo in product(range(cut + 1), repeat=len(free)):
-        if sum(expo) <= cut:
-            mono = [0] * 6
-            for i, a in zip(free, expo):
-                mono[i] = a
-            want.append(tuple(mono))
-    assert bounded_monos(free, cut, 6) == want
+    # on weightless letters, one bucket: every monomial up to the cut
+    assert monos_by_weight(free, [()] * 6, {(): cut}) == {(): _lex_monos(free, cut, 6)}
 
 
 def _grouped_reference(free, adj, wants):
     """Every monomial up to the largest cap, grouped by weight, kept where wanted."""
     out = {}
-    for mono in bounded_monos(free, max(wants.values(), default=0), len(adj)):
+    for mono in _lex_monos(free, max(wants.values(), default=0), len(adj)):
         w = tuple(sum(mono[i] * adj[i][c] for i in free) for c in range(len(adj[0])))
         if sum(mono) <= wants.get(w, -1):
             out.setdefault(w, []).append(mono)
@@ -193,6 +198,28 @@ def test_monos_by_weight_matches_the_full_grouping(table, seed):
         {weight(): rng.randint(0, 8) for _ in range(rng.randint(2, 12))},
     ]
     for wants in cases:
-        got = monos_by_weight(free, adj, wants)
-        assert got == _grouped_reference(free, adj, wants), wants
+        got, want = monos_by_weight(free, adj, wants), _grouped_reference(free, adj, wants)
+        assert got == want and list(got) == list(want), wants
         assert set(got) <= set(wants)
+
+
+@pytest.mark.parametrize("free, adj, wants", [
+    # deep caps, as family A's blocks on a window of +-120 ask
+    ([0, 2], ((2,), (0,), (-2,)),
+     {(w,): 70 + w % 7 for w in range(-80, 81, 6)} | {(-3,): 74, (200,): 80}),
+    # a weight reached only by spending the whole cap on one letter: the
+    # start sits on the edge of the box the caps are filled in
+    ([0, 2], ((2,), (0,), (-2,)), {(-140,): 70}),
+    ([0, 2], ((2,), (0,), (-2,)), {(140,): 70}),
+    # weightless letters: one bucket, every monomial up to the cut
+    ([2, 0, 1], ((), (), ()), {(): 9}),
+    ([1, 0], ((), ()), {(): -1}),
+    # a letter of weight zero between two weighted ones, and at either end
+    ([0, 1, 2], ((2,), (0,), (-2,)), {(-4,): 9, (0,): 6, (6,): 12, (10,): 3}),
+    ([1, 0, 2], ((2,), (0,), (-2,)), {(-4,): 9, (0,): 6, (6,): 12}),
+    ([0, 2, 1], ((2,), (0,), (-2,)), {(-4,): 9, (0,): 6, (6,): 12}),
+], ids=["deep", "edge-down", "edge-up", "weightless", "weightless-none", "zero-middle", "zero-first", "zero-last"])
+def test_monos_by_weight_deep_weightless_and_zero_weight(free, adj, wants):
+    got = monos_by_weight(free, adj, wants)
+    want = _grouped_reference(free, adj, wants)
+    assert got == want and list(got) == list(want)
