@@ -275,6 +275,7 @@ def homology_dim(d_out: SparseMatrix, d_in: SparseMatrix) -> int:
             f"{d_out.rows}x{d_out.cols}, d_in {d_in.rows}x{d_in.cols}")
     return (d_out.cols - rank(d_out)) - rank(d_in)
 
+
 def solve(m: SparseMatrix,
           rhs: Sequence[int | Fraction]) -> tuple[int | Fraction, ...] | None:
     """One solution of m x = rhs, or None when the system is inconsistent."""

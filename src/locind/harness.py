@@ -522,9 +522,8 @@ def _cmd_selftest(args) -> int:
 def _cmd_describe(args) -> int:
     print(f"family {args.family}: {_DESCRIPTIONS[args.family]}")
     for c in default_cases(args.family):
-        print(f"  default case {c.case_id}"
-              + (f" window {c.window or _default_window(c.family)}"
-                 if _default_window(c.family) else ""))
+        win = c.resolved_window()
+        print(f"  default case {c.case_id}" + (f" window {win}" if win else ""))
     return 0
 
 

@@ -1,12 +1,13 @@
 """Straightening and ring structure of the enveloping algebra."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from locind.liealg import direct_sum, open_orbit_pair, pair_by_name, sl2
+from locind.liealg import LieAlg, direct_sum, open_orbit_pair, pair_by_name, sl2
 from locind.pbw import UElt, monos_by_weight
 
 
@@ -45,7 +46,11 @@ def test_unit_and_zero(g):
 
 
 def _algebras():
-    return {"sl2": sl2(), "B.h": pair_by_name("B").halg,
+    # in the (e, f, h) order [e, f] = h lands past f, so f^a * e has
+    # terms with a letter past the last letter of f^a
+    sl2_efh = LieAlg(("e", "f", "h"), {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0),
+                                       (1, 2): (0, 2, 0)})
+    return {"sl2": sl2(), "sl2-efh": sl2_efh, "B.h": pair_by_name("B").halg,
             "D": pair_by_name("D").lie}
 
 
@@ -84,7 +89,7 @@ def _word_rule(lie, word, memo):
     return memo[word]
 
 
-@pytest.mark.parametrize("name, degree", [("sl2", 8), ("B.h", 8), ("D", 4)])
+@pytest.mark.parametrize("name, degree", [("sl2", 8), ("sl2-efh", 8), ("B.h", 8), ("D", 4)])
 def test_product_rule_matches_word_rule(name, degree):
     # every monomial up to the degree times every generator, term for term
     g, memo = _algebras()[name], {}
@@ -106,6 +111,19 @@ def test_deep_product_does_not_grow_the_stack():
         want = (UElt(stepped, {(0, a): 1}) * UElt.gen(stepped, 0)).terms
     assert got == want
     assert len(got) == 2001 and got[(1, 1000)] == 1
+
+
+def test_deep_product_memo_stays_small():
+    # the memo keeps only the products asked for; one that held every
+    # x2^b * x1 for b < 1000, about 2b terms each, would take over 150 MB
+    lie = open_orbit_pair().halg
+    tracemalloc.start()
+    try:
+        got = (UElt(lie, {(0, 1000): 1}) * UElt.gen(lie, 0)).terms
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 2001 and held < 8 * 2**20, held
 
 
 def test_bracket_matches_lie(g):
