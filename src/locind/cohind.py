@@ -39,11 +39,11 @@ block.  Each of the three models gives it only two closures: the
 (part, slot) pairs that go with given legs in a degree, and the product
 of a part with a leg, reduced in the block.  The torus and type models
 grade each (legs, slot) key once per build, in one table ``_grades``.
-A ``spread`` per model turns one number per block into a character.
 Torus tables and sl2 irreducibles come from liealg, nothing from the
-oracle or locp1.  Most blocks have no basis in any degree; each keeps
-its key and is the one shared ``ChainBlock.empty`` of its top degree.
-It is not assembled, restricted, eliminated or compared at depth+1.
+oracle or locp1.  Most blocks have no basis in any degree.  Such a block
+is left out: it is not assembled where the model can tell in advance,
+and not kept where only the restriction to depth shows it.  A left-out
+key has homology 0 in every degree, as a Character reads a missing key.
 
 ``derived_p`` is the homology of this complex after the coefficient
 module is twisted by the top exterior power of the quotient;
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -107,12 +107,6 @@ class ChainBlock:
             return self.boundaries[d - 1]
         return SparseMatrix.zero(self.dims[-1] if d == self.top + 1 else 0,
                                  self.dims[0] if d == 0 else 0)
-
-    @classmethod
-    @lru_cache(maxsize=None)
-    def empty(cls, top: int) -> "ChainBlock":
-        """The block with no basis in any degree 0..top, one per top."""
-        return cls((0,) * (top + 1), (SparseMatrix.zero(0, 0),) * top)
 
     def homology(self, d: int) -> int:
         if d < 0 or d > self.top or not self.dims[d]:
@@ -255,12 +249,11 @@ def _torus_blocks(pair: PairData, mod: HModule,
     Returns each block with its basis keys per degree, for ``_restrict``.
     Only the monomials some block reads are listed: for each block,
     degree and legs, the weight n - grade (``_grades``) up to degree
-    depth - d.  A block none of whose weights has a monomial is the
-    shared empty block, with no keys, and is not assembled.  The product
-    of a monomial with a wedge leg does not depend on the block or the
-    module, so it is straightened once per (monomial, leg) and kept on
-    the pair, whose legs the index names; only the evaluation of its
-    Cartan letters is per block.
+    depth - d.  A block none of whose weights has a monomial is left out
+    and not assembled.  The product of a monomial with a wedge leg does
+    not depend on the block or the module, so it is straightened once
+    per (monomial, leg) and kept on the pair, whose legs the index
+    names; only the evaluation of its Cartan letters is per block.
     """
     cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
     wedge = _wedge_data(pair, mod)
@@ -296,11 +289,9 @@ def _torus_blocks(pair: PairData, mod: HModule,
             prods[(mono, leg)] = terms
         return reduce_block(cartan_of, adj, n, terms).items()
 
-    empty = ((), ChainBlock.empty(pair.hl_dim()))
     return {n: _assemble(wedge, partial(parts, n, cut), partial(rmul, n))
-            if any(need in buckets for ns in needs[n].values() for _, need in ns)
-            else empty
-            for n, cut in depths.items()}
+            for n, cut in depths.items()
+            if any(need in buckets for ns in needs[n].values() for _, need in ns)}
 
 
 def _open_blocks(pair: PairData, mod: HModule,
@@ -369,8 +360,8 @@ def _sl2_blocks(pair: PairData, mod: HModule,
     slice entry at column b carries grading m - 2b, and only the slots
     balancing the wedge and module gradings survive the l-part tensor,
     so each term is a short explicit list and no depth cut is needed.  A
-    type that no grading reaches has no basis in any degree; it gets an
-    empty block without building its irreducible.
+    type that no grading reaches has no basis in any degree; it is left
+    out, and its irreducible is not built.
     """
     wedge = _wedge_data(pair, mod)
     grades = _grades(pair, mod, wedge.subsets)
@@ -390,59 +381,39 @@ def _sl2_blocks(pair: PairData, mod: HModule,
         return [(c, pm.entry(b, c)) for c in range(pm.cols) if pm.entry(b, c) != 0]
 
     weights = {w for ws in grades.values() for _, (w,) in ws}
-    blocks: dict[int, ChainBlock] = {}
-    for m in range(max_type + 1):
-        if not any(reaches(m, w) for w in weights):
-            blocks[m] = ChainBlock.empty(pair.hl_dim())
-            continue
-        pms = [rep_of_vec(xk, m) for xk in leg_k]
-        blocks[m] = _assemble(wedge, partial(parts, m), partial(rmul, pms))[1]
-    return blocks
+    return {m: _assemble(wedge, partial(parts, m),
+                         partial(rmul, [rep_of_vec(xk, m) for xk in leg_k]))[1]
+            for m in range(max_type + 1) if any(reaches(m, w) for w in weights)}
 
 
 # ---------------------------------------------------------------------------
 # the assembled complex
 
 
+@dataclass(frozen=True)
 class StdComplex:
     """The reduced standard complex of a pair and a coefficient module.
 
-    ``blocks`` maps the block key (a weight, a parity class or a matrix
-    type) to its ChainBlock, and ``spread`` turns one number per block
-    into a Character.  Homology characters are computed once, at two
-    depths for the truncated models, and frozen.  ``cut`` is the largest
-    block depth of a truncated model and None for the type model.
+    ``blocks`` maps the key (a weight, a parity class or a matrix type)
+    of each block with a basis to its ChainBlock; a left-out key has no
+    basis.  ``characters`` holds the homology character of each degree
+    0..top, computed once, at two depths for the truncated models.
+    ``cut`` is the largest block depth of a truncated model and None for
+    the type model.
     """
 
-    def __init__(self, pair: PairData, blocks: dict,
-                 spread: Callable[[Mapping], Character],
-                 homology: tuple[Character, ...], cut: int | None = None):
-        self.pair = pair
-        self.blocks = blocks
-        self.spread = spread
-        self.cut = cut
-        self._homology = homology
+    blocks: dict
+    characters: tuple[Character, ...]
+    cut: int | None
 
     @property
     def top_degree(self) -> int:
-        return self.pair.hl_dim()
+        return len(self.characters) - 1
 
     def homology_character(self, d: int) -> Character:
-        if d < 0 or d > self.top_degree:
-            return self.spread({})
-        return self._homology[d]
-
-    def homology_characters(self) -> tuple[Character, ...]:
-        return self._homology
-
-
-def _homology(blocks: Mapping, spread: Callable[[Mapping], Character],
-              top: int) -> tuple[dict, tuple[Character, ...]]:
-    """Homology dimensions of each block by degree, and their characters."""
-    zeros = (0,) * (top + 1)
-    hom = {key: tuple(blk.homology(d) for d in range(top + 1)) if any(blk.dims) else zeros
-           for key, blk in blocks.items()}
-    return hom, tuple(spread({key: h[d] for key, h in hom.items()}) for d in range(top + 1))
+        if 0 <= d <= self.top_degree:
+            return self.characters[d]
+        return Character(self.characters[0].kind, {})
 
 
 def build_standard_complex(pair: PairData, v: HModule,
@@ -467,8 +438,9 @@ def build_standard_complex(pair: PairData, v: HModule,
         if max_type is None:
             raise ValueError("sl2 symmetry needs max_type")
         blocks = _sl2_blocks(pair, w, max_type)
-        spread = partial(Character, "sl2-type")
-        return StdComplex(pair, blocks, spread, _homology(blocks, spread, top)[1])
+        return StdComplex(blocks, tuple(
+            Character("sl2-type", {m: blk.homology(d) for m, blk in blocks.items()})
+            for d in range(top + 1)), None)
     if window is None:
         raise ValueError("torus symmetry needs a window")
     if not pair.two_point:
@@ -484,19 +456,20 @@ def build_standard_complex(pair: PairData, v: HModule,
             live = {p for p, m in per.items() if m}
             return Character("torus-weight", dims,
                              parity=live.pop() if len(live) == 1 else None)
-    # a block with no basis at depth+1 has none at depth, and no homology
-    blocks = {key: _restrict(key, cols, blk, cuts[key]) if any(blk.dims)
-              else ChainBlock.empty(top) for key, (cols, blk) in deep.items()}
-    hom, chars = _homology(blocks, spread, top)
-    for key, (_, blk) in deep.items():
-        if not any(blk.dims):
-            continue
-        for d, h in enumerate(hom[key]):
-            if blk.homology(d) != h:
+    blocks: dict = {}
+    hom: list[dict] = [{} for _ in range(top + 1)]     # per degree, per key
+    for key, (cols, big) in deep.items():
+        blk = _restrict(key, cols, big, cuts[key])
+        for d, hd in enumerate(hom):
+            h, h_big = blk.homology(d), big.homology(d)
+            if h != h_big:
                 raise WindowTooSmall(
                     f"block {key}, degree {d}: homology {h} at depth {cuts[key]} but "
-                    f"{blk.homology(d)} at depth {cuts[key] + 1}, past the proved cut")
-    return StdComplex(pair, blocks, spread, chars, cut=max(cuts.values()))
+                    f"{h_big} at depth {cuts[key] + 1}, past the proved cut")
+            hd[key] = h
+        if any(blk.dims):
+            blocks[key] = blk
+    return StdComplex(blocks, tuple(spread(hd) for hd in hom), max(cuts.values()))
 
 
 def derived_p(pair: PairData, v: HModule, j: int,

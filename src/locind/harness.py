@@ -182,7 +182,7 @@ def _algebraic(c: VerificationCase) -> tuple[Character, ...]:
     v = one_dim_module(pair, _VALUES[c.family](c.lambda0), parity=c.parity)
     max_type = abs(c.lambda0) + 4 if c.family == "C" else None
     return build_standard_complex(pair, v, window=c.resolved_window(), max_type=max_type,
-                                  margin=c.margin).homology_characters()
+                                  margin=c.margin).characters
 
 
 def _geometric(c: VerificationCase) -> tuple[Character, ...]:
@@ -438,18 +438,14 @@ def _parse_window(text: str, family: str) -> Window:
     return Window.segment(lo, hi)
 
 
-def _parse_lambda(text: str, family: str) -> int | tuple[int, int]:
+def _parse_lambda(text: str) -> int | tuple[int, ...]:
+    """One number as an int, more as a tuple; ``VerificationCase`` checks
+    the count against the family."""
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad twist {text!r}") from exc
-    if family == "D":
-        if len(parts) != 2:
-            raise ValueError("family D takes --lambda a,b")
-        return parts
-    if len(parts) != 1:
-        raise ValueError("families A, B, C take a single --lambda")
-    return parts[0]
+    return parts[0] if len(parts) == 1 else parts
 
 
 def _cases_from_args(args) -> list[VerificationCase]:
@@ -461,7 +457,7 @@ def _cases_from_args(args) -> list[VerificationCase]:
             cases = [replace(c, parity=args.parity) for c in cases
                      if c.parity in (None, args.parity)]
         return cases
-    lam = _parse_lambda(args.lam, fam)
+    lam = _parse_lambda(args.lam)
     pars = [args.parity] if args.parity is not None else [0, 1] if fam == "B" else [None]
     return [VerificationCase(fam, lam, window=window, parity=p, margin=args.margin)
             for p in pars]

@@ -78,9 +78,6 @@ def test_zero_terms_cost_nothing_and_nonzero_terms_keep_the_guard():
     # through a zero term d.d is zero by shape: homology 0, no check needed
     hollow = ChainBlock((1, 0, 1), (SparseMatrix.zero(1, 0), SparseMatrix.zero(0, 1)))
     assert [hollow.homology(d) for d in range(3)] == [1, 0, 1]
-    empty = ChainBlock.empty(2)
-    assert empty.dims == (0, 0, 0) and empty.top == 2
-    assert [empty.homology(d) for d in range(3)] == [0, 0, 0]
     # a nonzero middle term with d.d != 0 still refuses
     one = SparseMatrix.identity(1)
     bad = ChainBlock((1, 1, 1), (one, one))
@@ -106,7 +103,7 @@ def test_restriction_refuses_a_non_subcomplex():
 @pytest.mark.parametrize("fam, values, win, keys", [
     ("A", (-4, 0), WIN, [(-12,), (-3,), (0,), (12,)]),
     ("D", (-2, 0, -3, 0), Window.box((-4, -4), (4, 4)),
-     [(-4, -4), (0, 0), (3, -1), (4, 4)]),
+     [(-4, -4), (0, 0), (3, -1), (4, 4), (-4, -3)]),
     # a one-dimensional B module lives in one parity class, its only block
     ("B", (-1, -1), Window.segment(-8, 8), [1]),
 ])
@@ -117,11 +114,16 @@ def test_restricted_blocks_match_direct_builds(fam, values, win, keys):
     cx = build_standard_complex(pair, v, win)
     for n in keys:
         if fam == "B":      # one parity class serves the whole window
-            direct = _open_blocks(pair, w, cx.cut)[n][1]
+            direct = _open_blocks(pair, w, cx.cut).get(n)
         else:
             cut = build_standard_complex(pair, v, Window.box(n, n)).cut
-            direct = _torus_blocks(pair, w, {n: cut})[n][1]
-        blk = cx.blocks[n]
+            direct = _torus_blocks(pair, w, {n: cut}).get(n)
+        # a block with no basis is left out by both
+        assert (n in cx.blocks) == (direct is not None)
+        if direct is None:
+            continue
+        blk, direct = cx.blocks[n], direct[1]
+        assert any(direct.dims)
         assert blk.dims == direct.dims
         assert [blk.homology(d) for d in range(blk.top + 1)] == \
             [direct.homology(d) for d in range(direct.top + 1)]
@@ -143,7 +145,7 @@ def test_block_cuts_match_the_window_wide_cut(pa, pd, monkeypatch):
             m.setattr(HModule, "weight_gap", lambda mod, n, win=win:
                       max(gap(mod, p) for p in win.points()))
             wide = build_standard_complex(pair, v, win)
-        assert own.homology_characters() == wide.homology_characters()
+        assert own.characters == wide.characters
         assert own.cut == wide.cut
         assert size(own) < size(wide)
 
@@ -167,7 +169,7 @@ def test_a_second_build_straightens_nothing(pd, monkeypatch):
     monkeypatch.setattr(UElt, "__mul__", spy)
     second = build_standard_complex(pd, v, D_WIN)
     assert calls == []
-    assert second.homology_characters() == first.homology_characters()
+    assert second.characters == first.characters
     # the spy sees the products of a pair that has none kept yet
     fresh = replace(pd)
     build_standard_complex(fresh, one_dim_module(fresh, (-4, 0, -2, 0)), D_WIN)
@@ -184,7 +186,7 @@ def test_leg_products_stay_with_their_pair(pd):
     fresh = replace(product_pair(), hl_basis=(f2, f1))
     got = build_standard_complex(swapped, one_dim_module(swapped, values), D_WIN)
     want = build_standard_complex(fresh, one_dim_module(fresh, values), D_WIN)
-    assert got.homology_characters() == want.homology_characters()
+    assert got.characters == want.characters
     assert not want.homology_character(0).is_zero()
 
 
@@ -256,7 +258,7 @@ def test_open_orbit_jordan_module(pb, lam, par):
     v = HModule(halg=pb.halg, dim=2, action=(x1, x2),
                 l_weights=((), ()), parity=(par, par))
     win = Window.segment(-8, 8)
-    h0, *higher = build_standard_complex(pb, v, win).homology_characters()
+    h0, *higher = build_standard_complex(pb, v, win).characters
     expect = {(n,): 2 for n in range(-8, 9) if n % 2 == par}
     assert h0 == Character("torus-weight", expect, parity=par)
     assert all(h.is_zero() for h in higher)
@@ -276,8 +278,8 @@ def test_open_orbit_accepts_any_basis_of_the_quotient(pb, legs, lam, par):
     v = one_dim_module(pb, (-lam, -lam), parity=par)
     w = tensor_onedim(v, lambda_top(pb))
     win = Window.segment(-8, 8)
-    got = build_standard_complex(other, v, win).homology_characters()
-    assert got == build_standard_complex(pb, v, win).homology_characters()
+    got = build_standard_complex(other, v, win).characters
+    assert got == build_standard_complex(pb, v, win).characters
     oracle = p_deg0_oracle(other, w, win)
     assert oracle == p_deg0_oracle(pb, w, win) == got[0]
 
@@ -304,35 +306,36 @@ def test_full_sl2_characters(pc):
         assert h1 == Character("sl2-type", {} if t1 is None else {t1: 1})
 
 
-def test_full_sl2_keeps_every_type_block(pc):
-    # types below the live range have no basis, but keep their keys
+def test_full_sl2_keeps_only_the_live_type_blocks(pc):
+    # types below the live range, and those of the wrong parity, have no
+    # basis and are left out
     cx = build_standard_complex(pc, one_dim_module(pc, (-60, 0)), max_type=64)
-    assert sorted(cx.blocks) == list(range(65))
-    live = [m for m, blk in cx.blocks.items() if any(blk.dims)]
-    assert min(live) == 58
-    assert all(cx.blocks[m].dims == (0, 0) for m in range(58))
-    assert all(cx.blocks[m] is ChainBlock.empty(1) for m in range(58))
-    assert cx.homology_characters() == (Character("sl2-type", {58: 1}),
-                                        Character("sl2-type", {}))
+    assert sorted(cx.blocks) == [58, 60, 62, 64]
+    assert all(any(blk.dims) for blk in cx.blocks.values())
+    assert cx.characters == (Character("sl2-type", {58: 1}),
+                             Character("sl2-type", {}))
+    assert cx.cut is None and cx.top_degree == 1
+    assert cx.homology_character(2) == Character("sl2-type", {})
 
 
 @pytest.mark.parametrize("fam, values, win", [
     ("A", (-5, 0), Window.segment(-120, 120)),
     ("D", (-2, 0, -3, 0), Window.box((-6, -6), (6, 6))),
 ])
-def test_blocks_with_no_basis_share_one_empty_block(fam, values, win, monkeypatch):
-    # every window point keeps its key; each block with no basis is the
-    # one shared empty block of its top degree, and none is assembled
+def test_blocks_with_no_basis_are_left_out(fam, values, win, monkeypatch):
+    # a window point whose block has no basis has no key, is not
+    # assembled, and carries no multiplicity in any degree
     pair = pair_by_name(fam)
     calls = []
     real = cohind._assemble
     monkeypatch.setattr(cohind, "_assemble", lambda *args: calls.append(1) or real(*args))
     cx = build_standard_complex(pair, one_dim_module(pair, values), win)
-    assert set(cx.blocks) == set(win.points())
-    hollow = [n for n, blk in cx.blocks.items() if not any(blk.dims)]
-    assert 0 < len(hollow) < len(cx.blocks)
-    assert all(cx.blocks[n] is ChainBlock.empty(pair.hl_dim()) for n in hollow)
-    assert len(calls) == len(cx.blocks) - len(hollow)
+    assert all(any(blk.dims) for blk in cx.blocks.values())
+    assert len(calls) == len(cx.blocks)
+    points = set(win.points())
+    out = points - set(cx.blocks)
+    assert 0 < len(out) < len(points)
+    assert not any(n in ch.data for ch in cx.characters for n in out)
 
 
 def test_homology_runs_only_at_nonzero_terms(pa, pc, monkeypatch):

@@ -340,6 +340,17 @@ def test_cli_bad_usage(capsys):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("fam, lam, msg", [
+    ("D", "1", "pair of twists"),
+    ("D", "1,2,3", "pair of twists"),
+    ("A", "1,2", "single integer twist"),
+])
+def test_cli_twist_count_is_checked_by_the_case(fam, lam, msg, capsys):
+    assert main(["verify", "--family", fam, "--lambda", lam]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and msg in out.err
+
+
 @pytest.mark.parametrize("err", [
     CompositionNonzero("d∘d is not zero"), WindowTooSmall("unstable at two depths"),
     StructureError("boundary image left the block basis"),

@@ -56,7 +56,7 @@ TWISTS = {
 def _answers(pair, values, parity, bound):
     v = one_dim_module(pair, values, parity=parity)
     size = dict(max_type=bound) if pair.k.kind == "sl2" else dict(window=bound)
-    return (build_standard_complex(pair, v, **size).homology_characters(),
+    return (build_standard_complex(pair, v, **size).characters,
             p_deg0_oracle(pair, tensor_onedim(v, lambda_top(pair)), **size))
 
 
