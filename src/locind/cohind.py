@@ -11,8 +11,9 @@ the fully reduced tensor; higher homology gives the derived functors.
 
 Everything is reduced blockwise before any elimination happens: weight
 blocks for torus symmetry, parity classes for the two-point stabilizer,
-matrix types for full sl2.  Type blocks are finite and exact as they
-stand.  Torus and parity blocks are truncated at a PBW depth, and the
+matrix types for full sl2.  Type blocks are finite and stop at the top
+grading, past which they are exact; the build checks the top type.
+Torus and parity blocks are truncated at a PBW depth, and the
 depth is proved, not guessed (Knapp-Vogan 1995; Weibel 1994, 4.5 and
 7.7).  Filter the complex by depth: F_c holds the algebra parts of
 degree at most c - d in wedge degree d.  It is a subcomplex, since the
@@ -352,16 +353,20 @@ def _restrict(key, cols: Sequence[Mapping], blk: ChainBlock,
     return ChainBlock(tuple(len(ix) for ix in index), tuple(bnds))
 
 
-def _sl2_blocks(pair: PairData, mod: HModule,
-                max_type: int) -> dict[int, ChainBlock]:
-    """Per-type complexes for the full-sl2 model.
+def _sl2_blocks(pair: PairData, mod: HModule) -> dict[int, ChainBlock]:
+    """Per-type complexes for full sl2, types 0 to the largest grading |w|.
 
     Left equivariance cuts each matrix block to a single row slice; the
     slice entry at column b carries grading m - 2b, and only the slots
-    balancing the wedge and module gradings survive the l-part tensor,
-    so each term is a short explicit list and no depth cut is needed.  A
-    type that no grading reaches has no basis in any degree; it is left
-    out, and its irreducible is not built.
+    balancing the wedge and module gradings survive the l-part tensor.
+    So in degree d a type-m block has one key per (legs, slot) grading w
+    with |w| <= m and m = w (mod 2), and needs no depth cut; a type no
+    grading reaches is left out, its irreducible not built.  Once m >=
+    every |w|, each slot of m's parity has a key in both degrees and, by
+    weight, the boundary is triangular with +-1 on the diagonal (the leg
+    f takes row slot b + 1 to b with coefficient 1 and lowers W's
+    weight), so the block is exact (Bott 1957; Knapp-Vogan 1995).  The
+    build checks this on the top type.
     """
     wedge = _wedge_data(pair, mod)
     grades = _grades(pair, mod, wedge.subsets)
@@ -383,7 +388,8 @@ def _sl2_blocks(pair: PairData, mod: HModule,
     weights = {w for ws in grades.values() for _, (w,) in ws}
     return {m: _assemble(wedge, partial(parts, m),
                          partial(rmul, [rep_of_vec(xk, m) for xk in leg_k]))[1]
-            for m in range(max_type + 1) if any(reaches(m, w) for w in weights)}
+            for m in range(max(map(abs, weights), default=-1) + 1)
+            if any(reaches(m, w) for w in weights)}
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +424,6 @@ class StdComplex:
 
 def build_standard_complex(pair: PairData, v: HModule,
                            window: Window | None = None,
-                           max_type: int | None = None,
                            margin: int = 0) -> StdComplex:
     """Build the complex for the coefficient module v, twisted internally.
 
@@ -426,21 +431,23 @@ def build_standard_complex(pair: PairData, v: HModule,
     of the functor and is applied here; pass the untwisted module.  For
     torus symmetry supply a window: each weight block is cut at its
     proved depth ``weight_gap`` and each parity class at dim(h/l), plus
-    ``margin`` (see the module docstring).  For full sl2 supply
-    max_type.  Truncated models are built once at depth cut+1 and
-    restricted to cut; the two must agree on homology, otherwise
-    WindowTooSmall names the first block and degree that differ.
+    ``margin`` (see the module docstring).  Truncated models are built
+    once at depth cut+1 and restricted to cut; the two must agree on
+    homology, otherwise WindowTooSmall names the first block and degree
+    that differ.  Full sl2 takes no window; its top type must have no
+    homology, otherwise StructureError names type, degree and value.
     """
     w = tensor_onedim(v, lambda_top(pair))
     check_module_compatible(pair, w)
     top = pair.hl_dim()
     if pair.k.kind == "sl2":
-        if max_type is None:
-            raise ValueError("sl2 symmetry needs max_type")
-        blocks = _sl2_blocks(pair, w, max_type)
-        return StdComplex(blocks, tuple(
-            Character("sl2-type", {m: blk.homology(d) for m, blk in blocks.items()})
-            for d in range(top + 1)), None)
+        blocks = _sl2_blocks(pair, w)
+        hom = [{m: blk.homology(d) for m, blk in blocks.items()} for d in range(top + 1)]
+        last = max(blocks, default=None)
+        for d, hd in enumerate(hom):
+            if hd.get(last):
+                raise StructureError(f"type {last}, degree {d}: homology {hd[last]}, proved 0")
+        return StdComplex(blocks, tuple(Character("sl2-type", hd) for hd in hom), None)
     if window is None:
         raise ValueError("torus symmetry needs a window")
     if not pair.two_point:
@@ -473,14 +480,12 @@ def build_standard_complex(pair: PairData, v: HModule,
 
 
 def derived_p(pair: PairData, v: HModule, j: int,
-              window: Window | None = None, max_type: int | None = None,
-              margin: int = 0) -> Character:
+              window: Window | None = None, margin: int = 0) -> Character:
     """Character of the j-th left derived functor of the quotient-side
     induction, computed as degree-j homology of the standard complex.
-    Degrees outside [0, dim(isotropy/l)] are zero.
+    Degrees outside [0, dim(isotropy/l)] are zero.  Tori need a window.
     """
-    c = build_standard_complex(pair, v, window=window, max_type=max_type,
-                               margin=margin)
+    c = build_standard_complex(pair, v, window=window, margin=margin)
     return c.homology_character(j)
 
 

@@ -180,8 +180,7 @@ def _algebraic(c: VerificationCase) -> tuple[Character, ...]:
     """Homology characters of the case's standard complex, by degree."""
     pair = pair_by_name(c.family)
     v = one_dim_module(pair, _VALUES[c.family](c.lambda0), parity=c.parity)
-    max_type = abs(c.lambda0) + 4 if c.family == "C" else None
-    return build_standard_complex(pair, v, window=c.resolved_window(), max_type=max_type,
+    return build_standard_complex(pair, v, window=c.resolved_window(),
                                   margin=c.margin).characters
 
 
@@ -286,7 +285,7 @@ def _check_approx_identity() -> Report:
 _SMALL = {
     "A": dict(v=((-4, 0), None), window=Window.segment(-10, 10)),
     "B": dict(v=((0, 0), 0), window=Window.segment(-8, 8)),
-    "C": dict(v=((1, 0), None), max_type=5),
+    "C": dict(v=((1, 0), None)),
     "D": dict(v=((-2, 0, -2, 0), None), window=Window.box((-4, -4), (4, 4))),
 }
 
@@ -296,8 +295,7 @@ def _small_complex(fam: str):
     cfg = _SMALL[fam]
     values, par = cfg["v"]
     v = one_dim_module(pair, values, parity=par)
-    return build_standard_complex(pair, v, window=cfg.get("window"),
-                                  max_type=cfg.get("max_type"))
+    return build_standard_complex(pair, v, window=cfg.get("window"))
 
 
 def _check_boundary_squares() -> Report:

@@ -482,32 +482,31 @@ def _oracle_open(pair: PairData, mod: HModule, window: Window,
     return Character("torus-weight", dims, parity=parity)
 
 
-def _oracle_sl2(pair: PairData, mod: HModule, max_type: int) -> dict[int, int]:
+def _oracle_sl2(pair: PairData, mod: HModule) -> dict[int, int]:
     """Per-type relation chase for the full-sl2 model.
 
     Left equivariance lets the chase run on a single row slice of each
     block; the quotient of that slice counts the multiplicity directly.
+    A type above every |l-weight| has no coinvariants and is not chased.
     """
     acts = [mod.matrix_of(pair.h.coords(xi)) for xi in pair.h.basis]
     # the irreducibles act through K's (e, h, f): read each generator in
     # the coordinates of the K embedding, not of the ambient basis
     gens_k = [pair.lie.expand(xi, pair.k.embedding) for xi in pair.h.basis]
     types: dict[int, int] = {}
-    for m in range(max_type + 1):
+    for m in range(max((abs(w) for (w,) in mod.l_weights), default=-1) + 1):
         rels = []
         for xk, act in zip(gens_k, acts):
             pm = rep_of_vec(xk, m)
             rels += ([((b, t), pm.entry(d, b)) for b in range(m + 1) if pm.entry(d, b) != 0]
                      + _leg_terms(act, d, t, range(mod.dim))
                      for d in range(m + 1) for t in range(mod.dim))
-        mult = _quotient_dim([(d, t) for d in range(m + 1) for t in range(mod.dim)], rels)
-        if mult:
-            types[m] = mult
+        types[m] = _quotient_dim([(d, t) for d in range(m + 1) for t in range(mod.dim)], rels)
     return types
 
 
 def p_deg0_oracle(pair: PairData, mod: HModule, window: Window | None = None,
-                  max_type: int | None = None, margin: int = 0) -> Character:
+                  margin: int = 0) -> Character:
     """Character of the fully reduced degree-zero tensor, chased directly.
 
     Works block by block (or type by type) from the canonical-form basis
@@ -521,13 +520,11 @@ def p_deg0_oracle(pair: PairData, mod: HModule, window: Window | None = None,
     that products of two legs are straightened too.  ``margin`` adds
     depth past these cuts.  Each block is chased again at its cut+2 and
     must agree, otherwise WindowTooSmall names the first weight that
-    moved.
+    moved.  Full sl2 takes no window; ``_oracle_sl2`` proves its range.
     """
     check_module_compatible(pair, mod)
     if pair.k.kind == "sl2":
-        if max_type is None:
-            raise ValueError("sl2 symmetry needs max_type")
-        return Character("sl2-type", _oracle_sl2(pair, mod, max_type))
+        return Character("sl2-type", _oracle_sl2(pair, mod))
     if window is None:
         raise ValueError("torus symmetry needs a window")
     if pair.two_point:

@@ -19,6 +19,7 @@ from locind.harness import default_cases, run_case
 from locind.hecke import p_deg0_oracle
 from locind.liealg import (StructureError, Subalg, UnsupportedK, pair_by_name,
                            product_pair, vec_add, vec_scale)
+from locind.locp1 import delta_module, laurent_module
 from locind.pbw import UElt
 
 WIN = Window.segment(-12, 12)
@@ -300,17 +301,17 @@ def test_full_sl2_characters(pc):
              -1: (None, None)}
     for lam, (t0, t1) in cases.items():
         v = one_dim_module(pc, (lam, 0))
-        h0 = derived_p(pc, v, 0, max_type=8)
-        h1 = derived_p(pc, v, 1, max_type=8)
+        h0 = derived_p(pc, v, 0)
+        h1 = derived_p(pc, v, 1)
         assert h0 == Character("sl2-type", {} if t0 is None else {t0: 1})
         assert h1 == Character("sl2-type", {} if t1 is None else {t1: 1})
 
 
 def test_full_sl2_keeps_only_the_live_type_blocks(pc):
     # types below the live range, and those of the wrong parity, have no
-    # basis and are left out
-    cx = build_standard_complex(pc, one_dim_module(pc, (-60, 0)), max_type=64)
-    assert sorted(cx.blocks) == [58, 60, 62, 64]
+    # basis and are left out; the range stops at the largest grading
+    cx = build_standard_complex(pc, one_dim_module(pc, (-60, 0)))
+    assert sorted(cx.blocks) == [58, 60]
     assert all(any(blk.dims) for blk in cx.blocks.values())
     assert cx.characters == (Character("sl2-type", {58: 1}),
                              Character("sl2-type", {}))
@@ -338,6 +339,17 @@ def test_blocks_with_no_basis_are_left_out(fam, values, win, monkeypatch):
     assert not any(n in ch.data for ch in cx.characters for n in out)
 
 
+def test_full_sl2_checks_its_top_type(pc, monkeypatch):
+    # the top type lies in the range proved exact; a range cut 2 short
+    # ends on the live type 58, and the build refuses it
+    real = cohind._sl2_blocks
+    monkeypatch.setattr(cohind, "_sl2_blocks",
+                        lambda pair, mod: {m: b for m, b in real(pair, mod).items() if m < 60})
+    with pytest.raises(StructureError,
+                       match="^type 58, degree 0: homology 1, proved 0$"):
+        build_standard_complex(pc, one_dim_module(pc, (-60, 0)))
+
+
 def test_homology_runs_only_at_nonzero_terms(pa, pc, monkeypatch):
     calls = []
     real = cohind.homology_dim
@@ -351,7 +363,7 @@ def test_homology_runs_only_at_nonzero_terms(pa, pc, monkeypatch):
     def nonzero_terms(blocks):
         return sum(1 for blk in blocks for n in blk.dims if n)
 
-    cx = build_standard_complex(pc, one_dim_module(pc, (-60, 0)), max_type=64)
+    cx = build_standard_complex(pc, one_dim_module(pc, (-60, 0)))
     assert 0 < len(calls) <= nonzero_terms(cx.blocks.values())
     # a torus build takes homology at two depths: the returned blocks and
     # the same blocks built one deeper
@@ -368,8 +380,8 @@ def test_homology_runs_only_at_nonzero_terms(pa, pc, monkeypatch):
 def test_full_sl2_matches_oracle(pc):
     v = one_dim_module(pc, (-5, 0))
     w = tensor_onedim(v, lambda_top(pc))
-    h0 = derived_p(pc, v, 0, max_type=8)
-    assert h0 == p_deg0_oracle(pc, w, max_type=8)
+    h0 = derived_p(pc, v, 0)
+    assert h0 == p_deg0_oracle(pc, w)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +424,21 @@ def test_duality(pa, pb):
         assert derived_i(pb, dvb, j, WIN) == derived_p(pb, vb, j, WIN).dual()
 
 
+def test_derived_i_matches_the_mirror_chart(pa, pb):
+    # on a window that is not symmetric, derived_i must reflect it and
+    # twist by the top wedge: compared with the geometric side at the
+    # point at infinity (the w chart), not with derived_p of a dual
+    win = Window.segment(-6, 10)
+    for lam in (-4, -7, 1):
+        dv = dual_module(one_dim_module(pa, (lam, 0)))
+        assert derived_i(pa, dv, 0, win) == delta_module(lam, win, chart="w").character()
+        assert derived_i(pa, dv, 1, win).is_zero()
+    for lam, par in ((0, 0), (1, 1), (2, 1)):
+        dv = dual_module(one_dim_module(pb, (-lam, -lam), parity=par))
+        assert derived_i(pb, dv, 0, win) == laurent_module(lam, par, win, chart="w").character()
+        assert derived_i(pb, dv, 1, win).is_zero() and derived_i(pb, dv, 2, win).is_zero()
+
+
 def test_two_step_module_is_additive(pa):
     # non-split extension of the (mu-2) character by the mu character:
     # homology characters only see the associated graded
@@ -436,12 +463,10 @@ def test_zero_module(pa):
     assert all(c.homology_character(d).is_zero() for d in range(2))
 
 
-def test_truncation_guards(pa, pc, monkeypatch):
+def test_truncation_guards(pa, monkeypatch):
     v = one_dim_module(pa, (-4, 0))
     with pytest.raises(ValueError, match="window"):
         build_standard_complex(pa, v)
-    with pytest.raises(ValueError, match="max_type"):
-        build_standard_complex(pc, one_dim_module(pc, (0, 0)))
     # one below the proved cut wherever it is positive, every default A
     # and D case must refuse loudly: the cut is sharp
     _lower_the_proved_cut(monkeypatch)

@@ -262,12 +262,10 @@ def test_oracle_open_orbit():
 
 def test_oracle_full_sl2():
     pc = pair_by_name("C")
-    assert p_deg0_oracle(pc, _twisted(pc, (-4, 0)), max_type=8) == \
-        Character("sl2-type", {2: 1})
-    assert p_deg0_oracle(pc, _twisted(pc, (-2, 0)), max_type=6) == \
-        Character("sl2-type", {0: 1})
-    assert p_deg0_oracle(pc, _twisted(pc, (1, 0)), max_type=5).is_zero()
-    assert p_deg0_oracle(pc, _twisted(pc, (-1, 0)), max_type=5).is_zero()
+    assert p_deg0_oracle(pc, _twisted(pc, (-4, 0))) == Character("sl2-type", {2: 1})
+    assert p_deg0_oracle(pc, _twisted(pc, (-2, 0))) == Character("sl2-type", {0: 1})
+    assert p_deg0_oracle(pc, _twisted(pc, (1, 0))).is_zero()
+    assert p_deg0_oracle(pc, _twisted(pc, (-1, 0))).is_zero()
 
 
 def test_oracle_product_pair(pd):
@@ -282,9 +280,6 @@ def test_oracle_guards(pa, pd, monkeypatch):
     w = _twisted(pa, (-4, 0))
     with pytest.raises(ValueError, match="window"):
         p_deg0_oracle(pa, w)
-    pc = pair_by_name("C")
-    with pytest.raises(ValueError, match="max_type"):
-        p_deg0_oracle(pc, _twisted(pc, (0, 0)))
     # one below the proved cut wherever it is positive, the chase must
     # refuse loudly on every default A and D case: the cut is sharp
     gap = HModule.weight_gap

@@ -2,14 +2,16 @@
 a basis.  Re-presenting the ambient algebra on a permuted and rescaled
 basis must leave every homology character and the degree-zero oracle
 unchanged.  Cartan letters stay unscaled, because the torus tables
-require K's generators to be ambient basis vectors."""
+require K's generators to be ambient basis vectors.  In the order
+(f, h, e) a leg must be straightened past e, which shows the values of a
+torus boundary directly."""
 
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from locind.cohind import build_standard_complex
+from locind.cohind import _torus_blocks, build_standard_complex
 from locind.gkmod import Window, lambda_top, one_dim_module, tensor_onedim
 from locind.hecke import p_deg0_oracle
 from locind.liealg import KDescriptor, LieAlg, Subalg, pair_by_name
@@ -43,29 +45,42 @@ PRESENTATIONS = {
     "D": (((3, 4, 5, 0, 1, 2), (2, 1, -1, 1, 1, Fraction(1, 3))),
           ((0, 1, 2, 3, 4, 5), (1, 1, 2, -5, 1, 1))),
 }
-# (isotropy scalars, parity, window or max_type) per family
+# (isotropy scalars, parity, window) per family; family C takes no window
 TWISTS = {
     "A": [((-4, 0), None, Window.segment(-6, 6)), ((1, 0), None, Window.segment(-6, 6))],
     "B": [((0, 0), 0, Window.segment(-6, 6)), ((-1, -1), 1, Window.segment(-6, 6))],
-    "C": [((0, 0), None, 4), ((3, 0), None, 7)],
+    "C": [((0, 0), None, None), ((3, 0), None, None)],
     "D": [((-2, 0, -3, 0), None, Window.box((-4, -4), (4, 4))),
           ((0, 0, -1, 0), None, Window.box((-4, -4), (4, 4)))],
 }
 
 
-def _answers(pair, values, parity, bound):
+def _answers(pair, values, parity, window):
     v = one_dim_module(pair, values, parity=parity)
-    size = dict(max_type=bound) if pair.k.kind == "sl2" else dict(window=bound)
-    return (build_standard_complex(pair, v, **size).characters,
-            p_deg0_oracle(pair, tensor_onedim(v, lambda_top(pair)), **size))
+    return (build_standard_complex(pair, v, window).characters,
+            p_deg0_oracle(pair, tensor_onedim(v, lambda_top(pair)), window))
 
 
-@pytest.mark.parametrize("family,perm,scales,values,parity,bound", [
+@pytest.mark.parametrize("family,perm,scales,values,parity,window", [
     pytest.param(fam, perm, scales, *twist, id=f"{fam}-p{i}-t{j}")
     for fam, presentations in PRESENTATIONS.items()
     for i, (perm, scales) in enumerate(presentations)
     for j, twist in enumerate(TWISTS[fam])])
-def test_answers_do_not_depend_on_the_basis(family, perm, scales, values, parity, bound):
+def test_answers_do_not_depend_on_the_basis(family, perm, scales, values, parity, window):
     pair = pair_by_name(family)
-    assert _answers(represent(pair, perm, scales), values, parity, bound) == \
-        _answers(pair, values, parity, bound)
+    assert _answers(represent(pair, perm, scales), values, parity, window) == \
+        _answers(pair, values, parity, window)
+
+
+def test_a_leg_past_e_reads_the_block_weight():
+    # in the order (f, h, e) the leg f must pass e: e.f = f.e + h, and h
+    # is evaluated at the block's weight n = -2.  At the proved cut no A
+    # or D block with H_0 != 0 has a live boundary, so only a direct look
+    # at the matrix sees this value.
+    q = represent(pair_by_name("A"), (2, 1, 0), (1, 1, 1))
+    w = tensor_onedim(one_dim_module(q, (-4, 0)), lambda_top(q))
+    ((cols, blk),) = _torus_blocks(q, w, {(-2,): 3}).values()
+    assert cols == [{((0, 0, 0), (), 0): 0, ((1, 0, 1), (), 0): 1},
+                    {((0, 0, 1), (0,), 0): 0}]
+    assert blk.dims == (2, 1)
+    assert sorted(blk.boundaries[0].entries()) == [(0, 0, -2), (1, 0, 1)]
