@@ -184,9 +184,7 @@ def _boundary_matrix(cols_hi: Mapping, cols_lo: Mapping, rmul: Callable,
             for part2, c in rmul(part, leg):
                 row = cols_lo.get((part2, rem, t))
                 if row is None:
-                    if c != 0:
-                        raise StructureError("boundary image left the block basis")
-                    continue
+                    raise StructureError("boundary image left the block basis")
                 bump(row, col, sign * c)
             act = wedge.acts[leg]
             for s in range(act.rows):
@@ -227,8 +225,10 @@ def _assemble(wedge: _WedgeData, parts: Callable, rmul: Callable,
     ``parts(d, legs)`` lists the (algebra part, module slot) pairs that
     go with the wedge legs in degree d, and ``rmul(part, leg)`` gives the
     (part, coefficient) terms of the part times the leg, reduced in the
-    block.  Returns the block with its basis keys (part, legs, slot) per
-    degree, numbered in the order listed, for ``_restrict``.
+    block.  Every model yields only nonzero coefficients there, so a term
+    whose part is missing from the degree below is an error, never a
+    zero to skip.  Returns the block with its basis keys (part, legs,
+    slot) per degree, numbered in the order listed, for ``_restrict``.
     """
     cols: list[dict] = []
     for d, subsets in enumerate(wedge.subsets):

@@ -487,14 +487,21 @@ def _oracle_sl2(pair: PairData, mod: HModule) -> dict[int, int]:
 
     Left equivariance lets the chase run on a single row slice of each
     block; the quotient of that slice counts the multiplicity directly.
-    A type above every |l-weight| has no coinvariants and is not chased.
+    Only the types m that some l-weight w reaches (|w| <= m and
+    m = w mod 2) are chased: on row slot d the h-relations are m - 2d
+    minus h's action on W, invertible unless m - 2d is an l-weight, so
+    any other type, those above every |l-weight| included, has no
+    coinvariants.
     """
     acts = [mod.matrix_of(pair.h.coords(xi)) for xi in pair.h.basis]
     # the irreducibles act through K's (e, h, f): read each generator in
     # the coordinates of the K embedding, not of the ambient basis
     gens_k = [pair.lie.expand(xi, pair.k.embedding) for xi in pair.h.basis]
+    weights = {w for (w,) in mod.l_weights}
     types: dict[int, int] = {}
-    for m in range(max((abs(w) for (w,) in mod.l_weights), default=-1) + 1):
+    for m in range(max(map(abs, weights), default=-1) + 1):
+        if not any(abs(w) <= m and (m - w) % 2 == 0 for w in weights):
+            continue
         rels = []
         for xk, act in zip(gens_k, acts):
             pm = rep_of_vec(xk, m)

@@ -1,12 +1,13 @@
 """The geometric side on the projective line for sl2.
 
 Operators live on one of the two affine charts (coordinate z near the
-closed point, w = 1/z near infinity) as polynomial-coefficient
-differential operators with exact rational coefficients.  The twisted
-first-order action is not written down from a table: it is solved for
-from the two defining constraints (bracket homomorphism on top of the
-chart vector fields, prescribed scalars on the isotropy at the chart
-origin) and the solver asserts uniqueness.
+closed point, w = 1/z near infinity) as differential operators stored
+as sparse terms: one exact rational coefficient per (order, power)
+pair, for coordinate**power d**order.  The twisted first-order action
+is not written down from a table: it is solved for from the two
+defining constraints (bracket homomorphism on top of the chart vector
+fields, prescribed scalars on the isotropy at the chart origin) and
+the solver asserts uniqueness.
 
 On top of that sit the orbit direct images used for the comparison.
 Three of them are spans of powers coordinate**a, one per torus weight,
@@ -47,81 +48,44 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# dense rational polynomials in the chart coordinate (low degree throughout)
-
-
-def _ptrim(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = [scalar(c) for c in p]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _padd(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = max(len(p), len(q))
-    return _ptrim([(p[i] if i < len(p) else ZERO) + (q[i] if i < len(q) else ZERO)
-                   for i in range(n)])
-
-
-def _pscale(p: Sequence[Fraction], c: Fraction) -> tuple[Fraction, ...]:
-    return _ptrim([c * x for x in p])
-
-
-def _pmul(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if not p or not q:
-        return ()
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _ptrim(out)
-
-
-def _pdiff(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return _ptrim([i * p[i] for i in range(1, len(p))])
-
-
 @dataclass(frozen=True)
 class ChartOp:
-    """Differential operator sum_k p_k(coordinate) d^k on one chart.
+    """Differential operator sum c coordinate^j d^k on one chart.
 
-    ``coeffs[k]`` holds the polynomial multiplying the k-th derivative,
-    lowest degree first.  All arithmetic is exact.
+    ``terms[(k, j)]`` holds the coefficient c of coordinate^j d^k, the
+    function to the left of the derivative; zero coefficients are
+    dropped.  All arithmetic is exact.
     """
 
     chart: str
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    terms: dict[tuple[int, int], Fraction]
 
     def __post_init__(self) -> None:
         if self.chart not in ("z", "w"):
             raise ValueError(f"unknown chart {self.chart!r}")
-        cleaned = [_ptrim(p) for p in self.coeffs]
-        while cleaned and not cleaned[-1]:
-            cleaned.pop()
-        object.__setattr__(self, "coeffs", tuple(cleaned))
+        object.__setattr__(self, "terms", {kj: scalar(c) for kj, c in self.terms.items()
+                                           if c != 0})
 
     # -- constructors
     @classmethod
     def zero(cls, chart: str) -> "ChartOp":
-        return cls(chart, ())
+        return cls(chart, {})
 
     @classmethod
     def mult(cls, poly: Sequence[Fraction], chart: str) -> "ChartOp":
-        return cls(chart, (tuple(poly),))
+        return cls(chart, {(0, j): c for j, c in enumerate(poly)})
 
     # -- ring structure
     def add(self, other: "ChartOp") -> "ChartOp":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ChartOp(self.chart, tuple(
-            _padd(self.coeffs[k] if k < len(self.coeffs) else (),
-                  other.coeffs[k] if k < len(other.coeffs) else ())
-            for k in range(n)))
+        out = dict(self.terms)
+        for kj, c in other.terms.items():
+            out[kj] = out.get(kj, ZERO) + c
+        return ChartOp(self.chart, out)
 
     def scale(self, c) -> "ChartOp":
         c = scalar(c)
-        return ChartOp(self.chart, tuple(_pscale(p, c) for p in self.coeffs))
+        return ChartOp(self.chart, {kj: c * v for kj, v in self.terms.items()})
 
     def sub(self, other: "ChartOp") -> "ChartOp":
         return self.add(other.scale(-1))
@@ -129,30 +93,22 @@ class ChartOp:
     def mul(self, other: "ChartOp") -> "ChartOp":
         """Operator composition self . other (apply other first)."""
         self._check(other)
-        acc: dict[int, tuple[Fraction, ...]] = {}
-        for k, p in enumerate(self.coeffs):
-            if not p:
-                continue
-            for l, q in enumerate(other.coeffs):
-                if not q:
-                    continue
-                # d^k . q = sum_i C(k,i) q^(i) d^(k-i)
-                qq: tuple[Fraction, ...] = q
-                for i in range(k + 1):
-                    if not qq:
-                        break
-                    term = _pmul(p, _pscale(qq, scalar(comb(k, i))))
-                    key = k - i + l
-                    acc[key] = _padd(acc.get(key, ()), term)
-                    qq = _pdiff(qq)
-        top = max(acc, default=-1)
-        return ChartOp(self.chart, tuple(acc.get(k, ()) for k in range(top + 1)))
+        out: dict[tuple[int, int], Fraction] = {}
+        for (k, j), a in self.terms.items():
+            for (l, m), b in other.terms.items():
+                # d^k z^m = sum_i C(k,i) m(m-1)...(m-i+1) z^(m-i) d^(k-i)
+                fall = 1
+                for i in range(min(k, m) + 1):
+                    key = (k - i + l, j + m - i)
+                    out[key] = out.get(key, ZERO) + comb(k, i) * fall * a * b
+                    fall *= m - i
+        return ChartOp(self.chart, out)
 
     def commutator(self, other: "ChartOp") -> "ChartOp":
         return self.mul(other).sub(other.mul(self))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def _check(self, other: "ChartOp") -> None:
         if self.chart != other.chart:
@@ -165,28 +121,25 @@ class ChartOp:
         Exponents go in and come out doubled, so a half-integral power (a
         Laurent section of the square-root twist) is an int like any other.
         """
-        den = 1 << len(self.coeffs)
+        den = 1 << max((k + 1 for k, _ in self.terms), default=0)
         out: dict[int, int | Fraction] = {}
-        for k, p in enumerate(self.coeffs):
+        for (k, j), c in self.terms.items():
             fall = den >> k     # ends as den times a(a - 1)...(a - k + 1), an int
             for i in range(k):
                 fall *= a2 - 2 * i
-            if fall == 0 or not p:
-                continue
-            for j, c in enumerate(p):
-                if c != 0:
-                    key = a2 + 2 * (j - k)
-                    out[key] = out.get(key, ZERO) + c * fall
+            if fall != 0:
+                key = a2 + 2 * (j - k)
+                out[key] = out.get(key, ZERO) + c * fall
         return {e: c // den if c % den == 0 else Fraction(c, den)
                 for e, c in out.items() if c != 0}
 
     def __repr__(self) -> str:
-        def poly(p: tuple[Fraction, ...]) -> str:
-            ts = [f"{c}{'' if j == 0 else self.chart if j == 1 else f'{self.chart}^{j}'}"
-                  for j, c in enumerate(p) if c != 0]
-            return "+".join(ts) or "0"
-        parts = [f"({poly(p)})d^{k}" if k else f"({poly(p)})"
-                 for k, p in enumerate(self.coeffs) if p]
+        by_order: dict[int, list[str]] = {}
+        for (k, j), c in sorted(self.terms.items()):
+            by_order.setdefault(k, []).append(
+                f"{c}{'' if j == 0 else self.chart if j == 1 else f'{self.chart}^{j}'}")
+        parts = [f"({'+'.join(ts)})d^{k}" if k else f"({'+'.join(ts)})"
+                 for k, ts in by_order.items()]
         return " + ".join(parts) or "0"
 
 
@@ -212,7 +165,7 @@ def vector_field(label: str, chart: str = "z") -> ChartOp:
         poly = (-beta, -2 * alpha, gamma)
     else:
         poly = (-gamma, 2 * alpha, beta)
-    return ChartOp(chart, ((), _ptrim(poly)))
+    return ChartOp(chart, {(1, j): c for j, c in enumerate(poly)})
 
 
 # Normalization pinning the action: the translation transverse to the
@@ -245,7 +198,7 @@ def twisted_rep(lambda0: int, chart: str = "z") -> dict[str, ChartOp]:
     lam = scalar(lambda0)
     alg = sl2()
     fields = {x: vector_field(x, chart) for x in _LABELS}
-    avec = {x: fields[x].coeffs[1] for x in _LABELS}
+    avec = {x: {j: c for (_, j), c in fields[x].terms.items()} for x in _LABELS}
     idx = {(x, j): i for i, (x, j) in enumerate(
         (x, j) for x in _LABELS for j in range(_B_DEG + 1))}
     rows: list[dict[int, Fraction]] = []
@@ -257,11 +210,11 @@ def twisted_rep(lambda0: int, chart: str = "z") -> dict[str, ChartOp]:
             for m in range(_B_DEG + 2):
                 row: dict[int, Fraction] = {}
 
-                def accum(a: tuple[Fraction, ...], bx: str, sign: int) -> None:
+                def accum(a: dict[int, Fraction], bx: str, sign: int) -> None:
                     # sign * a * b_x' contribution to the ζ^m coefficient
                     for j in range(1, _B_DEG + 1):
                         k = m - j + 1
-                        if 0 <= k < len(a) and a[k] != 0:
+                        if k in a:
                             col = idx[(bx, j)]
                             row[col] = row.get(col, ZERO) + sign * a[k] * j
 
@@ -291,7 +244,7 @@ def twisted_rep(lambda0: int, chart: str = "z") -> dict[str, ChartOp]:
         raise ArithmeticError("twist constraints are inconsistent")
     rho = {}
     for x in _LABELS:
-        b = _ptrim([sol[idx[(x, j)]] for j in range(_B_DEG + 1)])
+        b = [sol[idx[(x, j)]] for j in range(_B_DEG + 1)]
         rho[x] = fields[x].add(ChartOp.mult(b, chart))
     for xi in range(3):
         for yi in range(xi + 1, 3):
@@ -575,15 +528,7 @@ def jet_conformance(jm: JetModule) -> dict[str, bool]:
     out["compact_compatible"] = jm.ops["h"] == diag
 
     base = jm.truncate(1)
-    iso = True
-    halg = jm.fiber.halg
-    for i, lab in enumerate(halg.labels):
-        want = jm.fiber.action[i]
-        got = base.ops[lab] if lab in base.ops else None
-        if got is None:
-            # isotropy generator expressed through the ambient basis
-            got = SparseMatrix.zero(dv, dv)
-        iso &= got == want
-    out["fiber_isomorphism"] = iso
+    out["fiber_isomorphism"] = all(base.ops[lab] == jm.fiber.action[i]
+                                   for i, lab in enumerate(jm.fiber.halg.labels))
     return out
 

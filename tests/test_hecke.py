@@ -14,6 +14,7 @@ from locind.hecke import (RgKElt, RKElt, UnsupportedK, WindowTooSmall,
                           invariant_form, p_deg0_oracle,
                           rep_of_uelt, rgk_mul, rk_mul, sl2_embed)
 from locind import hecke
+from locind.cohind import derived_p
 from locind.hecke import _quotient_dim
 from locind.gkmod import lambda_top, one_dim_module, tensor_onedim
 from locind.harness import default_cases
@@ -266,6 +267,35 @@ def test_oracle_full_sl2():
     assert p_deg0_oracle(pc, _twisted(pc, (-2, 0))) == Character("sl2-type", {0: 1})
     assert p_deg0_oracle(pc, _twisted(pc, (1, 0))).is_zero()
     assert p_deg0_oracle(pc, _twisted(pc, (-1, 0))).is_zero()
+
+
+def test_oracle_full_sl2_chases_only_the_reached_types(monkeypatch):
+    # a type no l-weight reaches has no coinvariants: far from zero the
+    # one-dimensional twist leaves a single type to chase, not |lambda|
+    pc, quotient = pair_by_name("C"), hecke._quotient_dim
+    calls = []
+
+    def spy(cols, relations):
+        calls.append(len(cols))
+        return quotient(cols, relations)
+
+    monkeypatch.setattr(hecke, "_quotient_dim", spy)
+    for lam, want in ((-200, {198: 1}), (200, {})):
+        calls.clear()
+        got = p_deg0_oracle(pc, _twisted(pc, (lam, 0)))
+        assert len(calls) == 1
+        assert got == Character("sl2-type", want)
+        assert got == derived_p(pc, one_dim_module(pc, (lam, 0)), 0)
+    # l-weights -2 and -7 reach the types 2, 4, 6 and 7 of 0..7, not 3 or 5
+    parts = [_twisted(pc, (lam, 0)) for lam in (-4, -9)]
+    acts = tuple(SparseMatrix(2, 2, [(i, i, w.action[g].entry(0, 0))
+                                     for i, w in enumerate(parts)])
+                 for g in range(pc.halg.dim))
+    both = HModule(halg=pc.halg, dim=2, action=acts,
+                   l_weights=parts[0].l_weights + parts[1].l_weights)
+    calls.clear()
+    assert p_deg0_oracle(pc, both) == Character("sl2-type", {2: 1, 7: 1})
+    assert len(calls) == 4
 
 
 def test_oracle_product_pair(pd):

@@ -27,21 +27,23 @@ def _apply(pm, name, w, c=ONE):
 
 def test_chartop_commutation():
     z = ChartOp.mult((ZERO, ONE), "z")
-    d = ChartOp("z", ((), (ONE,)))
-    assert d.mul(z).sub(z.mul(d)).coeffs == ((ONE,),)  # [d, z] = 1
-    assert z.mul(z).coeffs == ((ZERO, ZERO, ONE),)
-    assert d.mul(d).coeffs == ((), (), (ONE,))
+    d = ChartOp("z", {(1, 0): ONE})
+    assert d.mul(z).sub(z.mul(d)).terms == {(0, 0): ONE}  # [d, z] = 1
+    assert z.mul(z).terms == {(0, 2): ONE}
+    assert d.mul(d).terms == {(2, 0): ONE}
+    # d^2 z^2 = z^2 d^2 + 4 z d + 2
+    assert d.mul(d).mul(z.mul(z)).terms == {(2, 2): 1, (1, 1): 4, (0, 0): 2}
 
 
 def test_chartop_apply_exp():
     # exponents go in and come out doubled: z^3 is 6, z^(1/2) is 1
-    d = ChartOp("z", ((), (ONE,)))
+    d = ChartOp("z", {(1, 0): ONE})
     assert d.apply_exp2(6) == {4: 3}
     assert d.apply_exp2(1) == {-1: Fraction(1, 2)}
     z = ChartOp.mult((ZERO, ONE), "z")
     assert z.apply_exp2(-2) == {0: ONE}
     # second order: d^2 z^(-1/2) = 3/4 z^(-5/2), and d^2 z^(3/2) = 3/4 z^(-1/2)
-    d2 = ChartOp("z", ((), (), (ONE,)))
+    d2 = ChartOp("z", {(2, 0): ONE})
     assert d2.apply_exp2(-1) == {-5: Fraction(3, 4)}
     assert d2.apply_exp2(3) == {-1: Fraction(3, 4)}
     assert d2.apply_exp2(2) == {} and d2.apply_exp2(0) == {}
@@ -51,7 +53,7 @@ def test_chartop_apply_exp():
 
 def test_chartop_chart_mismatch():
     with pytest.raises(ValueError):
-        ChartOp("z", ((), (ONE,))).mul(ChartOp("w", ((), (ONE,))))
+        ChartOp("z", {(1, 0): ONE}).mul(ChartOp("w", {(1, 0): ONE}))
 
 
 def test_vector_fields_bracket_homomorphism():
@@ -69,15 +71,12 @@ def test_vector_fields_bracket_homomorphism():
 def test_twisted_rep_closed_forms():
     for lam in range(-10, 11):
         repz = twisted_rep(lam, "z")
-        assert repz["e"].coeffs == ((), (Fraction(-1),))
-        assert repz["h"].coeffs == \
-            (((Fraction(lam),) if lam else ()), (ZERO, Fraction(-2)))
-        assert repz["f"].coeffs == \
-            (((ZERO, Fraction(-lam)) if lam else ()), (ZERO, ZERO, ONE))
+        assert repz["e"].terms == {(1, 0): -1}
+        assert repz["h"].terms == ({(0, 0): lam, (1, 1): -2} if lam else {(1, 1): -2})
+        assert repz["f"].terms == ({(0, 1): -lam, (1, 2): 1} if lam else {(1, 2): 1})
         repw = twisted_rep(lam, "w")
-        assert repw["f"].coeffs == ((), (Fraction(-1),))
-        assert repw["e"].coeffs == \
-            (((ZERO, Fraction(-lam)) if lam else ()), (ZERO, ZERO, ONE))
+        assert repw["f"].terms == {(1, 0): -1}
+        assert repw["e"].terms == ({(0, 1): -lam, (1, 2): 1} if lam else {(1, 2): 1})
 
 
 def test_twisted_rep_brackets_and_casimir():
