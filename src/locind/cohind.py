@@ -42,9 +42,11 @@ of a part with a leg, reduced in the block.  The torus and type models
 grade each (legs, slot) key once per build, in one table ``_grades``.
 Torus tables and sl2 irreducibles come from liealg, nothing from the
 oracle or locp1.  Most blocks have no basis in any degree.  Such a block
-is left out: it is not assembled where the model can tell in advance,
-and not kept where only the restriction to depth shows it.  A left-out
-key has homology 0 in every degree, as a Character reads a missing key.
+is left out: it is not assembled where the model can tell in advance
+(the torus model lists its blocks from the weights of the monomials it
+keeps, so its cost follows them, not the window), and not kept where
+only the restriction to depth shows it.  A left-out key has homology 0
+in every degree, as a Character reads a missing key.
 
 ``derived_p`` is the homology of this complex after the coefficient
 module is twisted by the top exterior power of the quotient;
@@ -247,14 +249,17 @@ def _torus_blocks(pair: PairData, mod: HModule,
                   ) -> dict[Weight, tuple[list[dict], ChainBlock]]:
     """Weight-block complexes, block n truncated at PBW depth depths[n].
 
-    Returns each block with its basis keys per degree, for ``_restrict``.
-    Only the monomials some block reads are listed: for each block,
-    degree and legs, the weight n - grade (``_grades``) up to degree
-    depth - d.  A block none of whose weights has a monomial is left out
-    and not assembled.  The product of a monomial with a wedge leg does
-    not depend on the block or the module, so it is straightened once
-    per (monomial, leg) and kept on the pair, whose legs the index
-    names; only the evaluation of its Cartan letters is per block.
+    Returns each block with its basis keys per degree, for ``_restrict``,
+    in the order of ``depths``.  Only the monomials some block reads are
+    listed: for each grade (``_grades``) and the least degree d it comes
+    in, block n reads the weight n - grade up to degree depth - d, and no
+    per-block table is kept.  The live blocks are listed from the keys of
+    those buckets, each key plus each grade; a block none of whose
+    weights has a monomial is left out and not assembled.  The product
+    of a monomial with a wedge leg does not depend on the block or the
+    module, so it is straightened once per (monomial, leg) and kept on
+    the pair, whose legs the index names; only the evaluation of its
+    Cartan letters is per block.
     """
     cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
     wedge = _wedge_data(pair, mod)
@@ -263,23 +268,27 @@ def _torus_blocks(pair: PairData, mod: HModule,
     prods: dict[tuple[Mono, int], Mapping[Mono, Fraction]] = \
         pair.__dict__.setdefault("_leg_products", {})
 
-    # per block, per legs: [(slot, the weight its algebra parts have)]
-    needs: dict[Weight, dict[tuple[int, ...], list[tuple[int, Weight]]]] = {}
+    # each grade of a (legs, slot) key, with the least degree it comes in;
+    # block n reads the weight n - grade there up to degree depth - d
+    least: dict[Weight, int] = {}
+    for d, subsets in enumerate(wedge.subsets):
+        for legs in subsets:
+            for _, g in grades[legs]:
+                least.setdefault(g, d)
     wants: dict[Weight, int] = {}
-    for n, cut in depths.items():
-        per = needs[n] = {}
-        for d, subsets in enumerate(wedge.subsets):
-            for legs in subsets:
-                per[legs] = [(t, tuple(a - b for a, b in zip(n, g))) for t, g in grades[legs]]
-                for _, need in per[legs]:
-                    wants[need] = max(wants.get(need, -1), cut - d)
+    for g, d in least.items():
+        for n, cut in depths.items():
+            need = tuple(a - b for a, b in zip(n, g))
+            if wants.get(need, -1) < cut - d:
+                wants[need] = cut - d
     buckets = monos_by_weight([i for i, c in enumerate(cartan_of) if c is None],
                               adj, wants)
+    live = {tuple(a + b for a, b in zip(need, g)) for g in least for need in buckets}
 
     def parts(n: Weight, cut: int, d: int,
               legs: tuple[int, ...]) -> Iterable[tuple[Mono, int]]:
-        for t, need in needs[n][legs]:
-            for mono in buckets.get(need, ()):
+        for t, g in grades[legs]:
+            for mono in buckets.get(tuple(a - b for a, b in zip(n, g)), ()):
                 if sum(mono) <= cut - d:
                     yield mono, t
 
@@ -291,8 +300,7 @@ def _torus_blocks(pair: PairData, mod: HModule,
         return reduce_block(cartan_of, adj, n, terms).items()
 
     return {n: _assemble(wedge, partial(parts, n, cut), partial(rmul, n))
-            for n, cut in depths.items()
-            if any(need in buckets for ns in needs[n].values() for _, need in ns)}
+            for n, cut in depths.items() if n in live}
 
 
 def _open_blocks(pair: PairData, mod: HModule,
@@ -382,8 +390,7 @@ def _sl2_blocks(pair: PairData, mod: HModule) -> dict[int, ChainBlock]:
         return [((m - w) // 2, t) for t, (w,) in grades[legs] if reaches(m, w)]
 
     def rmul(pms: list[SparseMatrix], b: int, leg: int) -> list:
-        pm = pms[leg]
-        return [(c, pm.entry(b, c)) for c in range(pm.cols) if pm.entry(b, c) != 0]
+        return pms[leg].row(b)
 
     weights = {w for ws in grades.values() for _, (w,) in ws}
     return {m: _assemble(wedge, partial(parts, m),

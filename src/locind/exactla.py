@@ -14,7 +14,8 @@ leaves its span unchanged, and is 1 on an integer row), then
 cross-multiplied against pivot rows keyed by their leading column, and
 divided by its content after every step, so its entries stay bounded.
 ``rank`` counts the pivot rows and is kept on the (immutable) matrix,
-so a boundary shared by two homology degrees is eliminated once.
+so a boundary shared by two homology degrees is eliminated once; so is
+the row index behind ``row``, which lists a row's nonzero entries.
 ``rref`` back-substitutes the same rows, still in integers, from the
 last pivot to the first, then divides each row by its pivot, once;
 ``kernel_basis``, ``solve`` and ``inverse`` read their answers off it.
@@ -50,7 +51,7 @@ def scalar(x: int | str | Fraction) -> int | Fraction:
 class SparseMatrix:
     """Immutable sparse matrix over the rationals."""
 
-    __slots__ = ("rows", "cols", "_data", "_rank")
+    __slots__ = ("rows", "cols", "_data", "_rank", "_by_row")
 
     def __init__(self, rows: int, cols: int,
                  entries: Iterable[tuple[int, int, int | str | Fraction]] = ()):
@@ -69,6 +70,7 @@ class SparseMatrix:
         self.cols = cols
         self._data = data
         self._rank: int | None = None
+        self._by_row: dict[int, list[tuple[int, int | Fraction]]] | None = None
 
     # -- construction helpers ------------------------------------------
 
@@ -107,6 +109,15 @@ class SparseMatrix:
 
     def entry(self, r: int, c: int) -> int | Fraction:
         return self._data.get((r, c), ZERO)
+
+    def row(self, r: int) -> list[tuple[int, int | Fraction]]:
+        """The nonzero (col, value) pairs of row r, by column.  The row
+        index is built on the first call and kept on the matrix."""
+        if self._by_row is None:
+            self._by_row = {}
+            for (i, c), v in sorted(self._data.items()):
+                self._by_row.setdefault(i, []).append((c, v))
+        return list(self._by_row.get(r, ()))
 
     def entries(self) -> Iterator[tuple[int, int, int | Fraction]]:
         for (r, c), v in sorted(self._data.items()):

@@ -505,7 +505,7 @@ def _oracle_sl2(pair: PairData, mod: HModule) -> dict[int, int]:
         rels = []
         for xk, act in zip(gens_k, acts):
             pm = rep_of_vec(xk, m)
-            rels += ([((b, t), pm.entry(d, b)) for b in range(m + 1) if pm.entry(d, b) != 0]
+            rels += ([((b, t), v) for b, v in pm.row(d)]
                      + _leg_terms(act, d, t, range(mod.dim))
                      for d in range(m + 1) for t in range(mod.dim))
         types[m] = _quotient_dim([(d, t) for d in range(m + 1) for t in range(mod.dim)], rels)

@@ -7,7 +7,10 @@ pair, for coordinate**power d**order.  The twisted first-order action
 is not written down from a table: it is solved for from the two
 defining constraints (bracket homomorphism on top of the chart vector
 fields, prescribed scalars on the isotropy at the chart origin) and
-the solver asserts uniqueness.
+the solver asserts uniqueness.  The twist enters only the right-hand
+side, linearly, so the system is solved once per chart and process, at
+twist 1, and scaled; the bracket homomorphism is re-checked on the
+operators of every twist asked for.
 
 On top of that sit the orbit direct images used for the comparison.
 Three of them are spans of powers coordinate**a, one per torus weight,
@@ -34,12 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
 from .exactla import ONE, ZERO, SparseMatrix, rank, scalar, solve
 from .gkmod import Character, HModule, Window, sl2_types_from_weights
-from .liealg import StructureError, sl2
+from .liealg import LieAlg, StructureError, sl2
 
 __all__ = [
     "ChartOp", "vector_field", "twisted_rep", "PowerModule",
@@ -182,20 +186,22 @@ _NORMALIZATION = {
 _B_DEG = 3  # degree cap for the multiplication parts of the ansatz
 
 
-def twisted_rep(lambda0: int, chart: str = "z") -> dict[str, ChartOp]:
-    """Solve for the unique twisted first-order action on the chart.
+@lru_cache(maxsize=None)
+def _unit_action(chart: str) -> tuple[LieAlg, dict[str, ChartOp], dict[str, ChartOp]]:
+    """The twist-independent part of the twisted action on the chart.
 
-    Returns the operator of each sl2 basis label "e", "h" and "f".
-
-    Ansatz: rho(x) = vector field of x plus a multiplication polynomial
-    b_x.  Constraints: the commutator defect a_x b_y' - a_y b_x' must
-    equal b_[x,y] for every basis pair, the transverse translation is
+    Returns sl2, the vector field of each basis label and the unique
+    multiplication part b_x of the action at lambda0 = 1, kept once per
+    process.  Ansatz: rho(x) = vector field of x plus a multiplication
+    polynomial b_x.  Constraints: the commutator defect a_x b_y' - a_y b_x'
+    must equal b_[x,y] for every basis pair, the transverse translation is
     flat (no multiplication part), and the isotropy of the chart origin
-    acts at the origin by the prescribed scalars.  The linear system
-    has exactly one solution, which is asserted, and the bracket
-    homomorphism is then re-checked on the operators themselves.
+    acts at the origin by the prescribed scalars.  Only the last rows have
+    a nonzero right-hand side, linear in the twist, and the matrix does
+    not depend on it; so the solution at lambda0 is lambda0 times the one
+    solved here.  The linear system has exactly one solution, which is
+    asserted.
     """
-    lam = scalar(lambda0)
     alg = sl2()
     fields = {x: vector_field(x, chart) for x in _LABELS}
     avec = {x: {j: c for (_, j), c in fields[x].terms.items()} for x in _LABELS}
@@ -233,7 +239,7 @@ def twisted_rep(lambda0: int, chart: str = "z") -> dict[str, ChartOp]:
         rhs.append(ZERO)
     for lab, mult in scalars:
         rows.append({idx[(lab, 0)]: ONE})
-        rhs.append(mult * lam)
+        rhs.append(mult)
     mat = SparseMatrix(len(rows), len(idx),
                        [(r, c, v) for r, row in enumerate(rows)
                         for c, v in row.items() if v != 0])
@@ -242,10 +248,23 @@ def twisted_rep(lambda0: int, chart: str = "z") -> dict[str, ChartOp]:
     sol = solve(mat, rhs)
     if sol is None:
         raise ArithmeticError("twist constraints are inconsistent")
-    rho = {}
-    for x in _LABELS:
-        b = [sol[idx[(x, j)]] for j in range(_B_DEG + 1)]
-        rho[x] = fields[x].add(ChartOp.mult(b, chart))
+    unit = {x: ChartOp.mult([sol[idx[(x, j)]] for j in range(_B_DEG + 1)], chart)
+            for x in _LABELS}
+    return alg, fields, unit
+
+
+def twisted_rep(lambda0: int, chart: str = "z") -> dict[str, ChartOp]:
+    """The unique twisted first-order action on the chart.
+
+    Returns the operator of each sl2 basis label "e", "h" and "f": its
+    vector field plus lambda0 times the multiplication part solved once
+    per chart and process (``_unit_action``).  The bracket homomorphism
+    is re-checked on the operators returned, at this lambda0, on every
+    call.
+    """
+    lam = scalar(lambda0)
+    alg, fields, unit = _unit_action(chart)
+    rho = {x: fields[x].add(unit[x].scale(lam)) for x in _LABELS}
     for xi in range(3):
         for yi in range(xi + 1, 3):
             want = ChartOp.zero(chart)

@@ -5,6 +5,7 @@ duality, additivity, and the truncation guard rails."""
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -337,6 +338,35 @@ def test_blocks_with_no_basis_are_left_out(fam, values, win, monkeypatch):
     out = points - set(cx.blocks)
     assert 0 < len(out) < len(points)
     assert not any(n in ch.data for ch in cx.characters for n in out)
+
+
+@pytest.mark.parametrize("fam, values, win", [
+    ("A", (-5, 0), Window.segment(-20, 20)),
+    ("D", (-2, 0, -3, 0), Window.box((-5, -5), (5, 5))),
+])
+def test_torus_blocks_are_exactly_the_live_blocks(fam, values, win):
+    # a window point is a key iff some (legs, slot) grade g has a monomial
+    # on the free letters of weight n - g and degree at most depth - d
+    pair = pair_by_name(fam)
+    w = tensor_onedim(one_dim_module(pair, values), lambda_top(pair))
+    depths = {n: w.weight_gap(n) + 1 for n in win.points()}
+    free = [pair.k.adjoint_weights[i] for i, c in enumerate(pair.cartan_of) if c is None]
+    low: dict = {}      # weight -> least degree of a monomial of that weight
+    for exps in product(range(max(depths.values()) + 1), repeat=len(free)):
+        wt = tuple(sum(a * x[c] for a, x in zip(exps, free)) for c in range(len(free[0])))
+        low[wt] = min(low.get(wt, sum(exps)), sum(exps))
+    legs_wt = [pair.h_weight_of(xi) for xi in pair.hl_basis]
+    grades = [(d, tuple(map(sum, zip(lw, *(legs_wt[i] for i in legs)))))
+              for d in range(len(legs_wt) + 1)
+              for legs in combinations(range(len(legs_wt)), d)
+              for lw in w.l_weights]
+    live = [n for n in win.points()
+            if any(low.get(tuple(a - b for a, b in zip(n, g)), depths[n] + 1) <= depths[n] - d
+                   for d, g in grades)]
+    blocks = _torus_blocks(pair, w, depths)
+    assert list(blocks) == live
+    assert all(any(blk.dims) for _, blk in blocks.values())
+    assert 0 < len(live) < len(depths)
 
 
 def test_full_sl2_checks_its_top_type(pc, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from locind.exactla import (ONE, ZERO, CompositionNonzero, SparseMatrix,
                             _echelon, homology_dim, inverse, kernel_basis,
                             rank, scalar, solve)
+from locind.liealg import rep_of_vec
 
 
 def test_scalar_coercion():
@@ -227,3 +228,30 @@ def test_rank_is_kept_on_the_matrix(monkeypatch):
     # a new matrix with equal entries starts without a stored rank
     with pytest.raises(AssertionError):
         rank(SparseMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]]))
+
+
+def _rows_by_probe(m):
+    return [[(c, m.entry(r, c)) for c in range(m.cols) if m.entry(r, c) != 0]
+            for r in range(m.rows)]
+
+
+def test_row_lists_the_nonzero_entries_by_column():
+    rng = random.Random(7)
+
+    def rand(rows, cols):
+        return SparseMatrix(rows, cols, [(r, c, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                                         for r in range(rows) for c in range(cols)
+                                         if rng.random() < 0.4])
+
+    mats = []
+    for _ in range(20):
+        a, b, c = rand(5, 4), rand(5, 4), rand(4, 6)
+        mats += [a, a.add(b), a.add(a.scale(-1)), a.mul(c), a.scale(Fraction(-2, 3))]
+    # entries given in no particular order still come out by column
+    mats.append(SparseMatrix(2, 5, [(1, 4, 1), (0, 3, 2), (1, 0, -1), (0, 1, 5)]))
+    vec = (Fraction(1, 2), -3, 2)
+    mats += [rep_of_vec(vec, m) for m in range(13)]
+    for m in mats:
+        assert [m.row(r) for r in range(m.rows)] == _rows_by_probe(m)
+    assert SparseMatrix(3, 3, [(0, 0, 1)]).row(2) == []
+    assert SparseMatrix.zero(2, 2).row(0) == []

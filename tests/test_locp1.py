@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from locind import locp1
 from locind.exactla import ONE, ZERO, SparseMatrix
 from locind.gkmod import Character, HModule, Window, one_dim_module
+from locind.harness import main
 from locind.liealg import pair_by_name
 from locind.locp1 import (ChartOp, cech_cohomology_On, delta_module,
                           jet_associated_module, jet_conformance,
@@ -89,6 +91,39 @@ def test_twisted_rep_brackets_and_casimir():
             assert e.commutator(f).sub(h).is_zero()
             omega = e.mul(f).add(f.mul(e)).add(h.mul(h).scale(Fraction(1, 2)))
             assert omega == ChartOp.mult((Fraction(lam * lam + 2 * lam, 2),), chart)
+
+
+@pytest.fixture
+def fresh_chart_cache():
+    """Each chart is solved anew, and nothing a test leaves cached leaks out."""
+    locp1._unit_action.cache_clear()
+    yield
+    locp1._unit_action.cache_clear()
+
+
+def test_twisted_rep_checks_brackets_on_every_call(fresh_chart_cache, monkeypatch):
+    alg, fields, unit = locp1._unit_action("z")
+    assert twisted_rep(3, "z")["h"].terms == {(0, 0): 3, (1, 1): -2}
+    # h's constant term off by one: [e, f] = h fails for every nonzero twist
+    bad = {**unit, "h": unit["h"].add(ChartOp.mult((ONE,), "z"))}
+    monkeypatch.setattr(locp1, "_unit_action", lambda chart: (alg, fields, bad))
+    with pytest.raises(ArithmeticError, match="bracket check"):
+        twisted_rep(3, "z")
+
+
+def test_each_chart_is_solved_once_per_process(fresh_chart_cache, monkeypatch, capsys):
+    calls = []
+    solve = locp1.solve
+
+    def counting_solve(mat, rhs):
+        calls.append(mat.rows)
+        return solve(mat, rhs)
+
+    monkeypatch.setattr(locp1, "solve", counting_solve)
+    assert main(["verify", "--family", "D"]) == 0
+    assert main(["verify", "--family", "D"]) == 0
+    capsys.readouterr()
+    assert 1 <= len(calls) == locp1._unit_action.cache_info().currsize <= 2
 
 
 # ---------------------------------------------------------------------------
