@@ -33,6 +33,8 @@ term, so every boundary is built and checked.  ``margin`` adds depth
 past these cuts.  The guard stays: each block is assembled once, at
 depth+1, and restricted to depth, and homology at the two depths must
 agree; disagreement raises WindowTooSmall naming the block and degree.
+Where the cut drops no key, the restriction is the deep block itself
+and its homology is taken once, for both depths.
 
 One driver, ``_assemble``, lists the basis keys (algebra part, wedge
 legs, module slot) of each degree and builds the boundaries of every
@@ -338,10 +340,14 @@ def _restrict(key, cols: Sequence[Mapping], blk: ChainBlock,
 
     ``cols[d]`` maps the basis keys (algebra part, legs, slot) of degree d
     to their indices; the kept keys are those whose algebra part has
-    degree at most cut - d.  Because the truncation is a subcomplex, no
-    kept column may have an entry in a dropped row; one that does raises
-    StructureError naming the block and the degree.
+    degree at most cut - d.  A cut that keeps every key returns ``blk``
+    itself, so the caller can tell that the two depths share one complex.
+    Because the truncation is a subcomplex, no kept column may have an
+    entry in a dropped row; one that does raises StructureError naming
+    the block and the degree.
     """
+    if all(sum(mono) <= cut - d for d, cd in enumerate(cols) for mono, _, _ in cd):
+        return blk
     index = [{i: j for j, i in enumerate(i for (mono, _, _), i in cd.items()
                                          if sum(mono) <= cut - d)}
              for d, cd in enumerate(cols)]
@@ -475,7 +481,8 @@ def build_standard_complex(pair: PairData, v: HModule,
     for key, (cols, big) in deep.items():
         blk = _restrict(key, cols, big, cuts[key])
         for d, hd in enumerate(hom):
-            h, h_big = blk.homology(d), big.homology(d)
+            h = blk.homology(d)
+            h_big = h if blk is big else big.homology(d)
             if h != h_big:
                 raise WindowTooSmall(
                     f"block {key}, degree {d}: homology {h} at depth {cuts[key]} but "

@@ -19,6 +19,9 @@ the row index behind ``row``, which lists a row's nonzero entries.
 ``rref`` back-substitutes the same rows, still in integers, from the
 last pivot to the first, then divides each row by its pivot, once;
 ``kernel_basis``, ``solve`` and ``inverse`` read their answers off it.
+A zero map costs nothing: a product with a factor that has no entries
+is the zero matrix of its shape at once, and a matrix with no entries
+has rank 0 with no elimination.
 """
 from __future__ import annotations
 
@@ -168,6 +171,8 @@ class SparseMatrix:
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul")
+        if not (self._data and other._data):
+            return SparseMatrix(self.rows, other.cols)
         by_row: dict[int, list[tuple[int, int | Fraction]]] = {}
         for (r, c), v in other._data.items():
             by_row.setdefault(r, []).append((c, v))
@@ -248,7 +253,7 @@ def _echelon(m: SparseMatrix) -> dict[int, dict[int, int]]:
 def rank(m: SparseMatrix) -> int:
     """Rank over the rationals, computed once and kept on the matrix."""
     if m._rank is None:
-        m._rank = len(_echelon(m))
+        m._rank = len(_echelon(m)) if m._data else 0
     return m._rank
 
 

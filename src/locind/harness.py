@@ -260,11 +260,15 @@ def _check_associativity() -> Report:
         blocks = [(0,) * pair.k.rank, (2,) + (0,) * (pair.k.rank - 1),
                   (-2,) + (0,) * (pair.k.rank - 1)]
         elts = [RgKElt.block(pair, n, u) for n in blocks for u in gens]
+        # each inner product x.y and y.z is formed once, for all its triples
+        zs = elts[::2]
+        yz = [[rgk_mul(y, z) for z in zs] for y in elts]
         for x in elts[:6]:
-            for y in elts:
-                for z in elts[::2]:
-                    lhs = rgk_mul(rgk_mul(x, y), z)
-                    rhs = rgk_mul(x, rgk_mul(y, z))
+            for y, y_zs in zip(elts, yz):
+                x_y = rgk_mul(x, y)
+                for z, y_z in zip(zs, y_zs):
+                    lhs = rgk_mul(x_y, z)
+                    rhs = rgk_mul(x, y_z)
                     tried += 1
                     if lhs != rhs:
                         return _report("hecke-associativity", False,

@@ -98,6 +98,20 @@ def test_restriction_refuses_a_non_subcomplex():
     assert _restrict((3,), cols, blk, 0).dims == (0, 0)
 
 
+def test_restriction_that_keeps_every_key_is_the_block_itself(pa):
+    w = tensor_onedim(one_dim_module(pa, (-4, 0)), lambda_top(pa))
+    n = (2,)
+    gap = w.weight_gap(n)
+    cols, big = _torus_blocks(pa, w, {n: gap + 1})[n]
+    assert _restrict(n, cols, big, gap) is big
+    # one deeper than a margin of 5 adds keys, and the cut drops them
+    cols, big = _torus_blocks(pa, w, {n: gap + 6})[n]
+    small = _restrict(n, cols, big, gap + 5)
+    assert small is not big
+    assert all(a <= b for a, b in zip(small.dims, big.dims))
+    assert sum(small.dims) < sum(big.dims)
+
+
 # ---------------------------------------------------------------------------
 # truncation: one build at depth+1, a depth per weight block
 
@@ -405,6 +419,43 @@ def test_homology_runs_only_at_nonzero_terms(pa, pc, monkeypatch):
     assert 0 < len(calls) <= (nonzero_terms(cx.blocks.values())
                               + nonzero_terms(blk for _, blk in deep.values()))
     assert all(calls)
+
+
+@pytest.mark.parametrize("fam, values, win", [
+    ("A", (-4, 0), WIN),
+    ("D", (-2, 0, -3, 0), Window.box((-4, -4), (4, 4))),
+])
+def test_a_block_the_cut_keeps_whole_is_eliminated_once(fam, values, win, monkeypatch):
+    pair = pair_by_name(fam)
+    calls = []
+    real = cohind.homology_dim
+
+    def spy(d_out, d_in):
+        calls.append(d_out.cols)
+        return real(d_out, d_in)
+
+    monkeypatch.setattr(cohind, "homology_dim", spy)
+    cx = build_standard_complex(pair, one_dim_module(pair, values), win)
+    terms = sum(1 for blk in cx.blocks.values() for n in blk.dims if n)
+    assert 0 < len(calls) <= terms
+
+
+def test_a_margin_build_still_restricts(pa, monkeypatch):
+    seen = []
+    real = cohind._restrict
+
+    def spy(key, cols, blk, cut):
+        out = real(key, cols, blk, cut)
+        seen.append((out is blk, out.dims == blk.dims))
+        return out
+
+    monkeypatch.setattr(cohind, "_restrict", spy)
+    v = one_dim_module(pa, (-5, 0))
+    build_standard_complex(pa, v, WIN)
+    assert seen and all(same for same, _ in seen)
+    seen.clear()
+    build_standard_complex(pa, v, WIN, margin=5)
+    assert seen and not any(same or dims for same, dims in seen)
 
 
 def test_full_sl2_matches_oracle(pc):

@@ -230,6 +230,24 @@ def test_rank_is_kept_on_the_matrix(monkeypatch):
         rank(SparseMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]]))
 
 
+def test_an_empty_factor_or_matrix_costs_no_elimination(monkeypatch):
+    def boom(*_):
+        raise AssertionError("eliminated a matrix with no entries")
+
+    monkeypatch.setattr("locind.exactla._echelon", boom)
+    a = SparseMatrix.from_rows([[1, 2], [0, 3], [4, 0]])
+    for left, right in ((SparseMatrix.zero(4, 3), a), (a, SparseMatrix.zero(2, 5)),
+                        (SparseMatrix.zero(0, 3), a), (a, SparseMatrix.zero(2, 0))):
+        prod = left.mul(right)
+        assert (prod.rows, prod.cols) == (left.rows, right.cols)
+        assert prod.is_zero() and list(prod.entries()) == []
+    with pytest.raises(ValueError, match="shape"):
+        SparseMatrix.zero(2, 3).mul(SparseMatrix.zero(4, 1))
+    for rows, cols in ((0, 0), (3, 0), (0, 3), (3, 4)):
+        assert rank(SparseMatrix.zero(rows, cols)) == 0
+    assert homology_dim(SparseMatrix.zero(2, 3), SparseMatrix.zero(3, 4)) == 3
+
+
 def _rows_by_probe(m):
     return [[(c, m.entry(r, c)) for c in range(m.cols) if m.entry(r, c) != 0]
             for r in range(m.rows)]

@@ -249,6 +249,30 @@ def test_selftest_all_green():
     assert "Jacobi" in by_name["negative-jacobi"].note
 
 
+def test_associativity_check_reports_a_non_associative_triple(monkeypatch):
+    real, calls = harness.rgk_mul, []
+
+    def counted(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(harness, "rgk_mul", counted)
+    assert harness._check_associativity().note == "864 triples"
+    # two outer products per triple; each inner x.y and y.z formed once
+    last = len(calls)
+    assert last == 2 * 864 + 2 * 144
+    calls.clear()
+
+    def skewed(a, b):
+        # the last product is x.(y.z) of the last triple: only it is off
+        out = counted(a, b)
+        return out.add(a) if len(calls) == last else out
+
+    monkeypatch.setattr(harness, "rgk_mul", skewed)
+    rep = harness._check_associativity()
+    assert rep.verdict == "mismatch" and rep.note == "triple #864"
+
+
 def test_boundary_squares_check_compares_inner_boundaries(monkeypatch):
     # 1 -> 1 -> 1 with both maps the identity: d1 . d2 = 1, not 0
     one = SparseMatrix.identity(1)
