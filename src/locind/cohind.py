@@ -48,7 +48,16 @@ is left out: it is not assembled where the model can tell in advance
 (the torus model lists its blocks from the weights of the monomials it
 keeps, so its cost follows them, not the window), and not kept where
 only the restriction to depth shows it.  A left-out key has homology 0
-in every degree, as a Character reads a missing key.
+in every degree, as a Character reads a missing key.  The torus and
+parity models yield their blocks one at a time, and the build restricts
+and compares each before the next is assembled.
+
+Two things stay on the pair across builds, since neither depends on
+the module: the product of a monomial with a wedge leg, and the torus
+model's monomial listing, per weight the degree it was listed to and
+its monomials.  A twist sweep reads mostly the same weights, so a build
+lists only the weights it reads deeper than any earlier one.  The
+oracle keeps its own listing.
 
 ``derived_p`` is the homology of this complex after the coefficient
 module is twisted by the top exterior power of the quotient;
@@ -62,7 +71,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import add, sub
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exactla import ONE, ZERO, SparseMatrix, homology_dim
 from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
@@ -246,22 +256,30 @@ def _assemble(wedge: _WedgeData, parts: Callable, rmul: Callable,
     return cols, ChainBlock(tuple(len(c) for c in cols), bnds)
 
 
-def _torus_blocks(pair: PairData, mod: HModule,
-                  depths: Mapping[Weight, int],
-                  ) -> dict[Weight, tuple[list[dict], ChainBlock]]:
+# a weight no build has listed: below every degree, with no monomial
+_UNLISTED: tuple[int, tuple[Mono, ...]] = (-1, ())
+
+
+def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
+                  ) -> Iterator[tuple[Weight, tuple[list[dict], ChainBlock]]]:
     """Weight-block complexes, block n truncated at PBW depth depths[n].
 
-    Returns each block with its basis keys per degree, for ``_restrict``,
-    in the order of ``depths``.  Only the monomials some block reads are
-    listed: for each grade (``_grades``) and the least degree d it comes
-    in, block n reads the weight n - grade up to degree depth - d, and no
-    per-block table is kept.  The live blocks are listed from the keys of
-    those buckets, each key plus each grade; a block none of whose
-    weights has a monomial is left out and not assembled.  The product
-    of a monomial with a wedge leg does not depend on the block or the
-    module, so it is straightened once per (monomial, leg) and kept on
-    the pair, whose legs the index names; only the evaluation of its
-    Cartan letters is per block.
+    Yields each live block with its basis keys per degree, for
+    ``_restrict``, in the order of ``depths``.  Only the monomials some
+    block reads are listed: for each grade (``_grades``) and the least
+    degree d it comes in, block n reads the weight n - grade up to degree
+    depth - d, and no per-block table is kept.  The listings stay on the
+    pair across builds, in ``_torus_monos``: per weight, the degree it
+    was listed to and its monomials as a tuple, lexicographic, so that a
+    shallower read filters them by degree in the listed order.  A build
+    calls ``monos_by_weight`` only for the weights it reads deeper than
+    any earlier build did.  Block n is live iff some weight n - grade has
+    a monomial of the degree this build reads there; a block with none
+    is left out and not assembled.  The product of a monomial with a
+    wedge leg does not depend on the block or the module, so it is
+    straightened once per (monomial, leg) and kept on the pair, whose
+    legs the index names; only the evaluation of its Cartan letters is
+    per block.
     """
     cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
     wedge = _wedge_data(pair, mod)
@@ -269,6 +287,8 @@ def _torus_blocks(pair: PairData, mod: HModule,
     grades = _grades(pair, mod, wedge.subsets)
     prods: dict[tuple[Mono, int], Mapping[Mono, Fraction]] = \
         pair.__dict__.setdefault("_leg_products", {})
+    listed: dict[Weight, tuple[int, tuple[Mono, ...]]] = \
+        pair.__dict__.setdefault("_torus_monos", {})
 
     # each grade of a (legs, slot) key, with the least degree it comes in;
     # block n reads the weight n - grade there up to degree depth - d
@@ -280,17 +300,24 @@ def _torus_blocks(pair: PairData, mod: HModule,
     wants: dict[Weight, int] = {}
     for g, d in least.items():
         for n, cut in depths.items():
-            need = tuple(a - b for a, b in zip(n, g))
+            need = tuple(map(sub, n, g))
             if wants.get(need, -1) < cut - d:
                 wants[need] = cut - d
-    buckets = monos_by_weight([i for i, c in enumerate(cartan_of) if c is None],
-                              adj, wants)
-    live = {tuple(a + b for a, b in zip(need, g)) for g in least for need in buckets}
+    deeper = {need: c for need, c in wants.items()
+              if c > listed.get(need, _UNLISTED)[0]}
+    if deeper:
+        found = monos_by_weight([i for i, c in enumerate(cartan_of) if c is None],
+                                adj, deeper)
+        for need, c in deeper.items():
+            listed[need] = (c, tuple(found.get(need, ())))
+    hits = [need for need, c in wants.items()
+            if any(sum(mono) <= c for mono in listed.get(need, _UNLISTED)[1])]
+    live = {tuple(map(add, need, g)) for g in least for need in hits}
 
     def parts(n: Weight, cut: int, d: int,
               legs: tuple[int, ...]) -> Iterable[tuple[Mono, int]]:
         for t, g in grades[legs]:
-            for mono in buckets.get(tuple(a - b for a, b in zip(n, g)), ()):
+            for mono in listed.get(tuple(map(sub, n, g)), _UNLISTED)[1]:
                 if sum(mono) <= cut - d:
                     yield mono, t
 
@@ -301,12 +328,13 @@ def _torus_blocks(pair: PairData, mod: HModule,
             prods[(mono, leg)] = terms
         return reduce_block(cartan_of, adj, n, terms).items()
 
-    return {n: _assemble(wedge, partial(parts, n, cut), partial(rmul, n))
-            for n, cut in depths.items() if n in live}
+    for n, cut in depths.items():
+        if n in live:
+            yield n, _assemble(wedge, partial(parts, n, cut), partial(rmul, n))
 
 
 def _open_blocks(pair: PairData, mod: HModule,
-                 cut: int) -> dict[int, tuple[list[dict], ChainBlock]]:
+                 cut: int) -> Iterator[tuple[int, tuple[list[dict], ChainBlock]]]:
     """Parity-class complexes for the two-point stabilizer.
 
     Here g = k + h, so by PBW U(g) = U(k) (x) U(h), and a block evaluates
@@ -314,7 +342,7 @@ def _open_blocks(pair: PairData, mod: HModule,
     on the basis of h, and one complex per parity class serves every
     weight block of that class.  The nontrivial stabilizer component is
     central, hence acts trivially on the wedge legs, and the parity
-    bookkeeping reduces to the module slots alone.  Each class comes
+    bookkeeping reduces to the module slots alone.  Yields each class
     with its basis keys per degree, for ``_restrict``.
     """
     halg = pair.halg
@@ -329,9 +357,10 @@ def _open_blocks(pair: PairData, mod: HModule,
               legs: tuple[int, ...]) -> list[tuple[Mono, int]]:
         return [(mono, t) for mono in monos if sum(mono) <= cut - d for t in ts]
 
-    slots = {p: [t for t in range(mod.dim) if mod.parity[t] == p] for p in (0, 1)}
-    return {p: _assemble(wedge, partial(parts, ts), rmul)
-            for p, ts in slots.items() if ts}
+    for p in (0, 1):
+        ts = [t for t in range(mod.dim) if mod.parity[t] == p]
+        if ts:
+            yield p, _assemble(wedge, partial(parts, ts), rmul)
 
 
 def _restrict(key, cols: Sequence[Mapping], blk: ChainBlock,
@@ -478,7 +507,7 @@ def build_standard_complex(pair: PairData, v: HModule,
                              parity=live.pop() if len(live) == 1 else None)
     blocks: dict = {}
     hom: list[dict] = [{} for _ in range(top + 1)]     # per degree, per key
-    for key, (cols, big) in deep.items():
+    for key, (cols, big) in deep:
         blk = _restrict(key, cols, big, cuts[key])
         for d, hd in enumerate(hom):
             h = blk.homology(d)

@@ -16,9 +16,11 @@ On top of that sit the orbit direct images used for the comparison.
 Three of them are spans of powers coordinate**a, one per torus weight,
 on which the chart operators act through one helper, ``_power_module``.
 It indexes each power by its doubled exponent 2a, an int even where a is
-half-integral.  Each operator sends a power to a multiple of one other
-power, so such a model is a ``PowerModule``: its weights and one scalar
-per weight and operator.  The three are:
+half-integral, and applies each operator through one integer polynomial
+in 2a per exponent shift (``ChartOp.shift_polys``), built once per
+operator and evaluated per weight.  Each operator sends a power to a
+multiple of one other power, so such a model is a ``PowerModule``: its
+weights and one scalar per weight and operator.  The three are:
 
 * the Laurent module of sections on the open torus orbit (every a in
   one coset of the integers, with its two-point parity bookkeeping);
@@ -38,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .exactla import ONE, ZERO, SparseMatrix, rank, scalar, solve
@@ -46,7 +48,7 @@ from .gkmod import Character, HModule, Window, sl2_types_from_weights
 from .liealg import LieAlg, StructureError, sl2
 
 __all__ = [
-    "ChartOp", "vector_field", "twisted_rep", "PowerModule",
+    "ChartOp", "power_scalar", "vector_field", "twisted_rep", "PowerModule",
     "delta_module", "laurent_module", "cech_cohomology_On",
     "JetModule", "jet_associated_module", "jet_conformance",
 ]
@@ -118,24 +120,36 @@ class ChartOp:
         if self.chart != other.chart:
             raise ValueError("operators live on different charts")
 
-    def apply_exp2(self, a2: int) -> dict[int, int | Fraction]:
-        """Apply to the formal power coordinate**(a2/2), as {a2 of the image:
-        coefficient}.
+    def shift_polys(self) -> dict[int, tuple[tuple[int, ...], int]]:
+        """The operator on the formal powers coordinate**(a2/2), one
+        polynomial per doubled shift.
 
+        A term c coordinate^j d^k sends the power of doubled exponent a2 to
+        c a2(a2 - 2)...(a2 - 2k + 2) / 2^k times the power of doubled
+        exponent a2 + 2(j - k).  Summed per shift s2 = 2(j - k), that is
+        P(a2) / den: ``shift_polys()[s2]`` is (P's integer coefficients,
+        highest degree first, den), with den a power of 2 times the lcm of
+        the coefficients' denominators, and ``power_scalar`` evaluates it.
         Exponents go in and come out doubled, so a half-integral power (a
         Laurent section of the square-root twist) is an int like any other.
         """
-        den = 1 << max((k + 1 for k, _ in self.terms), default=0)
-        out: dict[int, int | Fraction] = {}
+        by_shift: dict[int, list[tuple[int, int | Fraction]]] = {}
         for (k, j), c in self.terms.items():
-            fall = den >> k     # ends as den times a(a - 1)...(a - k + 1), an int
-            for i in range(k):
-                fall *= a2 - 2 * i
-            if fall != 0:
-                key = a2 + 2 * (j - k)
-                out[key] = out.get(key, ZERO) + c * fall
-        return {e: c // den if c % den == 0 else Fraction(c, den)
-                for e, c in out.items() if c != 0}
+            by_shift.setdefault(2 * (j - k), []).append((k, c))
+        out = {}
+        for s2, terms in by_shift.items():
+            top = max(k for k, _ in terms)
+            lcd = lcm(*(c.denominator for _, c in terms))
+            poly = [0] * (top + 1)      # constant coefficient first
+            for k, c in terms:
+                # c lcd 2^(top - k) times the product of (a2 - 2i) over i < k
+                fall = [int(c * lcd) << (top - k)]
+                for i in range(k):
+                    fall = [a - 2 * i * b for a, b in zip([0, *fall], [*fall, 0])]
+                for m, a in enumerate(fall):
+                    poly[m] += a
+            out[s2] = (tuple(reversed(poly)), lcd << top)
+        return out
 
     def __repr__(self) -> str:
         by_order: dict[int, list[str]] = {}
@@ -277,6 +291,16 @@ def twisted_rep(lambda0: int, chart: str = "z") -> dict[str, ChartOp]:
     return rho
 
 
+def power_scalar(poly: tuple[tuple[int, ...], int], a2: int) -> int | Fraction:
+    """P(a2) / den for one shift's (P, den) of ``ChartOp.shift_polys``:
+    an int where it is integral, a Fraction otherwise."""
+    coeffs, den = poly
+    v = 0
+    for c in coeffs:
+        v = v * a2 + c
+    return v // den if v % den == 0 else Fraction(v, den)
+
+
 @dataclass(frozen=True)
 class PowerModule:
     """Span of one power coordinate**a per weight, with named operators.
@@ -309,33 +333,39 @@ def _power_module(lambda0: int, chart: str, weights,
     quotient by regular functions, top = p the quotient by coordinate**p
     and no top the Laurent sections; images leaving the weights given fall
     outside the window.  The Cartan element must act on each power by its
-    weight, which is checked.  A term that lands on the power of another
-    weight than the target means the operator is not weight-homogeneous.
+    weight, which is checked on the same values that give h's scalars.
+    A term that lands on the power of another weight than the target
+    means the operator is not weight-homogeneous.
     """
     rho = twisted_rep(lambda0, chart)
     sign = 1 if chart == "z" else -1
     exps = {wt: lambda0 - sign * wt for wt in weights}
     if top is not None:
         exps = {wt: a2 for wt, a2 in exps.items() if a2 < 2 * top}
+
+    def images(op: ChartOp) -> dict[int, dict[int, int | Fraction]]:
+        # per weight, the nonzero image scalars by doubled exponent
+        polys = op.shift_polys().items()
+        return {wt: {a2 + s2: v for s2, poly in polys if (v := power_scalar(poly, a2))}
+                for wt, a2 in exps.items()}
+
+    on_h = images(rho["h"])
     for wt, a2 in exps.items():
-        if rho["h"].apply_exp2(a2) != ({a2: wt} if wt else {}):
+        if on_h[wt] != ({a2: wt} if wt else {}):
             raise ArithmeticError("Cartan action disagrees with the exponent")
     chart_ops = {**rho, "z": ChartOp.mult((ZERO, ONE), chart)}
     shifts = {"e": 2, "h": 0, "f": -2, "z": -2 * sign}
     ops: dict[str, tuple[int, dict[int, int | Fraction]]] = {}
     for name, op in chart_ops.items():
         scalars = {}
-        for wt, a2 in exps.items():
-            entry = ZERO
-            for b2, v in op.apply_exp2(a2).items():
+        for wt, image in (on_h if name == "h" else images(op)).items():
+            for b2, v in image.items():
                 hit = sign * (lambda0 - b2)
                 if hit not in exps:
                     continue
                 if hit != wt + shifts[name]:
                     raise ArithmeticError(f"operator {name!r} is not weight-homogeneous")
-                entry += v
-            if entry != 0:
-                scalars[wt] = entry
+                scalars[wt] = v
         ops[name] = (shifts[name], scalars)
     return PowerModule(tuple(exps), ops, parity)
 
@@ -503,6 +533,11 @@ def jet_conformance(jm: JetModule) -> dict[str, bool]:
     4. the compact generator acts exactly by the recorded grading;
     5. at level one the fiber map is an isomorphism intertwining the
        isotropy (and component) actions.
+
+    The open orbit has no normal direction, hence no normal grading and
+    no slot weights, so conditions 2-4 say nothing there: its flags are
+    1 (every truncation is the fiber, with zero normal multiplication)
+    and 5 (with the parity) alone.
     """
     out: dict[str, bool] = {}
     if jm.slot_weights is None:
@@ -510,9 +545,6 @@ def jet_conformance(jm: JetModule) -> dict[str, bool]:
         fib = all(jm.ops[lab] == jm.fiber.action[i]
                   for i, lab in enumerate(jm.fiber.halg.labels))
         out["quotient_equivariant"] = ident and jm.mult.is_zero()
-        out["graded_free"] = True
-        out["action_equivariant"] = True
-        out["compact_compatible"] = True
         out["fiber_isomorphism"] = fib and jm.parity == jm.fiber.parity
         return out
     p, dv = jm.level, jm.fiber.dim

@@ -237,8 +237,9 @@ def monos_by_weight(free: Sequence[int], adj: Sequence[tuple[int, ...]],
     at most wants[w], lexicographic in the exponents of the letters in
     the order given.  The letters are placed one at a time, and a prefix
     is extended only where the suffix caps (``_suffix_cap``) say some
-    completion is kept, so the cost follows the monomials kept, not all
-    those up to the largest wanted degree.
+    completion is kept.  The caps are filled along rays inside the box of
+    the wanted weights, widened by the letters' reach, so the cost
+    follows that box, not the monomials kept.
     """
     kept = {w: c for w, c in wants.items() if c >= 0}
     if not kept:

@@ -16,7 +16,7 @@ from locind.exactla import ONE, CompositionNonzero, SparseMatrix
 from locind.gkmod import (Character, HModule, Window, WindowTooSmall,
                           dual_module, lambda_top, one_dim_module,
                           tensor_onedim)
-from locind.harness import default_cases, run_case
+from locind.harness import VerificationCase, default_cases, run_case
 from locind.hecke import p_deg0_oracle
 from locind.liealg import (StructureError, Subalg, UnsupportedK, pair_by_name,
                            product_pair, vec_add, vec_scale)
@@ -102,10 +102,10 @@ def test_restriction_that_keeps_every_key_is_the_block_itself(pa):
     w = tensor_onedim(one_dim_module(pa, (-4, 0)), lambda_top(pa))
     n = (2,)
     gap = w.weight_gap(n)
-    cols, big = _torus_blocks(pa, w, {n: gap + 1})[n]
+    cols, big = dict(_torus_blocks(pa, w, {n: gap + 1}))[n]
     assert _restrict(n, cols, big, gap) is big
     # one deeper than a margin of 5 adds keys, and the cut drops them
-    cols, big = _torus_blocks(pa, w, {n: gap + 6})[n]
+    cols, big = dict(_torus_blocks(pa, w, {n: gap + 6}))[n]
     small = _restrict(n, cols, big, gap + 5)
     assert small is not big
     assert all(a <= b for a, b in zip(small.dims, big.dims))
@@ -130,10 +130,10 @@ def test_restricted_blocks_match_direct_builds(fam, values, win, keys):
     cx = build_standard_complex(pair, v, win)
     for n in keys:
         if fam == "B":      # one parity class serves the whole window
-            direct = _open_blocks(pair, w, cx.cut).get(n)
+            direct = dict(_open_blocks(pair, w, cx.cut)).get(n)
         else:
             cut = build_standard_complex(pair, v, Window.box(n, n)).cut
-            direct = _torus_blocks(pair, w, {n: cut}).get(n)
+            direct = dict(_torus_blocks(pair, w, {n: cut})).get(n)
         # a block with no basis is left out by both
         assert (n in cx.blocks) == (direct is not None)
         if direct is None:
@@ -204,6 +204,73 @@ def test_leg_products_stay_with_their_pair(pd):
     want = build_standard_complex(fresh, one_dim_module(fresh, values), D_WIN)
     assert got.characters == want.characters
     assert not want.homology_character(0).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# monomial listings kept on the pair
+
+LISTING_CASES = [("A", -5, Window.segment(-16, 16)), ("A", 3, Window.segment(-16, 16)),
+                 ("D", (-2, -3), D_WIN), ("D", (-4, -2), D_WIN)]
+
+
+def _module(pair, fam, lam):
+    return one_dim_module(pair, (lam[0], 0, lam[1], 0) if fam == "D" else (lam, 0))
+
+
+def _listing_run(fam, lam, win):
+    """One case on the shared pair: its report bytes, its blocks, and per
+    block one deeper its basis keys per degree, in order, and boundaries."""
+    report = run_case(VerificationCase(fam, lam, window=win)).to_json_bytes()
+    pair = pair_by_name(fam)
+    v = _module(pair, fam, lam)
+    w = tensor_onedim(v, lambda_top(pair))
+    deep = _torus_blocks(pair, w, {n: w.weight_gap(n) + 1 for n in win.points()})
+    keys = {n: ([list(cd.items()) for cd in cols], blk.boundaries)
+            for n, (cols, blk) in deep}
+    return report, build_standard_complex(pair, v, win).blocks, keys
+
+
+def test_kept_listings_leak_no_state_between_cases():
+    def forget():
+        for fam in ("A", "D"):
+            pair_by_name(fam).__dict__.pop("_torus_monos", None)
+
+    cold = []
+    for case in LISTING_CASES:
+        forget()
+        cold.append(_listing_run(*case))
+    forget()
+    assert [_listing_run(*case) for case in LISTING_CASES] == cold
+    # a margin build lists deeper than any case, and the cases read that
+    for fam, lam, win in LISTING_CASES[::2]:
+        pair = pair_by_name(fam)
+        listed = pair.__dict__["_torus_monos"]
+        before = max(c for c, _ in listed.values())
+        build_standard_complex(pair, _module(pair, fam, lam), win, margin=5)
+        assert max(c for c, _ in listed.values()) > before
+    assert [_listing_run(*case) for case in reversed(LISTING_CASES)] == cold[::-1]
+
+
+def test_a_shallow_read_of_a_deep_listing_keeps_the_live_blocks(pa):
+    # block 12 has a basis at its proved depth, and none at depth 0; after
+    # a listing that deep, a read at depth 0 must still leave it out
+    w = tensor_onedim(one_dim_module(pa, (-4, 0)), lambda_top(pa))
+    n = (12,)
+    assert dict(_torus_blocks(pa, w, {n: w.weight_gap(n) + 1}))
+    assert dict(_torus_blocks(pa, w, {n: 0})) == {}
+
+
+def test_the_oracle_keeps_off_the_kept_listings():
+    class Tripwire:
+        def __getattribute__(self, name):
+            raise AssertionError(f"the oracle used the torus listings ({name})")
+
+    for fam, lam, win in LISTING_CASES[::2]:
+        pair = replace(pair_by_name(fam))
+        trip = pair.__dict__["_torus_monos"] = Tripwire()
+        w = tensor_onedim(_module(pair, fam, lam), lambda_top(pair))
+        assert not p_deg0_oracle(pair, w, win).is_zero()
+        assert pair.__dict__["_torus_monos"] is trip
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +444,7 @@ def test_torus_blocks_are_exactly_the_live_blocks(fam, values, win):
     live = [n for n in win.points()
             if any(low.get(tuple(a - b for a, b in zip(n, g)), depths[n] + 1) <= depths[n] - d
                    for d, g in grades)]
-    blocks = _torus_blocks(pair, w, depths)
+    blocks = dict(_torus_blocks(pair, w, depths))
     assert list(blocks) == live
     assert all(any(blk.dims) for _, blk in blocks.values())
     assert 0 < len(live) < len(depths)
@@ -415,7 +482,7 @@ def test_homology_runs_only_at_nonzero_terms(pa, pc, monkeypatch):
     v = one_dim_module(pa, (-4, 0))
     cx = build_standard_complex(pa, v, WIN)
     w = tensor_onedim(v, lambda_top(pa))
-    deep = _torus_blocks(pa, w, {n: w.weight_gap(n) + 1 for n in WIN.points()})
+    deep = dict(_torus_blocks(pa, w, {n: w.weight_gap(n) + 1 for n in WIN.points()}))
     assert 0 < len(calls) <= (nonzero_terms(cx.blocks.values())
                               + nonzero_terms(blk for _, blk in deep.values()))
     assert all(calls)

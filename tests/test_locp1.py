@@ -37,20 +37,39 @@ def test_chartop_commutation():
     assert d.mul(d).mul(z.mul(z)).terms == {(2, 2): 1, (1, 1): 4, (0, 0): 2}
 
 
+def _on_power(op, a2):
+    """{doubled exponent of the image: coefficient} of op on the power of
+    doubled exponent a2, through its per-shift polynomials."""
+    return {a2 + s2: v for s2, poly in op.shift_polys().items()
+            if (v := locp1.power_scalar(poly, a2))}
+
+
 def test_chartop_apply_exp():
     # exponents go in and come out doubled: z^3 is 6, z^(1/2) is 1
     d = ChartOp("z", {(1, 0): ONE})
-    assert d.apply_exp2(6) == {4: 3}
-    assert d.apply_exp2(1) == {-1: Fraction(1, 2)}
+    assert _on_power(d, 6) == {4: 3}
+    assert _on_power(d, 1) == {-1: Fraction(1, 2)}
     z = ChartOp.mult((ZERO, ONE), "z")
-    assert z.apply_exp2(-2) == {0: ONE}
+    assert _on_power(z, -2) == {0: ONE}
     # second order: d^2 z^(-1/2) = 3/4 z^(-5/2), and d^2 z^(3/2) = 3/4 z^(-1/2)
     d2 = ChartOp("z", {(2, 0): ONE})
-    assert d2.apply_exp2(-1) == {-5: Fraction(3, 4)}
-    assert d2.apply_exp2(3) == {-1: Fraction(3, 4)}
-    assert d2.apply_exp2(2) == {} and d2.apply_exp2(0) == {}
-    for out in (d.apply_exp2(6), z.apply_exp2(-2), d2.apply_exp2(4)):
+    assert _on_power(d2, -1) == {-5: Fraction(3, 4)}
+    assert _on_power(d2, 3) == {-1: Fraction(3, 4)}
+    assert _on_power(d2, 2) == {} and _on_power(d2, 0) == {}
+    for out in (_on_power(d, 6), _on_power(z, -2), _on_power(d2, 4)):
         assert all(type(e) is int and type(c) is int for e, c in out.items())
+
+
+def test_shift_polynomials_are_integral_over_one_denominator():
+    # h on the z chart at lambda0 = 3 is 3 - 2 z d: one shift, (6 - 2 a2)/2
+    h = twisted_rep(3, "z")["h"]
+    assert h.shift_polys() == {0: ((-2, 6), 2)}
+    # 1/3 z d^2 - 1/2 d: shift -2, (2 a2^2 - 10 a2)/24, with 24 = 2^2 lcm(3, 2)
+    op = ChartOp("z", {(2, 1): Fraction(1, 3), (1, 0): Fraction(-1, 2)})
+    assert op.shift_polys() == {-2: ((2, -10, 0), 24)}
+    assert _on_power(op, 7) == {5: Fraction(7, 6)}
+    assert all(type(c) is int for poly, den in op.shift_polys().values()
+               for c in (*poly, den))
 
 
 def test_chartop_chart_mismatch():
@@ -165,6 +184,27 @@ def test_delta_module_mirror_chart():
     mw = delta_module(lam, win, chart="w")
     # the opposite chart supports the weight-negated ladder
     assert mw.weights == tuple(range(-30, -lam - 1, 2))
+
+
+@pytest.mark.parametrize("name, message", [
+    ("e", "operator 'e' is not weight-homogeneous"),
+    ("h", "Cartan action disagrees with the exponent"),
+])
+def test_power_module_guards(monkeypatch, name, message):
+    # a constant term added to e keeps each power's exponent, off e's
+    # shift; added to h, it acts on each power by its weight plus one
+    real = locp1.twisted_rep
+
+    def skewed(lambda0, chart="z"):
+        rho = real(lambda0, chart)
+        return {**rho, name: rho[name].add(ChartOp.mult((ONE,), chart))}
+
+    monkeypatch.setattr(locp1, "twisted_rep", skewed)
+    win = Window.segment(-12, 12)
+    for build in (lambda: delta_module(-4, win), lambda: laurent_module(-4, 0, win),
+                  lambda: laurent_module(3, 0, win, chart="w")):
+        with pytest.raises(ArithmeticError, match=message):
+            build()
 
 
 def test_delta_module_twist_far_below_the_window():
@@ -303,6 +343,13 @@ def test_jets_open_orbit_degenerate():
         assert all(jet_conformance(jm).values())
         assert jm.mult.is_zero() and jm.mult.rows == 1
         assert jm.truncate(1) is jm
+
+
+def test_open_orbit_jets_report_no_normal_grading():
+    # no normal direction: only the quotient and fiber conditions apply
+    jm = jet_associated_module(one_dim_module(pair_by_name("B"), (1, 1), parity=0), 2)
+    assert jet_conformance(jm) == {"quotient_equivariant": True,
+                                   "fiber_isomorphism": True}
 
 
 def test_jets_reject_bad_fiber():

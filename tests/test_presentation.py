@@ -79,7 +79,7 @@ def test_a_leg_past_e_reads_the_block_weight():
     # at the matrix sees this value.
     q = represent(pair_by_name("A"), (2, 1, 0), (1, 1, 1))
     w = tensor_onedim(one_dim_module(q, (-4, 0)), lambda_top(q))
-    ((cols, blk),) = _torus_blocks(q, w, {(-2,): 3}).values()
+    ((cols, blk),) = dict(_torus_blocks(q, w, {(-2,): 3})).values()
     assert cols == [{((0, 0, 0), (), 0): 0, ((1, 0, 1), (), 0): 1},
                     {((0, 0, 1), (0,), 0): 0}]
     assert blk.dims == (2, 1)
