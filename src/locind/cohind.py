@@ -42,22 +42,27 @@ block.  Each of the three models gives it only two closures: the
 (part, slot) pairs that go with given legs in a degree, and the product
 of a part with a leg, reduced in the block.  The torus and type models
 grade each (legs, slot) key once per build, in one table ``_grades``.
-Torus tables and sl2 irreducibles come from liealg, nothing from the
-oracle or locp1.  Most blocks have no basis in any degree.  Such a block
-is left out: it is not assembled where the model can tell in advance
-(the torus model lists its blocks from the weights of the monomials it
-keeps, so its cost follows them, not the window), and not kept where
-only the restriction to depth shows it.  A left-out key has homology 0
-in every degree, as a Character reads a missing key.  The torus and
-parity models yield their blocks one at a time, and the build restricts
-and compares each before the next is assembled.
+Torus tables, root pairs and sl2 irreducibles come from liealg,
+nothing from the oracle or locp1.  Most blocks have no basis in any
+degree.  Such a block is left out: it is not assembled where the model
+can tell in advance (the torus model compares its depth with the least
+degree of the weights it would read, ``pbw.root_degree``, a closed
+form), and not kept where only the restriction to depth shows it.  A
+left-out key has homology 0 in every degree, as a Character reads a
+missing key.  The torus and parity models yield their blocks one at a
+time, and the build restricts and compares each before the next is
+assembled.
 
-Two things stay on the pair across builds, since neither depends on
-the module: the product of a monomial with a wedge leg, and the torus
-model's monomial listing, per weight the degree it was listed to and
-its monomials.  A twist sweep reads mostly the same weights, so a build
-lists only the weights it reads deeper than any earlier one.  The
-oracle keeps its own listing.
+The torus model lists the monomials of one weight at a time, from the
+closed form ``pbw.monos_of_weight`` on the pair's root pairs (in a
+torus pair the root vectors come in opposite pairs, one per torus
+coordinate, so a weight fixes each pair's exponent difference).  Two
+things stay on the pair across builds, since neither depends on the
+module: the product of a monomial with a wedge leg, and those listings,
+per weight the degree it was listed to and its monomials.  A twist
+sweep reads mostly the same weights, so a block lists a weight again
+only where it reads it deeper than any earlier block.  The oracle lists
+from the same closed form and keeps nothing.
 
 ``derived_p`` is the homology of this complex after the coefficient
 module is twisted by the top exterior power of the quotient;
@@ -71,7 +76,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from operator import add, sub
+from operator import sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exactla import ONE, ZERO, SparseMatrix, homology_dim
@@ -79,7 +84,8 @@ from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
                     check_module_compatible, dual_module, lambda_top,
                     tensor_onedim)
 from .liealg import PairData, StructureError, rep_of_vec
-from .pbw import Mono, UElt, monos_by_weight, reduce_block
+from .pbw import (Mono, UElt, bounded_exponents, monos_of_weight, reduce_block,
+                  root_degree)
 
 __all__ = [
     "ChainBlock", "StdComplex", "build_standard_complex",
@@ -265,23 +271,23 @@ def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
     """Weight-block complexes, block n truncated at PBW depth depths[n].
 
     Yields each live block with its basis keys per degree, for
-    ``_restrict``, in the order of ``depths``.  Only the monomials some
-    block reads are listed: for each grade (``_grades``) and the least
-    degree d it comes in, block n reads the weight n - grade up to degree
-    depth - d, and no per-block table is kept.  The listings stay on the
-    pair across builds, in ``_torus_monos``: per weight, the degree it
-    was listed to and its monomials as a tuple, lexicographic, so that a
-    shallower read filters them by degree in the listed order.  A build
-    calls ``monos_by_weight`` only for the weights it reads deeper than
-    any earlier build did.  Block n is live iff some weight n - grade has
-    a monomial of the degree this build reads there; a block with none
-    is left out and not assembled.  The product of a monomial with a
-    wedge leg does not depend on the block or the module, so it is
-    straightened once per (monomial, leg) and kept on the pair, whose
-    legs the index names; only the evaluation of its Cartan letters is
-    per block.
+    ``_restrict``, in the order of ``depths``.  In degree d, block n
+    reads the monomials of weight n - grade (``_grades``) up to degree
+    depth - d, so it is live iff, for some grade and the least degree d
+    it comes in, the least degree of that weight (``root_degree``) is at
+    most depth - d; a block that is not is left out and not assembled.
+    The monomials come from the closed form ``monos_of_weight`` and stay
+    on the pair across builds, in ``_torus_monos``: per weight, the
+    degree it was listed to and its monomials as a tuple, lexicographic,
+    so that a shallower read filters them by degree in the listed order.
+    A block lists a weight again only where it reads it deeper than any
+    earlier block did.  The product of a monomial with a wedge leg does
+    not depend on the block or the module, so it is straightened once
+    per (monomial, leg) and kept on the pair, whose legs the index
+    names; only the evaluation of its Cartan letters is per block.
     """
     cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
+    roots, dim = pair.root_pairs, pair.lie.dim
     wedge = _wedge_data(pair, mod)
     leg_u = [UElt.from_vec(pair.lie, xi) for xi in pair.hl_basis]
     grades = _grades(pair, mod, wedge.subsets)
@@ -289,36 +295,23 @@ def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
         pair.__dict__.setdefault("_leg_products", {})
     listed: dict[Weight, tuple[int, tuple[Mono, ...]]] = \
         pair.__dict__.setdefault("_torus_monos", {})
-
-    # each grade of a (legs, slot) key, with the least degree it comes in;
-    # block n reads the weight n - grade there up to degree depth - d
+    # each grade of a (legs, slot) key, with the least degree it comes in
     least: dict[Weight, int] = {}
     for d, subsets in enumerate(wedge.subsets):
         for legs in subsets:
             for _, g in grades[legs]:
                 least.setdefault(g, d)
-    wants: dict[Weight, int] = {}
-    for g, d in least.items():
-        for n, cut in depths.items():
-            need = tuple(map(sub, n, g))
-            if wants.get(need, -1) < cut - d:
-                wants[need] = cut - d
-    deeper = {need: c for need, c in wants.items()
-              if c > listed.get(need, _UNLISTED)[0]}
-    if deeper:
-        found = monos_by_weight([i for i, c in enumerate(cartan_of) if c is None],
-                                adj, deeper)
-        for need, c in deeper.items():
-            listed[need] = (c, tuple(found.get(need, ())))
-    hits = [need for need, c in wants.items()
-            if any(sum(mono) <= c for mono in listed.get(need, _UNLISTED)[1])]
-    live = {tuple(map(add, need, g)) for g in least for need in hits}
 
     def parts(n: Weight, cut: int, d: int,
               legs: tuple[int, ...]) -> Iterable[tuple[Mono, int]]:
+        c = cut - d
         for t, g in grades[legs]:
-            for mono in listed.get(tuple(map(sub, n, g)), _UNLISTED)[1]:
-                if sum(mono) <= cut - d:
+            need = tuple(map(sub, n, g))
+            got = listed.get(need, _UNLISTED)
+            if got[0] < c:
+                got = listed[need] = (c, tuple(monos_of_weight(roots, dim, need, c)))
+            for mono in got[1]:
+                if sum(mono) <= c:
                     yield mono, t
 
     def rmul(n: Weight, mono: Mono, leg: int) -> Iterable:
@@ -328,8 +321,15 @@ def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
             prods[(mono, leg)] = terms
         return reduce_block(cartan_of, adj, n, terms).items()
 
+    def live(n: Weight, cut: int) -> bool:
+        for g, d in least.items():
+            r = root_degree(roots, tuple(map(sub, n, g)))
+            if r is not None and r <= cut - d:
+                return True
+        return False
+
     for n, cut in depths.items():
-        if n in live:
+        if live(n, cut):
             yield n, _assemble(wedge, partial(parts, n, cut), partial(rmul, n))
 
 
@@ -348,7 +348,7 @@ def _open_blocks(pair: PairData, mod: HModule,
     halg = pair.halg
     leg_u = [UElt.from_vec(halg, pair.h.coords(xi)) for xi in pair.hl_basis]
     wedge = _wedge_data(pair, mod)
-    monos = monos_by_weight(range(halg.dim), [()] * halg.dim, {(): cut})[()]
+    monos = bounded_exponents(halg.dim, cut)
 
     def rmul(mono: Mono, leg: int) -> Iterable:
         return (UElt(halg, {mono: ONE}) * leg_u[leg]).terms.items()

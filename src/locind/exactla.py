@@ -26,6 +26,7 @@ has rank 0 with no elimination.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -95,7 +96,10 @@ class SparseMatrix:
         return cls(n, n, [(i, i, 1) for i in range(n)])
 
     @classmethod
+    @lru_cache(maxsize=None)
     def zero(cls, rows: int, cols: int) -> "SparseMatrix":
+        """The zero matrix of a shape, built once per shape and shared,
+        since matrices are immutable."""
         return cls(rows, cols)
 
     @classmethod

@@ -32,7 +32,7 @@ from .exactla import ONE, ZERO, SparseMatrix, inverse, kernel_basis, rank, scala
 from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
                     as_weight, check_module_compatible, weight_add, weight_neg)
 from .liealg import PairData, StructureError, UnsupportedK, irrep_matrices, rep_of_vec
-from .pbw import Mono, UElt, monos_by_weight, reduce_block
+from .pbw import Mono, UElt, bounded_exponents, monos_of_weight, reduce_block
 
 __all__ = [
     "UnsupportedK", "RKElt", "rk_mul", "RgKElt", "rgk_mul",
@@ -400,32 +400,21 @@ def _oracle_torus_l(pair: PairData, mod: HModule,
                     cuts: Mapping[Weight, int]) -> Character:
     """Relation chase for pairs whose stabilizer meets K in the full torus.
 
-    Block n is chased at depth cuts[n].  Lists only the monomials the
-    chase reads: the generators of block n (weight n - l_weight, up to
-    its cut) and the sources of its relations (weight
-    n - wt(leg) - l_weight, up to its cut - 1).
+    Block n is chased at depth cuts[n].  Each block lists the monomials
+    it reads itself, from the closed form ``monos_of_weight``: its
+    generators (weight n - l_weight, up to its cut) and the sources of
+    its relations (weight n - wt(leg) - l_weight, up to its cut - 1).
     """
     cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
+    roots, dim = pair.root_pairs, pair.lie.dim
     xi_data = [(UElt.from_vec(pair.lie, xi), pair.h_weight_of(xi),
                 mod.matrix_of(pair.h.coords(xi))) for xi in pair.hl_basis]
-    wants: dict[Weight, int] = {}
-    for n, cut in cuts.items():
-        for t in range(mod.dim):
-            gen = tuple(a - b for a, b in zip(n, mod.l_weights[t]))
-            wants[gen] = max(wants.get(gen, -1), cut)
-            for _, wxi, _ in xi_data:
-                src = tuple(a - b for a, b in zip(gen, wxi))
-                wants[src] = max(wants.get(src, -1), cut - 1)
-    buckets = monos_by_weight([i for i, c in enumerate(cartan_of) if c is None],
-                              adj, wants)
 
     def relations(n: Weight, cut: int):
         for uxi, wxi, act in xi_data:
             for t in range(mod.dim):
                 src = tuple(a - b - c for a, b, c in zip(n, wxi, mod.l_weights[t]))
-                for mono in buckets.get(src, ()):
-                    if sum(mono) + 1 > cut:
-                        continue
+                for mono in monos_of_weight(roots, dim, src, cut - 1):
                     prod = UElt(pair.lie, {mono: ONE}) * uxi
                     red = reduce_block(cartan_of, adj, n, prod.terms)
                     yield ([((m2, t), c2) for m2, c2 in red.items()]
@@ -433,9 +422,8 @@ def _oracle_torus_l(pair: PairData, mod: HModule,
 
     dims: dict[Weight, int] = {}
     for n, cut in cuts.items():
-        cols = [(mono, t) for t in range(mod.dim) for mono in
-                buckets.get(tuple(a - b for a, b in zip(n, mod.l_weights[t])), ())
-                if sum(mono) <= cut]
+        cols = [(mono, t) for t in range(mod.dim) for mono in monos_of_weight(
+            roots, dim, tuple(a - b for a, b in zip(n, mod.l_weights[t])), cut)]
         if not cols:
             continue
         d = _quotient_dim(cols, relations(n, cut))
@@ -453,7 +441,7 @@ def _oracle_open(pair: PairData, mod: HModule, window: Window,
     parity class serves all blocks of that parity.
     """
     halg = pair.halg
-    monos = monos_by_weight(range(halg.dim), [()] * halg.dim, {(): cut})[()]
+    monos = bounded_exponents(halg.dim, cut)
     products = []       # (part, straightened part*leg, leg action) below the cut
     for xi in pair.hl_basis:
         coords = pair.h.coords(xi)

@@ -6,9 +6,9 @@ bad table can never propagate into downstream homology.  The module also
 carries the descriptors for the symmetry group data used elsewhere: a
 compact-group stand-in K (torus or sl2 kind), the isotropy subalgebra h,
 and the bundled PairData consumed by the induction and localization
-engines, with the stabilizer L, the torus tables and the isotropy
-algebra a pair implies, and the sl2 irreducibles the resolution and
-the oracle share.
+engines, with the stabilizer L, the torus tables, the root pairs and
+the isotropy algebra a pair implies, and the sl2 irreducibles the
+resolution and the oracle share.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .exactla import ONE, SparseMatrix, rank, scalar, solve
 
 Vec = tuple[int | Fraction, ...]
 Weight = tuple[int, ...]
+RootPair = tuple[int, int, int, int]   # (x, y, torus coordinate c, weight s of x on c)
 
 
 class StructureError(ValueError):
@@ -329,6 +330,26 @@ class PairData:
                 raise UnsupportedK("torus generators must be ambient basis vectors")
             cart[nz[0]] = coord
         return tuple(cart)
+
+    @cached_property
+    def root_pairs(self) -> tuple[RootPair, ...]:
+        """The basis vectors off the torus, the root vectors, as pairs
+        (x, y, c, s): x < y of K weights s and -s on torus coordinate c
+        alone, one pair per coordinate, in the order of x; torus pairs
+        only.  A weight w fixes exp(x) - exp(y) = w[c] / s in a monomial
+        on them, so ``pbw.monos_of_weight`` lists them in closed form.
+        """
+        adj, pairs = self.k.adjoint_weights, []
+        free = [i for i, c in enumerate(self.cartan_of) if c is None]
+        for c in range(self.k.rank):
+            on = [i for i in free if adj[i][c]]
+            if (len(on) != 2 or adj[on[0]][c] != -adj[on[1]][c]
+                    or any(a for i in on for cc, a in enumerate(adj[i]) if cc != c)):
+                raise UnsupportedK(f"the root vectors do not pair up on torus coordinate {c}")
+            pairs.append((on[0], on[1], c, adj[on[0]][c]))
+        if 2 * len(pairs) != len(free):
+            raise UnsupportedK("a root vector has weight 0 on the torus")
+        return tuple(sorted(pairs))
 
     @cached_property
     def halg(self) -> LieAlg:

@@ -13,20 +13,24 @@ per algebra by (monomial, generator), since boundary assembly multiplies
 the same monomials by the same wedge legs constantly; a product of two
 elements applies it letter by letter of the right factor.
 
-The module also lists monomials on chosen letters, grouped by adjoint
-weight, only those a window's blocks reach (on weightless letters, all
-of them up to a total degree), and evaluates the Cartan letters of
+The module also lists monomials and evaluates the Cartan letters of
 monomials against a torus weight block; the induction engine and the
-degree-zero oracle both use these.
+degree-zero oracle both use these.  On a torus pair the root vectors
+come in pairs x, y of opposite weight on one torus coordinate, so a
+weight fixes exp(x) - exp(y) in each pair and the monomials of one
+weight and bounded degree are a closed form, listed one weight at a
+time; on weightless letters they are every exponent vector up to a
+total degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence
 
 from .exactla import ONE, ZERO, scalar
-from .liealg import LieAlg, Vec, vec_is_zero
+from .liealg import LieAlg, RootPair, Vec, vec_is_zero
 
 Mono = tuple[int, ...]   # exponent vector over the algebra basis
 
@@ -197,82 +201,55 @@ class UElt:
 # monomial enumeration and Cartan-letter evaluation
 
 
-def _suffix_cap(caps: list[dict], rays: Sequence, k: int, x: tuple[int, ...]) -> int:
-    """cap_k(x): the largest wants[x + wt(s)] - deg(s) over the monomials
-    s on letters k, k+1, ... of a listing, or -1 when none is wanted.
+def bounded_exponents(r: int, cap: int) -> list[Mono]:
+    """Every exponent vector of length r and total degree at most cap,
+    lexicographic: the monomials on r weightless letters (B's U(h))."""
+    return [e for e in product(range(cap + 1), repeat=r) if sum(e) <= cap]
 
-    cap_k(x) = max(cap_{k+1}(x), cap_k(x + wt_k) - 1), and caps[k] holds
-    the values filled so far, caps[-1] the wanted caps.  rays[k] is letter
-    k's weight with the box outside which the letters from k on reach no
-    wanted weight (cap -1), or None for a letter of weight 0, which passes
-    cap_{k+1} through.  A miss fills caps[k] along the ray from x to the
-    box's edge, far end first, so every stored value is exact.
+
+def _gaps(roots: Sequence[RootPair],
+          w: tuple[int, ...]) -> list[int] | None:
+    """Per root pair (x, y, c, s), exp(x) - exp(y) = w[c] / s in a
+    monomial of weight w, or None when no monomial has weight w."""
+    gaps = []
+    for _, _, c, s in roots:
+        q, r = divmod(w[c], s)
+        if r:
+            return None
+        gaps.append(q)
+    return gaps
+
+
+def root_degree(roots: Sequence[RootPair],
+                w: tuple[int, ...]) -> int | None:
+    """The least degree of a monomial of weight w on the root pairs
+    (``PairData.root_pairs``), or None when none has weight w."""
+    gaps = _gaps(roots, w)
+    return None if gaps is None else sum(map(abs, gaps))
+
+
+def monos_of_weight(roots: Sequence[RootPair], dim: int,
+                    w: tuple[int, ...], cap: int) -> list[Mono]:
+    """Every monomial on the root pairs of weight w and degree at most
+    cap, as exponent vectors of length dim, lexicographic.
+
+    A pair (x, y, c, s) with gap q = w[c] / s has exponents
+    (k + max(q, 0), k + max(-q, 0)) for some k >= 0, so the degree is
+    ``root_degree`` plus twice the sum of the k's, and the k's range
+    over ``bounded_exponents`` up to half the spare degree.  With the
+    pairs in the order of x, lexicographic order in the k's is
+    lexicographic order in the exponents.
     """
-    while k < len(rays) and rays[k] is None:
-        k += 1
-    memo = caps[k]
-    v = memo.get(x)
-    if v is not None or k == len(rays):
-        return -1 if v is None else v
-    wt, lo, hi = rays[k]
-    ray = []
-    while x not in memo and all(a <= c <= b for a, c, b in zip(lo, x, hi)):
-        ray.append(x)
-        x = tuple(c + y for c, y in zip(x, wt))
-    v = memo.get(x, -1)
-    for y in reversed(ray):
-        v = memo[y] = max(_suffix_cap(caps, rays, k + 1, y), v - 1)
-    return v
-
-
-def monos_by_weight(free: Sequence[int], adj: Sequence[tuple[int, ...]],
-                    wants: Mapping[tuple[int, ...], int],
-                    ) -> dict[tuple[int, ...], list[Mono]]:
-    """The monomials on the free letters that a caller will look up.
-
-    ``wants`` maps each adjoint weight a caller reads to the largest
-    total degree it reads there; adj[i] is letter i's weight (``()`` on
-    weightless letters, with ``wants = {(): cut}`` for every monomial up
-    to degree cut).  Bucket w holds every monomial of weight w and degree
-    at most wants[w], lexicographic in the exponents of the letters in
-    the order given.  The letters are placed one at a time, and a prefix
-    is extended only where the suffix caps (``_suffix_cap``) say some
-    completion is kept.  The caps are filled along rays inside the box of
-    the wanted weights, widened by the letters' reach, so the cost
-    follows that box, not the monomials kept.
-    """
-    kept = {w: c for w, c in wants.items() if c >= 0}
-    if not kept:
-        return {}
-    top, letters, rank = max(kept.values()), list(free), len(adj[0])
-    lo = [min(w[c] for w in kept) for c in range(rank)]
-    hi = [max(w[c] for w in kept) for c in range(rank)]
-    # the letters from k on move coordinate c by at most top times their
-    # largest step up (down), so a weight further out reaches no wanted one
-    rays: list = []
-    for k, i in enumerate(letters):
-        up = [max(0, *(adj[j][c] for j in letters[k:])) for c in range(rank)]
-        down = [max(0, *(-adj[j][c] for j in letters[k:])) for c in range(rank)]
-        rays.append((adj[i], tuple(a - top * b for a, b in zip(lo, up)),
-                     tuple(a + top * b for a, b in zip(hi, down)))
-                    if any(adj[i]) else None)
-    caps: list[dict] = [{} for _ in letters] + [kept]
-    stage = [((0,) * len(adj), (0,) * rank, 0)]   # (monomial, weight, degree)
-    for k, i in enumerate(letters):
-        nxt = []
-        for m, w, u in stage:
-            # raise letter k while some completion is kept; keep the
-            # prefix where letters k+1, ... alone can complete it
-            a = 0
-            while _suffix_cap(caps, rays, k, w) >= u + a:
-                if _suffix_cap(caps, rays, k + 1, w) >= u + a:
-                    nxt.append((m[:i] + (a,) + m[i + 1:], w, u + a))
-                w, a = tuple(x + y for x, y in zip(w, adj[i])), a + 1
-        stage = nxt
-    buckets: dict[tuple[int, ...], list[Mono]] = {}
-    for m, w, _ in stage:
-        buckets.setdefault(w, []).append(m)
-    return buckets
+    gaps = _gaps(roots, w)
+    if gaps is None:
+        return []
+    out = []
+    for ks in bounded_exponents(len(roots), (cap - sum(map(abs, gaps))) // 2):
+        mono = [0] * dim
+        for (x, y, _, _), q, k in zip(roots, gaps, ks):
+            mono[x], mono[y] = k + max(q, 0), k + max(-q, 0)
+        out.append(tuple(mono))
+    return out
 
 
 def reduce_block(cartan_of: Sequence[int | None], adj: Sequence[tuple[int, ...]],

@@ -7,8 +7,9 @@ from itertools import product
 
 import pytest
 
-from locind.liealg import LieAlg, direct_sum, open_orbit_pair, pair_by_name, sl2
-from locind.pbw import UElt, monos_by_weight
+from locind.liealg import (KDescriptor, LieAlg, PairData, Subalg, UnsupportedK, direct_sum,
+                           open_orbit_pair, pair_by_name, sl2)
+from locind.pbw import UElt, bounded_exponents, monos_of_weight, root_degree
 
 
 @pytest.fixture(scope="module")
@@ -177,8 +178,10 @@ def _lex_monos(free, cut, dim):
 @pytest.mark.parametrize("free, cut", [((0, 2, 3, 5), 6), ((3, 1), 9),
                                        ((), 4), ((2,), 0)])
 def test_bounded_monos_lex_order(free, cut):
-    # on weightless letters, one bucket: every monomial up to the cut
-    assert monos_by_weight(free, [()] * 6, {(): cut}) == {(): _lex_monos(free, cut, 6)}
+    # on weightless letters, every exponent vector up to the cut, in the
+    # letters' order
+    want = [tuple(mono[i] for i in free) for mono in _lex_monos(free, cut, 6)]
+    assert bounded_exponents(len(free), cut) == want
 
 
 def _grouped_reference(free, adj, wants):
@@ -191,53 +194,116 @@ def _grouped_reference(free, adj, wants):
     return out
 
 
+def _letters(roots, dim, rank):
+    """The free letters of a root-pair table and every letter's weight."""
+    adj = [(0,) * rank] * dim
+    for x, y, c, s in roots:
+        adj[x] = tuple(s if cc == c else 0 for cc in range(rank))
+        adj[y] = tuple(-s if cc == c else 0 for cc in range(rank))
+    return sorted(i for x, y, _, _ in roots for i in (x, y)), tuple(adj)
+
+
+def _sl2_fhe_pair():
+    """Family A re-presented on sl2 in the order (f, h, e): the first
+    letter of its root pair is the negative root."""
+    g = LieAlg(("f", "h", "e"), {(0, 1): (2, 0, 0), (0, 2): (0, -1, 0), (1, 2): (0, 0, 2)})
+    f, h = g.basis_vector(0), g.basis_vector(1)
+    k = KDescriptor("torus", 1, (h,), ((-2,), (0,), (2,)))
+    return PairData(name="closed-orbit-fhe", lie=g, k=k, h=Subalg(g, (h, f)),
+                    h_labels=("h", "f"), l_basis=(h,), hl_basis=(f,))
+
+
+def _diagonal_pair(weights):
+    """A torus pair whose torus letters come first and act diagonally on
+    root vectors of the given weights, which bracket to zero."""
+    rank, dim = len(weights[0]), len(weights[0]) + len(weights)
+    labels = [f"t{c}" for c in range(rank)] + [f"x{i}" for i in range(len(weights))]
+    brackets = {(c, rank + i): tuple(w[c] if j == rank + i else 0 for j in range(dim))
+                for c in range(rank) for i, w in enumerate(weights) if w[c]}
+    lie = LieAlg(labels, brackets)
+    torus = tuple(lie.basis_vector(c) for c in range(rank))
+    k = KDescriptor("torus", rank, torus, ((0,) * rank,) * rank + tuple(weights))
+    return PairData(name="diagonal", lie=lie, k=k, h=Subalg(lie, torus),
+                    h_labels=tuple(labels[:rank]), l_basis=torus, hl_basis=())
+
+
 def _tables():
-    tables = {fam: ([i for i, c in enumerate(pair_by_name(fam).cartan_of) if c is None],
-                    pair_by_name(fam).k.adjoint_weights) for fam in "AD"}
-    # a letter of weight zero and letters of mixed sign in one coordinate
-    tables["mixed"] = ([3, 0, 1, 2], ((1, 0), (0, 0), (-1, 2), (0, -1)))
+    tables = {fam: (pair_by_name(fam).root_pairs, pair_by_name(fam).lie.dim,
+                    pair_by_name(fam).k.rank) for fam in "AD"}
+    tables["fhe"] = (_sl2_fhe_pair().root_pairs, 3, 1)
+    # two pairs interleaved in the basis order, of mixed signs
+    tables["mixed"] = (_diagonal_pair(((0, -2), (2, 0), (0, 2), (-2, 0))).root_pairs, 6, 2)
     return tables
 
 
-@pytest.mark.parametrize("table", ["A", "D", "mixed"])
+def test_root_pairs_of_the_tables():
+    tables = _tables()
+    assert tables["A"][0] == ((0, 2, 0, 2),)
+    assert tables["D"][0] == ((0, 2, 0, 2), (3, 5, 1, 2))
+    assert tables["fhe"][0] == ((0, 2, 0, -2),)
+    assert tables["mixed"][0] == ((2, 4, 1, -2), (3, 5, 0, 2))
+
+
+@pytest.mark.parametrize("table", ["A", "D", "fhe", "mixed"])
 @pytest.mark.parametrize("seed", range(4))
 def test_monos_by_weight_matches_the_full_grouping(table, seed):
-    free, adj = _tables()[table]
-    rng, rank = random.Random(seed), len(adj[0])
+    roots, dim, rank = _tables()[table]
+    free, adj = _letters(roots, dim, rank)
+    rng = random.Random(seed)
 
     def weight():
         return tuple(rng.randint(-10, 10) for _ in range(rank))
 
     cases = [
-        {},
         {weight(): rng.randint(0, 8)},
-        # odd coordinates (A and D weights are even) or too far for the cap
+        # odd coordinates (every root weight here is even) or too far for the cap
         {(1,) * rank: 6, (24,) * rank: 3, (-3,) + (0,) * (rank - 1): 5},
         {weight(): rng.randint(0, 8) for _ in range(rng.randint(2, 12))},
     ]
     for wants in cases:
-        got, want = monos_by_weight(free, adj, wants), _grouped_reference(free, adj, wants)
-        assert got == want and list(got) == list(want), wants
-        assert set(got) <= set(wants)
+        want = _grouped_reference(free, adj, wants)
+        for w, cap in wants.items():
+            assert monos_of_weight(roots, dim, w, cap) == want.get(w, []), (w, cap)
+            # the least degree comes first, at k = 0, and is not kept past the cap
+            least = root_degree(roots, w)
+            if w in want:
+                assert least == sum(want[w][0]), w
+            else:
+                assert least is None or least > cap, w
 
 
-@pytest.mark.parametrize("free, adj, wants", [
+@pytest.mark.parametrize("roots, wants", [
     # deep caps, as family A's blocks on a window of +-120 ask
-    ([0, 2], ((2,), (0,), (-2,)),
-     {(w,): 70 + w % 7 for w in range(-80, 81, 6)} | {(-3,): 74, (200,): 80}),
-    # a weight reached only by spending the whole cap on one letter: the
-    # start sits on the edge of the box the caps are filled in
-    ([0, 2], ((2,), (0,), (-2,)), {(-140,): 70}),
-    ([0, 2], ((2,), (0,), (-2,)), {(140,): 70}),
-    # weightless letters: one bucket, every monomial up to the cut
-    ([2, 0, 1], ((), (), ()), {(): 9}),
-    ([1, 0], ((), ()), {(): -1}),
-    # a letter of weight zero between two weighted ones, and at either end
-    ([0, 1, 2], ((2,), (0,), (-2,)), {(-4,): 9, (0,): 6, (6,): 12, (10,): 3}),
-    ([1, 0, 2], ((2,), (0,), (-2,)), {(-4,): 9, (0,): 6, (6,): 12}),
-    ([0, 2, 1], ((2,), (0,), (-2,)), {(-4,): 9, (0,): 6, (6,): 12}),
-], ids=["deep", "edge-down", "edge-up", "weightless", "weightless-none", "zero-middle", "zero-first", "zero-last"])
-def test_monos_by_weight_deep_weightless_and_zero_weight(free, adj, wants):
-    got = monos_by_weight(free, adj, wants)
+    (((0, 2, 0, 2),), {(w,): 70 + w % 7 for w in range(-80, 81, 6)} | {(-3,): 74, (200,): 80}),
+    # a weight reached only by spending the whole cap on one letter
+    (((0, 2, 0, 2),), {(-140,): 70}),
+    (((0, 2, 0, 2),), {(140,): 70}),
+    # weightless letters: every exponent vector up to the cut, or none
+    ((), {(): 9}),
+    ((), {(): -1}),
+], ids=["deep", "edge-down", "edge-up", "weightless", "weightless-none"])
+def test_monos_by_weight_deep_weightless_and_zero_weight(roots, wants):
+    if not roots:
+        (cap,) = wants.values()
+        want = _grouped_reference([0, 1, 2], ((),) * 3, wants).get((), [])
+        assert bounded_exponents(3, cap) == want
+        return
+    free, adj = _letters(roots, 3, 1)
     want = _grouped_reference(free, adj, wants)
-    assert got == want and list(got) == list(want)
+    for w, cap in wants.items():
+        assert monos_of_weight(roots, 3, w, cap) == want.get(w, [])
+
+
+@pytest.mark.parametrize("weights", [
+    ((2,), (-4,)),                  # not opposite
+    ((2,), (-2,), (0,)),            # a root vector of weight 0
+    ((2,), (2,), (-2,)),            # three on one coordinate
+    ((2, 2), (-2, -2)),             # a pair on two coordinates
+    ((2, 0), (-2, 0)),              # a coordinate with no pair
+], ids=["not-opposite", "weight-zero", "three-on-one", "across-two", "no-pair"])
+def test_root_pairs_refuse_letters_that_do_not_pair_up(weights):
+    # the closed form needs each torus coordinate to carry one pair of
+    # opposite root vectors, each of weight 0 on every other coordinate
+    pair = _diagonal_pair(weights)
+    with pytest.raises(UnsupportedK):
+        pair.root_pairs
