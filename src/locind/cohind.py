@@ -51,7 +51,24 @@ form), and not kept where only the restriction to depth shows it.  A
 left-out key has homology 0 in every degree, as a Character reads a
 missing key.  The torus and parity models yield their blocks one at a
 time, and the build restricts and compares each before the next is
-assembled.
+assembled; a torus build keeps the keys of those it built for the
+certificate.
+
+The torus model builds a few blocks per chamber, not one per window
+point.  A block's chamber is its side of every grade in each
+coordinate.  Past the grades one root step raises a root pair's gap and
+the block's proved cut both by one, so the blocks of a chamber are
+translates of each other: the same keys with one exponent raised, and
+boundary entries polynomial in the step, of a degree N the pair fixes.
+So a build assembles every block of the finite box the grades span, and
+N + 1 translates along each ray past it, and checks that the translates
+of each chamber agree with its outermost one (``_certify``); every
+farther window point then shares that outermost block and its homology
+at both depths.  A ray with no more window points than N + 1 is built
+point by point, and one on a residue no grade has, where no block has a
+basis, at its first point alone.  The argument is in ``_torus_blocks``; the repetition
+is checked on every build, not assumed, and a failed check raises
+StructureError naming the chamber, the translate and the degree.
 
 The torus model lists the monomials of one weight at a time, from the
 closed form ``pbw.monos_of_weight`` on the pair's root pairs (in a
@@ -60,9 +77,10 @@ coordinate, so a weight fixes each pair's exponent difference).  Two
 things stay on the pair across builds, since neither depends on the
 module: the product of a monomial with a wedge leg, and those listings,
 per weight the degree it was listed to and its monomials.  A twist
-sweep reads mostly the same weights, so a block lists a weight again
-only where it reads it deeper than any earlier block.  The oracle lists
-from the same closed form and keeps nothing.
+sweep reads mostly the same weights, so a block extends a weight's
+listing, by the degrees it lacks, only where it reads it deeper than
+any earlier block.  The oracle lists from the same closed form, per
+window point, and keeps nothing.
 
 ``derived_p`` is the homology of this complex after the coefficient
 module is twisted by the top exterior power of the quotient;
@@ -75,9 +93,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
-from operator import sub
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import combinations, product
+from operator import add, sub
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exactla import ONE, ZERO, SparseMatrix, homology_dim
 from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
@@ -169,15 +187,14 @@ def _wedge_data(pair: PairData, mod: HModule) -> _WedgeData:
 
 
 def _grades(pair: PairData, mod: HModule,
-            subsets: Iterable[Iterable[tuple[int, ...]]],
             ) -> dict[tuple[int, ...], list[tuple[int, Weight]]]:
-    """Per leg subset, [(slot, the legs' K weights plus the slot's
-    l-weight)]: the grading of each (legs, slot) key.  Not a
+    """Per ascending leg subset, [(slot, the legs' K weights plus the
+    slot's l-weight)]: the grading of each (legs, slot) key.  Not a
     ``_WedgeData`` field, since family B's legs are not weight vectors."""
     wts = [pair.h_weight_of(xi) for xi in pair.hl_basis]
     return {legs: [(t, tuple(map(sum, zip(lw, *(wts[i] for i in legs)))))
                    for t, lw in enumerate(mod.l_weights)]
-            for degree in subsets for legs in degree}
+            for d in range(len(wts) + 1) for legs in combinations(range(len(wts)), d)}
 
 
 def _boundary_matrix(cols_hi: Mapping, cols_lo: Mapping, rmul: Callable,
@@ -280,17 +297,48 @@ def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
     on the pair across builds, in ``_torus_monos``: per weight, the
     degree it was listed to and its monomials as a tuple, lexicographic,
     so that a shallower read filters them by degree in the listed order.
-    A block lists a weight again only where it reads it deeper than any
-    earlier block did.  The product of a monomial with a wedge leg does
-    not depend on the block or the module, so it is straightened once
-    per (monomial, leg) and kept on the pair, whose legs the index
-    names; only the evaluation of its Cartan letters is per block.
+    A block extends a weight's listing, by the degrees it lacks, only
+    where it reads it deeper than any earlier block did.  The product of
+    a monomial with a wedge leg does not depend on the block or the
+    module, so it is straightened once per (monomial, leg) and kept on
+    the pair, whose legs the index names; only the evaluation of its
+    Cartan letters is per block.
+
+    A build asks for a few blocks per chamber, not for every window
+    point (``_torus_chambers``), because past the grades the blocks
+    repeat.  Take n past every grade in coordinate c (n_c >= g_c for
+    each grade g, or <= for each) and a root pair (x, y, c, s).  One
+    root step, |s| = 2 outward in c, moves each weight n - g one step
+    further from 0 in that pair's gap q = (n_c - g_c) / s, so its
+    ``root_degree`` grows by one, and it grows the proved cut
+    ``weight_gap`` by one, since every l-weight is a grade (of no legs)
+    and each l1 distance grows by 2.  The spare degree of every (grade,
+    degree) is unchanged, so raising the exponent of the pair's letter
+    of outward weight by one maps the keys of the block onto those of
+    the next, degree by degree, in the same order (adding one vector
+    keeps lexicographic order).  Then each boundary entry is a
+    polynomial in the number t of steps, of degree at most N per
+    coordinate (``_translate_degree``): a leg meets the power x^(a+t)
+    by the binomial rule x^(a+t) y = sum_k C(a+t, k) (ad x)^k(y)
+    x^(a+t-k), whose k stops at the nilpotency of ad on the root letters
+    against the legs (2 on sl2: f, h, -2e), and ``reduce_block``
+    evaluates the Cartan letter such a term may carry at n minus the
+    weight to its left, affine in t, one degree more where some
+    (ad x)^k(leg) has a Cartan part.  So N = 3 on A and D, whose entries
+    are in fact constant: each leg f comes last among the letters of its
+    coordinate, and passes only letters it commutes with.  A polynomial of degree at most N in each of
+    r variables that is constant on the grid {0..N}^r is constant: N + 1
+    values fix it in one variable, and induction does the rest.  The
+    grid is needed, not the axes: t1 * t2 vanishes on both axes.  So
+    ``_certify`` compares each translate of a grid with its outermost,
+    keys shifted and boundaries entry by entry, and every farther point
+    of the chamber shares the outermost block.
     """
     cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
     roots, dim = pair.root_pairs, pair.lie.dim
     wedge = _wedge_data(pair, mod)
     leg_u = [UElt.from_vec(pair.lie, xi) for xi in pair.hl_basis]
-    grades = _grades(pair, mod, wedge.subsets)
+    grades = _grades(pair, mod)
     prods: dict[tuple[Mono, int], Mapping[Mono, Fraction]] = \
         pair.__dict__.setdefault("_leg_products", {})
     listed: dict[Weight, tuple[int, tuple[Mono, ...]]] = \
@@ -308,8 +356,9 @@ def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
         for t, g in grades[legs]:
             need = tuple(map(sub, n, g))
             got = listed.get(need, _UNLISTED)
-            if got[0] < c:
-                got = listed[need] = (c, tuple(monos_of_weight(roots, dim, need, c)))
+            if got[0] < c:      # add what the listing lacks, in order
+                got = listed[need] = (c, tuple(sorted(
+                    got[1] + tuple(monos_of_weight(roots, dim, need, c, got[0])))))
             for mono in got[1]:
                 if sum(mono) <= c:
                     yield mono, t
@@ -331,6 +380,136 @@ def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
     for n, cut in depths.items():
         if live(n, cut):
             yield n, _assemble(wedge, partial(parts, n, cut), partial(rmul, n))
+
+
+def _translate_degree(pair: PairData) -> int:
+    """N: the degree, per coordinate, of a boundary entry of a torus
+    block in the number of steps it is translated by (``_torus_blocks``):
+    the largest k with (ad x)^k(leg) nonzero, x a root letter, plus one
+    if such a bracket has a Cartan part for ``reduce_block`` to evaluate.
+    Kept on the pair, like its listings."""
+    got = pair.__dict__.get("_translate_degree")
+    if got is None:
+        lie, cartan = pair.lie, pair.cartan_of
+        nil = cartan_part = 0
+        for x in (lie.basis_vector(i) for i, c in enumerate(cartan) if c is None):
+            for leg in pair.hl_basis:
+                v, k = lie.bracket(x, leg), 1
+                while any(v):
+                    nil = max(nil, k)
+                    cartan_part |= any(a for a, c in zip(v, cartan) if c is not None)
+                    v, k = lie.bracket(x, v), k + 1
+        got = pair.__dict__["_translate_degree"] = nil + cartan_part
+    return got
+
+
+class _OnRay(NamedTuple):
+    """A built value of a proved ray in one coordinate: the side of the
+    grades it lies on, the root letter whose exponent grows outward, its
+    step t from the ray's first value, and the outermost built value."""
+
+    side: str
+    letter: int
+    t: int
+    first: int
+    far: int
+
+
+def _torus_chambers(pair: PairData, mod: HModule, window: Window, margin: int,
+                    ) -> tuple[dict[Weight, int], list[tuple[int, ...]], list[tuple], int]:
+    """Which torus blocks a build assembles, and what they prove.
+
+    Per coordinate, a window value inside the grades' span (the box)
+    stands for itself.  Beyond it, on each side and in each residue
+    modulo the root step, the window's values form a ray outward from
+    the grades.  A ray with more than N + 1 values (``_translate_degree``)
+    is proved: its first N + 1 values are built, and every farther value
+    stands for the outermost of them.  A shorter ray stands for itself,
+    so no build assembles more blocks than its window has.  A ray on a
+    residue no grade has holds no block with a basis, since no weight
+    n - g on it divides by the root step (``root_degree``): its values
+    stand for its first, which is built and found empty.  The points
+    built are the products of the values that stand for some window
+    value.  A point t steps out along its rays is cut at the cut of its
+    base (each ray at its first value) plus t, which is its own
+    ``weight_gap`` plus the margin (``_torus_blocks``).
+
+    Returns the cut of each point to build, in window order; per
+    coordinate, the value each window value stands for; per built point
+    short of its chamber's outermost, (the point, the outermost built
+    point, the shift of the point's keys onto the outermost's, and per
+    coordinate its ``_OnRay`` or None), for ``_certify``; and the
+    window's largest proved cut, read at its corners since
+    ``weight_gap`` is convex.
+    """
+    bound = _translate_degree(pair)
+    grades = [g for gs in _grades(pair, mod).values() for _, g in gs]
+    if not grades:      # the zero module: no block has a basis
+        return {}, [tuple(range(lo, hi + 1)) for lo, hi in zip(window.lo, window.hi)], [], margin
+    letters = {c: ((x, y) if s > 0 else (y, x), abs(s)) for x, y, c, s in pair.root_pairs}
+    reps: list[tuple[int, ...]] = []
+    rays: list[dict[int, _OnRay]] = []
+    for c, (lo, hi) in enumerate(zip(window.lo, window.hi)):
+        stands = {v: v for v in range(lo, hi + 1)}
+        ray: dict[int, _OnRay] = {}
+        (up, down), step = letters[c]
+        for sign, wall, letter in ((1, max(g[c] for g in grades), up),
+                                   (-1, min(g[c] for g in grades), down)):
+            for first in range(wall + sign, wall + sign * (step + 1), sign):
+                line = [v for v in range(first, hi + 1 if sign > 0 else lo - 1, sign * step)
+                        if lo <= v <= hi]
+                if line and all((first - g[c]) % step for g in grades):
+                    stands.update(dict.fromkeys(line, line[0]))
+                elif len(line) > bound + 1:
+                    stands.update(dict.fromkeys(line[bound + 1:], line[bound]))
+                    side = f"{'>' if sign > 0 else '<'}{wall}"
+                    for t, v in enumerate(line[:bound + 1]):
+                        ray[v] = _OnRay(side, letter, t, line[0], line[bound])
+        reps.append(tuple(stands.values()))
+        rays.append(ray)
+    built = list(product(*(sorted(set(r)) for r in reps)))
+    cuts = {n: mod.weight_gap(n) + margin for n in built}
+    proofs: list[tuple[Weight, Weight, Mono, list]] = []
+    for n in built if any(rays) else ():
+        on = list(map(dict.get, rays, n))
+        if not any(on):         # in the box or on a ray built point by point
+            continue
+        base, far, steps, shift = [], [], 0, [0] * pair.lie.dim
+        for v, r in zip(n, on):
+            base.append(v if r is None else r.first)
+            far.append(v if r is None else r.far)
+            if r is not None:
+                steps += r.t
+                shift[r.letter] += bound - r.t
+        cuts[n] = cuts[tuple(base)] + steps
+        if any(shift):
+            proofs.append((n, tuple(far), tuple(shift), on))
+    cut = max(map(mod.weight_gap, product(*zip(window.lo, window.hi)))) + margin
+    return cuts, reps, proofs, cut
+
+
+def _certify(kept: Mapping[Weight, tuple[list[dict], ChainBlock]],
+             proofs: Iterable[tuple[Weight, Weight, Mono, list]]) -> None:
+    """Check that each certificate translate is its chamber's outermost
+    block, shifted: the same keys in the same order once shifted, and
+    the same boundaries.  A block with no basis is missing from
+    ``kept``.  A difference raises StructureError naming the chamber,
+    the translate and the first degree that differs."""
+    for n, far, shift, on in proofs:
+        got, want = kept.get(n), kept.get(far)
+        if got is None or want is None:
+            bad = None if got is want else \
+                min(d for d, cd in enumerate((got or want)[0]) if cd)
+        else:
+            bad = next((d for d, cd in enumerate(want[0])
+                        if [(tuple(map(add, mono, shift)), legs, t)
+                            for mono, legs, t in got[0][d]] != list(cd)
+                        or d and got[1].boundaries[d - 1] != want[1].boundaries[d - 1]),
+                       None)
+        if bad is not None:
+            chamber = ", ".join(str(v) if r is None else r.side for v, r in zip(n, on))
+            raise StructureError(
+                f"chamber ({chamber}) at {far}: translate {n} differs in degree {bad}")
 
 
 def _open_blocks(pair: PairData, mod: HModule,
@@ -412,7 +591,7 @@ def _sl2_blocks(pair: PairData, mod: HModule) -> dict[int, ChainBlock]:
     build checks this on the top type.
     """
     wedge = _wedge_data(pair, mod)
-    grades = _grades(pair, mod, wedge.subsets)
+    grades = _grades(pair, mod)
     # the irreducibles act through K's (e, h, f), so a leg is read in the
     # coordinates of the K embedding, not of the ambient basis
     leg_k = [pair.lie.expand(xi, pair.k.embedding) for xi in pair.hl_basis]
@@ -444,10 +623,13 @@ class StdComplex:
 
     ``blocks`` maps the key (a weight, a parity class or a matrix type)
     of each block with a basis to its ChainBlock; a left-out key has no
-    basis.  ``characters`` holds the homology character of each degree
-    0..top, computed once, at two depths for the truncated models.
-    ``cut`` is the largest block depth of a truncated model and None for
-    the type model.
+    basis, and the weights past a torus chamber's certificate translates
+    share its outermost block, one object.  ``characters`` holds the
+    homology character of each degree 0..top, computed once per built
+    block, at two depths for the truncated models.  ``cut`` is the
+    largest block depth of a truncated model (for a torus window, the
+    largest ``weight_gap`` in it plus the margin) and None for the type
+    model.
     """
 
     blocks: dict
@@ -473,11 +655,13 @@ def build_standard_complex(pair: PairData, v: HModule,
     of the functor and is applied here; pass the untwisted module.  For
     torus symmetry supply a window: each weight block is cut at its
     proved depth ``weight_gap`` and each parity class at dim(h/l), plus
-    ``margin`` (see the module docstring).  Truncated models are built
-    once at depth cut+1 and restricted to cut; the two must agree on
-    homology, otherwise WindowTooSmall names the first block and degree
-    that differ.  Full sl2 takes no window; its top type must have no
-    homology, otherwise StructureError names type, degree and value.
+    ``margin`` (see the module docstring); a torus build assembles a few
+    blocks per chamber and proves the rest (``_torus_chambers``,
+    ``_certify``).  Truncated models are built once at depth cut+1 and
+    restricted to cut; the two must agree on homology, otherwise
+    WindowTooSmall names the first block and degree that differ.  Full
+    sl2 takes no window; its top type must have no homology, otherwise
+    StructureError names type, degree and value.
     """
     w = tensor_onedim(v, lambda_top(pair))
     check_module_compatible(pair, w)
@@ -493,12 +677,13 @@ def build_standard_complex(pair: PairData, v: HModule,
     if window is None:
         raise ValueError("torus symmetry needs a window")
     if not pair.two_point:
-        cuts = {n: w.weight_gap(n) + margin for n in window.points()}
+        cuts, reps, proofs, cut = _torus_chambers(pair, w, window, margin)
         deep = _torus_blocks(pair, w, {n: k + 1 for n, k in cuts.items()})
         spread = partial(Character, "torus-weight")
     else:
-        cuts = dict.fromkeys((0, 1), top + margin)
-        deep = _open_blocks(pair, w, cuts[0] + 1)
+        cut, proofs = top + margin, []
+        cuts = dict.fromkeys((0, 1), cut)
+        deep = _open_blocks(pair, w, cut + 1)
 
         def spread(per: Mapping[int, int]) -> Character:
             dims = {n: per[n[0] % 2] for n in window.points() if per.get(n[0] % 2)}
@@ -506,6 +691,8 @@ def build_standard_complex(pair: PairData, v: HModule,
             return Character("torus-weight", dims,
                              parity=live.pop() if len(live) == 1 else None)
     blocks: dict = {}
+    kept: dict = {}             # the keys and blocks the certificate reads
+    proved = {key for n, far, _, _ in proofs for key in (n, far)}
     hom: list[dict] = [{} for _ in range(top + 1)]     # per degree, per key
     for key, (cols, big) in deep:
         blk = _restrict(key, cols, big, cuts[key])
@@ -517,9 +704,25 @@ def build_standard_complex(pair: PairData, v: HModule,
                     f"block {key}, degree {d}: homology {h} at depth {cuts[key]} but "
                     f"{h_big} at depth {cuts[key] + 1}, past the proved cut")
             hd[key] = h
+        if key in proved:
+            kept[key] = cols, big
         if any(blk.dims):
             blocks[key] = blk
-    return StdComplex(blocks, tuple(spread(hd) for hd in hom), max(cuts.values()))
+    if proofs:
+        # every window point takes the block and homology of the point it
+        # stands for, once the certificate holds (with no proof, each
+        # point with a basis stands for itself)
+        _certify(kept, proofs)
+        built, blocks = blocks, {}
+        per_point: list[dict] = [{} for _ in hom]
+        for n, r in zip(window.points(), product(*reps)):
+            if r in built:
+                blocks[n] = built[r]
+                for hd, out in zip(hom, per_point):
+                    if hd[r]:
+                        out[n] = hd[r]
+        hom = per_point
+    return StdComplex(blocks, tuple(spread(hd) for hd in hom), cut)
 
 
 def derived_p(pair: PairData, v: HModule, j: int,

@@ -229,22 +229,27 @@ def root_degree(roots: Sequence[RootPair],
 
 
 def monos_of_weight(roots: Sequence[RootPair], dim: int,
-                    w: tuple[int, ...], cap: int) -> list[Mono]:
-    """Every monomial on the root pairs of weight w and degree at most
-    cap, as exponent vectors of length dim, lexicographic.
+                    w: tuple[int, ...], cap: int, floor: int = -1) -> list[Mono]:
+    """Every monomial on the root pairs of weight w and degree above
+    floor and at most cap, as exponent vectors of length dim,
+    lexicographic.
 
     A pair (x, y, c, s) with gap q = w[c] / s has exponents
     (k + max(q, 0), k + max(-q, 0)) for some k >= 0, so the degree is
     ``root_degree`` plus twice the sum of the k's, and the k's range
     over ``bounded_exponents`` up to half the spare degree.  With the
     pairs in the order of x, lexicographic order in the k's is
-    lexicographic order in the exponents.
+    lexicographic order in the exponents.  A floor lists only what a
+    listing up to that degree lacks.
     """
     gaps = _gaps(roots, w)
     if gaps is None:
         return []
+    least = sum(map(abs, gaps))
     out = []
-    for ks in bounded_exponents(len(roots), (cap - sum(map(abs, gaps))) // 2):
+    for ks in bounded_exponents(len(roots), (cap - least) // 2):
+        if least + 2 * sum(ks) <= floor:
+            continue
         mono = [0] * dim
         for (x, y, _, _), q, k in zip(roots, gaps, ks):
             mono[x], mono[y] = k + max(q, 0), k + max(-q, 0)

@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -122,6 +123,10 @@ def test_restriction_that_keeps_every_key_is_the_block_itself(pa):
      [(-4, -4), (0, 0), (3, -1), (4, 4), (-4, -3)]),
     # a one-dimensional B module lives in one parity class, its only block
     ("B", (-1, -1), Window.segment(-8, 8), [1]),
+    # far from the grades, where a block is its chamber's outermost one
+    ("A", (-4, 0), Window.segment(-120, 120), [(-120,), (-118,), (-117,), (118,), (120,)]),
+    ("D", (-2, 0, -3, 0), Window.box((-64, -64), (64, 64)),
+     [(-64, -64), (-64, 64), (64, -64), (64, 64), (63, -63), (-3, 64), (64, -2)]),
 ])
 def test_restricted_blocks_match_direct_builds(fam, values, win, keys):
     pair = pair_by_name(fam)
@@ -164,6 +169,99 @@ def test_block_cuts_match_the_window_wide_cut(pa, pd, monkeypatch):
         assert own.characters == wide.characters
         assert own.cut == wide.cut
         assert size(own) < size(wide)
+
+
+# ---------------------------------------------------------------------------
+# chambers: the box and N + 1 translates per ray are built, the rest proved
+
+
+def _rescale_degree_one(monkeypatch, factor):
+    """Scale the degree-1 boundary of each built torus block n by factor(n)."""
+    real = cohind._torus_blocks
+
+    def scaled(pair, mod, depths):
+        for n, (cols, blk) in real(pair, mod, depths):
+            b, c = blk.boundaries[0], factor(n)
+            b = SparseMatrix(b.rows, b.cols, [(r, k, c * v) for r, k, v in b.entries()])
+            yield n, (cols, ChainBlock(blk.dims, (b,) + blk.boundaries[1:]))
+
+    monkeypatch.setattr(cohind, "_torus_blocks", scaled)
+
+
+def test_translate_degree_is_read_off_the_pair(pa, pd):
+    # ad e takes the leg f to h, then to -2e: nilpotency 2, and h is a
+    # Cartan letter for reduce_block to evaluate
+    assert cohind._translate_degree(pa) == cohind._translate_degree(pd) == 3
+
+
+def test_chambers_build_the_box_and_n_plus_one_translates_past_it(pa, monkeypatch):
+    built = {}
+    real = cohind._torus_blocks
+
+    def spy(pair, mod, depths):
+        built.update(depths)
+        return real(pair, mod, depths)
+
+    monkeypatch.setattr(cohind, "_torus_blocks", spy)
+    v = one_dim_module(pa, (-5, 0))
+    w = tensor_onedim(v, lambda_top(pa))
+    cx = build_standard_complex(pa, v, Window.segment(-120, 120))
+    big = cohind._translate_degree(pa) + 1
+    # the grades are the l-weight -3 and -3 - 2 (the leg f): the box is
+    # [-5, -3], each odd ray's first translate is one past its wall, and
+    # an even ray, with no grade of its residue, is built at its first
+    # value alone
+    assert sorted(built) == [(n,) for n in sorted(
+        [*range(-5, -2), -6, -2, *range(-7, -7 - 2 * big, -2), *range(-1, -1 + 2 * big, 2)])]
+    assert all(depth == w.weight_gap(n) + 1 for n, depth in built.items())
+    # every farther point shares the outermost block of its ray
+    assert cx.blocks[(-119,)] is cx.blocks[(-5 - 2 * big,)]
+    assert cx.blocks[(119,)] is cx.blocks[(-3 + 2 * big,)]
+    assert cx.blocks[(-5 - 2 * big,)] is not cx.blocks[(-3 - 2 * big,)]
+
+
+def test_a_translate_with_one_entry_off_fails_the_certificate(pa, monkeypatch):
+    # the odd ray below the box runs -7, -9, ... with its outermost built
+    # block N steps out
+    far = -7 - 2 * cohind._translate_degree(pa)
+    _rescale_degree_one(monkeypatch, lambda n: 2 if n == (-9,) else 1)
+    with pytest.raises(StructureError, match=(
+            rf"^chamber \(<-5\) at \({far},\): translate \(-9,\) differs in degree 1$")):
+        build_standard_complex(pa, one_dim_module(pa, (-5, 0)), Window.segment(-120, 120))
+
+
+def test_the_certificate_reads_n_plus_one_translates(pa, monkeypatch):
+    # on that ray, entries times 1 + t(t-1)...(t-N+1) at step t: a
+    # polynomial of degree N that agrees on the first N translates and
+    # not on the next, so a certificate of N translates would pass it
+    bound = cohind._translate_degree(pa)
+
+    def factor(n):
+        t = (-7 - n[0]) // 2
+        return 1 + prod(t - i for i in range(bound)) if t >= 0 and n[0] % 2 else 1
+
+    _rescale_degree_one(monkeypatch, factor)
+    with pytest.raises(StructureError, match=rf"^chamber \(<-5\) at \({-7 - 2 * bound},\)"):
+        build_standard_complex(pa, one_dim_module(pa, (-5, 0)), Window.segment(-120, 120))
+
+
+def test_the_certificate_reads_the_whole_grid(pd, monkeypatch):
+    # in the rank-2 cone below both walls, entries times
+    # 1 + (t1 - N)(t2 - N): equal on both lines through the outermost
+    # block, and not inside the grid
+    bound = cohind._translate_degree(pd)
+
+    def factor(n):
+        t1, t2 = (-4 - n[0]) // 2, (-5 - n[1]) // 2
+        inside = t1 >= 0 and t2 >= 0 and n[0] % 2 == 0 and n[1] % 2
+        return 1 + (t1 - bound) * (t2 - bound) if inside else 1
+
+    _rescale_degree_one(monkeypatch, factor)
+    far = (-4 - 2 * bound, -5 - 2 * bound)
+    with pytest.raises(StructureError, match=(
+            rf"^chamber \(<-2, <-3\) at \({far[0]}, {far[1]}\): translate")):
+        build_standard_complex(pd, one_dim_module(pd, (-2, 0, -3, 0)),
+                               Window.box((-16, -16), (16, 16)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +344,7 @@ def test_kept_listings_leak_no_state_between_cases():
         pair = pair_by_name(fam)
         listed = pair.__dict__["_torus_monos"]
         before = max(c for c, _ in listed.values())
-        build_standard_complex(pair, _module(pair, fam, lam), win, margin=5)
+        build_standard_complex(pair, _module(pair, fam, lam), win, margin=8)
         assert max(c for c, _ in listed.values()) > before
     assert [_listing_run(*case) for case in reversed(LISTING_CASES)] == cold[::-1]
 
@@ -406,19 +504,46 @@ def test_full_sl2_keeps_only_the_live_type_blocks(pc):
     ("D", (-2, 0, -3, 0), Window.box((-6, -6), (6, 6))),
 ])
 def test_blocks_with_no_basis_are_left_out(fam, values, win, monkeypatch):
-    # a window point whose block has no basis has no key, is not
-    # assembled, and carries no multiplicity in any degree
+    # a window point whose block has no basis has no key and carries no
+    # multiplicity in any degree, and every block assembled has a basis
+    pair = pair_by_name(fam)
+    assembled = []
+    real = cohind._assemble
+
+    def spy(*args):
+        cols, blk = real(*args)
+        assembled.append(any(blk.dims))
+        return cols, blk
+
+    monkeypatch.setattr(cohind, "_assemble", spy)
+    cx = build_standard_complex(pair, one_dim_module(pair, values), win)
+    assert assembled and all(assembled)
+    assert all(any(blk.dims) for blk in cx.blocks.values())
+    points = set(win.points())
+    out = points - set(cx.blocks)
+    assert 0 < len(out) < len(points)
+    assert not any(n in ch.data for ch in cx.characters for n in out)
+
+
+@pytest.mark.parametrize("fam, values, win, wider", [
+    ("A", (-5, 0), Window.segment(-120, 120), Window.segment(-1000, 1000)),
+    ("D", (-2, 0, -3, 0), Window.box((-16, -16), (16, 16)), Window.box((-32, -32), (32, 32))),
+])
+def test_a_wider_window_assembles_no_more_blocks(fam, values, win, wider, monkeypatch):
+    # past its certificate translates a chamber's blocks are shared, so
+    # the blocks assembled stop growing with the window
     pair = pair_by_name(fam)
     calls = []
     real = cohind._assemble
     monkeypatch.setattr(cohind, "_assemble", lambda *args: calls.append(1) or real(*args))
     cx = build_standard_complex(pair, one_dim_module(pair, values), win)
-    assert all(any(blk.dims) for blk in cx.blocks.values())
-    assert len(calls) == len(cx.blocks)
-    points = set(win.points())
-    out = points - set(cx.blocks)
-    assert 0 < len(out) < len(points)
-    assert not any(n in ch.data for ch in cx.characters for n in out)
+    narrow = len(calls)
+    assert 0 < narrow < len(cx.blocks)
+    far = cx.blocks[max(cx.blocks)]
+    assert sum(blk is far for blk in cx.blocks.values()) > 1
+    calls.clear()
+    build_standard_complex(pair, one_dim_module(pair, values), wider)
+    assert len(calls) == narrow
 
 
 @pytest.mark.parametrize("fam, values, win", [
@@ -602,6 +727,21 @@ def test_two_step_module_is_additive(pa):
              for m in (mu, mu - 2))
     assert got.data == sum(parts, Counter())
     assert derived_p(pa, w2, 1, win).is_zero()
+
+
+def test_a_module_of_both_parities_adds_up_far_out(pa):
+    # l-weights of both parities give both residues a grade, so neither
+    # ray past the box is empty, and its proved blocks must still add up
+    mu = -4
+    h_mat = SparseMatrix(2, 2, [(0, 0, Fraction(mu)), (1, 1, Fraction(mu + 1))])
+    w2 = HModule(halg=pa.halg, dim=2, action=(h_mat, SparseMatrix.zero(2, 2)),
+                 l_weights=((mu,), (mu + 1,)))
+    win = Window.segment(-40, 40)
+    for j in (0, 1):
+        parts = (Counter(derived_p(pa, one_dim_module(pa, (m, 0)), j, win).data)
+                 for m in (mu, mu + 1))
+        assert derived_p(pa, w2, j, win).data == sum(parts, Counter())
+    assert len(derived_p(pa, w2, 0, win).data) > 40
 
 
 def test_zero_module(pa):

@@ -4,7 +4,9 @@ A refactoring must leave every character, verdict and report byte as it
 was; these digests were taken from ``verify --family X --json`` (default
 grid) and ``selftest --json`` before the refactorings they now guard.  A
 change that alters a report on purpose updates the digest here and says
-why.
+why.  Two wide windows are pinned too, where most torus blocks are
+proved from their chamber's rather than built (their digests were taken
+when every window point was still built on its own).
 """
 
 import hashlib
@@ -29,3 +31,18 @@ def test_report_bytes_are_pinned(name, tmp_path, capsys):
     assert main(argv + ["--json", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256[name]
+
+
+WIDE_SHA256 = {
+    ("A", "-1000:1000"): "405fba2457ef9f83e5c66ad833cbca9d0f76fd59372e7b81085543a2915319ce",
+    ("D", "-64:64"): "b1e517ed6232a96c214e9df5b40f6e07d2d205aac1cfa785912dd4bc0aace086",
+}
+
+
+@pytest.mark.parametrize("family, window", sorted(WIDE_SHA256))
+def test_wide_window_report_bytes_are_pinned(family, window, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["verify", "--family", family, "--window", window, "--json", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_SHA256[(family, window)]
