@@ -74,13 +74,14 @@ The torus model lists the monomials of one weight at a time, from the
 closed form ``pbw.monos_of_weight`` on the pair's root pairs (in a
 torus pair the root vectors come in opposite pairs, one per torus
 coordinate, so a weight fixes each pair's exponent difference).  Two
-things stay on the pair across builds, since neither depends on the
-module: the product of a monomial with a wedge leg, and those listings,
-per weight the degree it was listed to and its monomials.  A twist
-sweep reads mostly the same weights, so a block extends a weight's
-listing, by the degrees it lacks, only where it reads it deeper than
-any earlier block.  The oracle lists from the same closed form, per
-window point, and keeps nothing.
+memos serve every build in the process, since neither depends on the
+module, and each is keyed by its inputs: a weight's listing to a degree
+(``_monos``), by the root pairs, the weight and the degree, and the
+product of a monomial with a wedge leg (``_leg_product``), by the
+algebra, the monomial and the leg vector.  A twist sweep reads mostly
+the same weights at the same degrees; a weight read at two degrees is
+listed once for each.  The oracle lists from the same closed form, per
+window point, and shares no memo with this module.
 
 ``derived_p`` is the homology of this complex after the coefficient
 module is twisted by the top exterior power of the quotient;
@@ -92,7 +93,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, product
 from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -101,7 +102,7 @@ from .exactla import ONE, ZERO, SparseMatrix, homology_dim
 from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
                     check_module_compatible, dual_module, lambda_top,
                     tensor_onedim)
-from .liealg import PairData, StructureError, rep_of_vec
+from .liealg import LieAlg, PairData, RootPair, StructureError, Vec, rep_of_vec
 from .pbw import (Mono, UElt, bounded_exponents, monos_of_weight, reduce_block,
                   root_degree)
 
@@ -172,7 +173,7 @@ def _wedge_data(pair: PairData, mod: HModule) -> _WedgeData:
     k = pair.hl_dim()
     subsets = tuple(tuple(combinations(range(k), d)) for d in range(k + 1))
     # a basis of h (PairData checks it), which holds every bracket of legs
-    span = list(pair.hl_basis) + list(pair.l_basis)
+    span = pair.hl_basis + pair.l_basis
     brackets: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for i in range(k):
         for j in range(i + 1, k):
@@ -279,8 +280,17 @@ def _assemble(wedge: _WedgeData, parts: Callable, rmul: Callable,
     return cols, ChainBlock(tuple(len(c) for c in cols), bnds)
 
 
-# a weight no build has listed: below every degree, with no monomial
-_UNLISTED: tuple[int, tuple[Mono, ...]] = (-1, ())
+@lru_cache(maxsize=None)
+def _monos(roots: tuple[RootPair, ...], dim: int, w: Weight, cap: int) -> tuple[Mono, ...]:
+    """``monos_of_weight``, listed once per process for each input."""
+    return tuple(monos_of_weight(roots, dim, w, cap))
+
+
+@lru_cache(maxsize=None)
+def _leg_product(lie: LieAlg, mono: Mono, leg: Vec) -> Mapping[Mono, Fraction]:
+    """The monomial times the wedge leg, straightened once per process
+    for each input; callers only read it."""
+    return (UElt(lie, {mono: ONE}) * UElt.from_vec(lie, leg)).terms
 
 
 def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
@@ -293,16 +303,13 @@ def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
     depth - d, so it is live iff, for some grade and the least degree d
     it comes in, the least degree of that weight (``root_degree``) is at
     most depth - d; a block that is not is left out and not assembled.
-    The monomials come from the closed form ``monos_of_weight`` and stay
-    on the pair across builds, in ``_torus_monos``: per weight, the
-    degree it was listed to and its monomials as a tuple, lexicographic,
-    so that a shallower read filters them by degree in the listed order.
-    A block extends a weight's listing, by the degrees it lacks, only
-    where it reads it deeper than any earlier block did.  The product of
-    a monomial with a wedge leg does not depend on the block or the
-    module, so it is straightened once per (monomial, leg) and kept on
-    the pair, whose legs the index names; only the evaluation of its
-    Cartan letters is per block.
+    The monomials come from the closed form ``monos_of_weight``,
+    lexicographic, through the per-process memo ``_monos``, one listing
+    per (weight, degree) read.  The product of a monomial with a wedge
+    leg does not depend on the block or the module, so it is
+    straightened once per (algebra, monomial, leg vector), in
+    ``_leg_product``; only the evaluation of its Cartan letters is per
+    block.
 
     A build asks for a few blocks per chamber, not for every window
     point (``_torus_chambers``), because past the grades the blocks
@@ -335,14 +342,9 @@ def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
     of the chamber shares the outermost block.
     """
     cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
-    roots, dim = pair.root_pairs, pair.lie.dim
+    lie, roots, legs_of = pair.lie, pair.root_pairs, pair.hl_basis
     wedge = _wedge_data(pair, mod)
-    leg_u = [UElt.from_vec(pair.lie, xi) for xi in pair.hl_basis]
     grades = _grades(pair, mod)
-    prods: dict[tuple[Mono, int], Mapping[Mono, Fraction]] = \
-        pair.__dict__.setdefault("_leg_products", {})
-    listed: dict[Weight, tuple[int, tuple[Mono, ...]]] = \
-        pair.__dict__.setdefault("_torus_monos", {})
     # each grade of a (legs, slot) key, with the least degree it comes in
     least: dict[Weight, int] = {}
     for d, subsets in enumerate(wedge.subsets):
@@ -352,23 +354,12 @@ def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
 
     def parts(n: Weight, cut: int, d: int,
               legs: tuple[int, ...]) -> Iterable[tuple[Mono, int]]:
-        c = cut - d
         for t, g in grades[legs]:
-            need = tuple(map(sub, n, g))
-            got = listed.get(need, _UNLISTED)
-            if got[0] < c:      # add what the listing lacks, in order
-                got = listed[need] = (c, tuple(sorted(
-                    got[1] + tuple(monos_of_weight(roots, dim, need, c, got[0])))))
-            for mono in got[1]:
-                if sum(mono) <= c:
-                    yield mono, t
+            for mono in _monos(roots, lie.dim, tuple(map(sub, n, g)), cut - d):
+                yield mono, t
 
     def rmul(n: Weight, mono: Mono, leg: int) -> Iterable:
-        terms = prods.get((mono, leg))
-        if terms is None:
-            terms = (UElt(pair.lie, {mono: ONE}) * leg_u[leg]).terms
-            prods[(mono, leg)] = terms
-        return reduce_block(cartan_of, adj, n, terms).items()
+        return reduce_block(cartan_of, adj, n, _leg_product(lie, mono, legs_of[leg])).items()
 
     def live(n: Weight, cut: int) -> bool:
         for g, d in least.items():
@@ -382,25 +373,23 @@ def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
             yield n, _assemble(wedge, partial(parts, n, cut), partial(rmul, n))
 
 
+@lru_cache(maxsize=None)
 def _translate_degree(pair: PairData) -> int:
     """N: the degree, per coordinate, of a boundary entry of a torus
     block in the number of steps it is translated by (``_torus_blocks``):
     the largest k with (ad x)^k(leg) nonzero, x a root letter, plus one
     if such a bracket has a Cartan part for ``reduce_block`` to evaluate.
-    Kept on the pair, like its listings."""
-    got = pair.__dict__.get("_translate_degree")
-    if got is None:
-        lie, cartan = pair.lie, pair.cartan_of
-        nil = cartan_part = 0
-        for x in (lie.basis_vector(i) for i, c in enumerate(cartan) if c is None):
-            for leg in pair.hl_basis:
-                v, k = lie.bracket(x, leg), 1
-                while any(v):
-                    nil = max(nil, k)
-                    cartan_part |= any(a for a, c in zip(v, cartan) if c is not None)
-                    v, k = lie.bracket(x, v), k + 1
-        got = pair.__dict__["_translate_degree"] = nil + cartan_part
-    return got
+    Worked out once per process for each pair."""
+    lie, cartan = pair.lie, pair.cartan_of
+    nil = cartan_part = 0
+    for x in (lie.basis_vector(i) for i, c in enumerate(cartan) if c is None):
+        for leg in pair.hl_basis:
+            v, k = lie.bracket(x, leg), 1
+            while any(v):
+                nil = max(nil, k)
+                cartan_part |= any(a for a, c in zip(v, cartan) if c is not None)
+                v, k = lie.bracket(x, v), k + 1
+    return nil + cartan_part
 
 
 class _OnRay(NamedTuple):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _iproduct
 from typing import Iterator, Mapping, Sequence
 
@@ -196,17 +197,16 @@ def _ad_trace(lie: LieAlg, x: Vec) -> Fraction:
     return t
 
 
+@lru_cache(maxsize=None)
 def lambda_top(pair: PairData) -> HModule:
     """Top exterior power of (ambient / isotropy) as a one-dim module.
 
     The isotropy algebra acts on the quotient by its adjoint action; on
     the top wedge this is the trace, i.e. trace on the ambient algebra
     minus trace on the isotropy algebra.  It depends on the pair alone,
-    so it is built once and kept on the pair, like its leg products.
+    so it is built once per process for each pair, and equal pairs
+    share it.
     """
-    kept = pair.__dict__.get("_lambda_top")
-    if kept is not None:
-        return kept
     halg = pair.halg
     vals = [_ad_trace(pair.lie, x) - _ad_trace(halg, halg.basis_vector(i))
             for i, x in enumerate(pair.h.basis)]
@@ -217,8 +217,7 @@ def lambda_top(pair: PairData) -> HModule:
         parity = 0
     else:
         parity = None
-    kept = pair.__dict__["_lambda_top"] = one_dim_module(pair, vals, parity=parity)
-    return kept
+    return one_dim_module(pair, vals, parity=parity)
 
 
 def tensor_onedim(m: HModule, c: HModule) -> HModule:

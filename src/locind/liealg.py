@@ -129,18 +129,15 @@ class LieAlg:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def expand(self, v: Vec, spanning: Sequence[Vec]) -> Vec | None:
+    @lru_cache(maxsize=None)
+    def expand(self, v: Vec, spanning: tuple[Vec, ...]) -> Vec | None:
         """Coordinates of v in the given spanning vectors, or None.
 
-        Solved once per (v, spanning) and kept on the algebra: the
+        Solved once per process for each (algebra, v, spanning): the
         builds of one pair expand the same legs, brackets and module
         generators again and again.
         """
-        memo = self.__dict__.setdefault("_expand_memo", {})
-        key = (v, tuple(spanning))
-        if key not in memo:
-            memo[key] = solve(_columns(self.dim, spanning), v)
-        return memo[key]
+        return solve(_columns(self.dim, spanning), v)
 
     def __repr__(self) -> str:
         return f"LieAlg({'+'.join(self.labels)})"
@@ -431,9 +428,11 @@ _FAMILIES: dict[str, Callable[[], PairData]] = {
 def pair_by_name(name: str) -> PairData:
     """The family's pair, built once per process and then shared.
 
-    Sharing keeps what is cached on the pair and its algebras (the
-    straightening memo, the torus blocks' leg products) across cases;
-    a re-presented pair (``dataclasses.replace``) starts empty.
+    Sharing keeps the per-process memos keyed by the pair or its
+    algebras (the straightening memo, the torus blocks' leg products)
+    warm across cases; a re-presented pair (``dataclasses.replace``)
+    is equal to it and shares them, a pair over a fresh algebra does
+    not.
     """
     try:
         return _FAMILIES[name]()

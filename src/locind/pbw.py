@@ -8,10 +8,11 @@ the basis order of the algebra, so the same code serves the ambient
 algebra and the isotropy algebra h, whose enveloping algebra is the
 open orbit's algebra part.
 There is one product rule, an ordered monomial times one generator by
-the binomial identity x^a y = sum_k C(a, k) (ad x)^k(y) x^(a-k), memoized
-per algebra by (monomial, generator), since boundary assembly multiplies
-the same monomials by the same wedge legs constantly; a product of two
-elements applies it letter by letter of the right factor.
+the binomial identity x^a y = sum_k C(a, k) (ad x)^k(y) x^(a-k),
+memoized per process by (algebra, monomial, generator), since boundary
+assembly multiplies the same monomials by the same wedge legs
+constantly; a product of two elements applies it letter by letter of
+the right factor.
 
 The module also lists monomials and evaluates the Cartan letters of
 monomials against a torus weight block; the induction engine and the
@@ -26,6 +27,7 @@ total degree.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -35,6 +37,7 @@ from .liealg import LieAlg, RootPair, Vec, vec_is_zero
 Mono = tuple[int, ...]   # exponent vector over the algebra basis
 
 
+@lru_cache(maxsize=None)
 def _times_gen(lie: LieAlg, mono: Mono, j: int) -> dict[Mono, Fraction]:
     """The ordered monomial mono times the generator x_j, straightened.
 
@@ -46,17 +49,12 @@ def _times_gen(lie: LieAlg, mono: Mono, j: int) -> dict[Mono, Fraction]:
     rest (no x_i) or a monomial whose last letter lies past x_i, never
     rest * x_i^(a-1): x_i^a * x_j nests at most three calls deep on sl2
     in two letter orders and on B and D for a up to 300, and the memo
-    holds only the products asked for.
+    holds only the products asked for.  An algebra is keyed by identity,
+    and callers only read the product.
     """
-    memo = lie.__dict__.setdefault("_times_gen_memo", {})
-    hit = memo.get((mono, j))
-    if hit is not None:
-        return hit
     i = max((k for k, a in enumerate(mono) if a), default=-1)
     if i <= j:
-        out = {mono[:j] + (mono[j] + 1,) + mono[j + 1:]: ONE}
-        memo[(mono, j)] = out
-        return out
+        return {mono[:j] + (mono[j] + 1,) + mono[j + 1:]: ONE}
     a, rest = mono[i], mono[:i] + (0,) + mono[i + 1:]
     out, v, binom = {}, lie.basis_vector(j), 1
     for k in range(a + 1):
@@ -75,9 +73,7 @@ def _times_gen(lie: LieAlg, mono: Mono, j: int) -> dict[Mono, Fraction]:
         v, binom = lie.bracket(lie.basis_vector(i), v), binom * (a - k) // (k + 1)
         if vec_is_zero(v):
             break
-    out = {m: c for m, c in out.items() if c != 0}
-    memo[(mono, j)] = out
-    return out
+    return {m: c for m, c in out.items() if c != 0}
 
 
 def _times(lie: LieAlg, terms: Mapping[Mono, Fraction], j: int) -> dict[Mono, Fraction]:
@@ -229,18 +225,16 @@ def root_degree(roots: Sequence[RootPair],
 
 
 def monos_of_weight(roots: Sequence[RootPair], dim: int,
-                    w: tuple[int, ...], cap: int, floor: int = -1) -> list[Mono]:
-    """Every monomial on the root pairs of weight w and degree above
-    floor and at most cap, as exponent vectors of length dim,
-    lexicographic.
+                    w: tuple[int, ...], cap: int) -> list[Mono]:
+    """Every monomial on the root pairs of weight w and degree at most
+    cap, as exponent vectors of length dim, lexicographic.
 
     A pair (x, y, c, s) with gap q = w[c] / s has exponents
     (k + max(q, 0), k + max(-q, 0)) for some k >= 0, so the degree is
     ``root_degree`` plus twice the sum of the k's, and the k's range
     over ``bounded_exponents`` up to half the spare degree.  With the
     pairs in the order of x, lexicographic order in the k's is
-    lexicographic order in the exponents.  A floor lists only what a
-    listing up to that degree lacks.
+    lexicographic order in the exponents.
     """
     gaps = _gaps(roots, w)
     if gaps is None:
@@ -248,8 +242,6 @@ def monos_of_weight(roots: Sequence[RootPair], dim: int,
     least = sum(map(abs, gaps))
     out = []
     for ks in bounded_exponents(len(roots), (cap - least) // 2):
-        if least + 2 * sum(ks) <= floor:
-            continue
         mono = [0] * dim
         for (x, y, _, _), q, k in zip(roots, gaps, ks):
             mono[x], mono[y] = k + max(q, 0), k + max(-q, 0)

@@ -6,8 +6,8 @@ they share no construction code: none of the three reaches another
 through its imports, and what they share lives in the modules below
 them.  No module reaches into the private names of another.  Every
 name the package defines, and every parameter default it offers, has a
-caller outside the unit tests.  The package needs nothing beyond the
-standard library.
+caller outside the unit tests.  No module keeps state in an object's
+``__dict__``.  The package needs nothing beyond the standard library.
 """
 
 import ast
@@ -84,6 +84,16 @@ def test_the_package_imports_only_the_standard_library():
                 continue
             foreign += [f"{path.stem} imports {t}" for t in tops if t not in allowed]
     assert foreign == []
+
+
+def test_no_module_keeps_state_in_an_instance_dict():
+    """A per-process memo is an ``lru_cache`` on a function of its
+    inputs, never a table stored in an object's ``__dict__``: equal
+    inputs then share a result, and no shared object carries state."""
+    sites = [f"{path.stem}.py:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "__dict__"]
+    assert sites == []
 
 
 def _defined_names(tree: ast.Module) -> list[tuple[str, ast.AST]]:

@@ -10,7 +10,7 @@ from math import prod
 
 import pytest
 
-from locind import cohind
+from locind import cohind, harness
 from locind.cohind import (ChainBlock, _open_blocks, _restrict, _torus_blocks,
                            build_standard_complex, derived_i, derived_p)
 from locind.exactla import ONE, CompositionNonzero, SparseMatrix
@@ -265,7 +265,7 @@ def test_the_certificate_reads_the_whole_grid(pd, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# leg products kept on the pair
+# leg products, memoized per process by input
 
 D_WIN = Window.box((-4, -4), (4, 4))
 
@@ -284,8 +284,8 @@ def test_a_second_build_straightens_nothing(pd, monkeypatch):
     second = build_standard_complex(pd, v, D_WIN)
     assert calls == []
     assert second.characters == first.characters
-    # the spy sees the products of a pair that has none kept yet
-    fresh = replace(pd)
+    # the spy sees the products over a fresh algebra, which none share
+    fresh = product_pair()
     build_standard_complex(fresh, one_dim_module(fresh, (-4, 0, -2, 0)), D_WIN)
     assert calls
 
@@ -305,7 +305,7 @@ def test_leg_products_stay_with_their_pair(pd):
 
 
 # ---------------------------------------------------------------------------
-# monomial listings kept on the pair
+# monomial listings, memoized per process by input
 
 LISTING_CASES = [("A", -5, Window.segment(-16, 16)), ("A", 3, Window.segment(-16, 16)),
                  ("D", (-2, -3), D_WIN), ("D", (-4, -2), D_WIN)]
@@ -330,8 +330,8 @@ def _listing_run(fam, lam, win):
 
 def test_kept_listings_leak_no_state_between_cases():
     def forget():
-        for fam in ("A", "D"):
-            pair_by_name(fam).__dict__.pop("_torus_monos", None)
+        cohind._monos.cache_clear()
+        cohind._leg_product.cache_clear()
 
     cold = []
     for case in LISTING_CASES:
@@ -339,13 +339,13 @@ def test_kept_listings_leak_no_state_between_cases():
         cold.append(_listing_run(*case))
     forget()
     assert [_listing_run(*case) for case in LISTING_CASES] == cold
-    # a margin build lists deeper than any case, and the cases read that
+    # a margin build lists deeper than any case, and the cases that
+    # follow it give the same bytes
     for fam, lam, win in LISTING_CASES[::2]:
         pair = pair_by_name(fam)
-        listed = pair.__dict__["_torus_monos"]
-        before = max(c for c, _ in listed.values())
+        before = cohind._monos.cache_info().currsize
         build_standard_complex(pair, _module(pair, fam, lam), win, margin=8)
-        assert max(c for c, _ in listed.values()) > before
+        assert cohind._monos.cache_info().currsize > before
     assert [_listing_run(*case) for case in reversed(LISTING_CASES)] == cold[::-1]
 
 
@@ -358,17 +358,16 @@ def test_a_shallow_read_of_a_deep_listing_keeps_the_live_blocks(pa):
     assert dict(_torus_blocks(pa, w, {n: 0})) == {}
 
 
-def test_the_oracle_keeps_off_the_kept_listings():
-    class Tripwire:
-        def __getattribute__(self, name):
-            raise AssertionError(f"the oracle used the torus listings ({name})")
+def test_the_oracle_keeps_off_the_kept_listings(monkeypatch):
+    def tripwire(*args):
+        raise AssertionError(f"the oracle used a memo of the algebraic side {args}")
 
+    monkeypatch.setattr(cohind, "_monos", tripwire)
+    monkeypatch.setattr(cohind, "_leg_product", tripwire)
     for fam, lam, win in LISTING_CASES[::2]:
         pair = replace(pair_by_name(fam))
-        trip = pair.__dict__["_torus_monos"] = Tripwire()
         w = tensor_onedim(_module(pair, fam, lam), lambda_top(pair))
         assert not p_deg0_oracle(pair, w, win).is_zero()
-        assert pair.__dict__["_torus_monos"] is trip
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +425,21 @@ def test_open_orbit_boundary_squares_to_zero(pb):
     c = build_standard_complex(pb, v, WIN)
     for blk in c.blocks.values():
         assert blk.boundary(1).mul(blk.boundary(2)).is_zero()
+
+
+@pytest.mark.parametrize("lam", [-3, 0, 1, 2, 4, 7])
+@pytest.mark.parametrize("par", [0, 1])
+def test_open_orbit_block_reads_the_twist(pb, lam, par):
+    # the twist verify feeds family B is read in full, not only its
+    # parity: the degree-2 boundary of the parity-class block carries
+    # -lam and lam beside the bracket's -1 and 1
+    v = one_dim_module(pb, harness._VALUES["B"](lam), parity=par)
+    w = tensor_onedim(v, lambda_top(pb))
+    (key, (_, blk)), = _open_blocks(pb, w, pb.hl_dim())
+    column = {r: x for r, c, x in blk.boundaries[1].entries() if c == 0}
+    want = {0: -lam, 1: -1, 3: lam, 5: 1}
+    assert key == par
+    assert column == {r: x for r, x in want.items() if x}
 
 
 @pytest.mark.parametrize("lam", [0, 1, -3])
