@@ -42,12 +42,14 @@ block.  Each of the three models gives it only two closures: the
 (part, slot) pairs that go with given legs in a degree, and the product
 of a part with a leg, reduced in the block.  The torus and type models
 grade each (legs, slot) key once per build, in one table ``_grades``.
-Torus tables, root pairs and sl2 irreducibles come from liealg,
-nothing from the oracle or locp1.  Most blocks have no basis in any
-degree.  Such a block is left out: it is not assembled where the model
-can tell in advance (the torus model compares its depth with the least
-degree of the weights it would read, ``pbw.root_degree``, a closed
-form), and not kept where only the restriction to depth shows it.  A
+Torus tables and root pairs come from liealg, and the type model reads
+each row of an sl2 irreducible off the formulas of its matrices
+(``liealg.irrep_matrices``); nothing comes from the oracle or locp1.
+Most blocks have no basis in any degree.  Such a block is left out: it
+is not assembled where the model can tell in advance (the torus model
+compares its depth with the least degree of the weights it would read,
+``pbw.root_degree``, a closed form), and not kept where only the
+restriction to depth shows it.  A
 left-out key has homology 0 in every degree, as a Character reads a
 missing key.  The torus and parity models yield their blocks one at a
 time, and the build restricts and compares each before the next is
@@ -63,12 +65,16 @@ boundary entries polynomial in the step, of a degree N the pair fixes.
 So a build assembles every block of the finite box the grades span, and
 N + 1 translates along each ray past it, and checks that the translates
 of each chamber agree with its outermost one (``_certify``); every
-farther window point then shares that outermost block and its homology
-at both depths.  A ray with no more window points than N + 1 is built
+farther window point then takes that outermost block's homology at
+both depths.  A ray with no more window points than N + 1 is built
 point by point, and one on a residue no grade has, where no block has a
-basis, at its first point alone.  The argument is in ``_torus_blocks``; the repetition
-is checked on every build, not assumed, and a failed check raises
-StructureError naming the chamber, the translate and the degree.
+basis, at its first point alone.  So per coordinate each value built
+stands for a run of window values, a range, and a character is written
+by expanding the runs of the built points with nonzero homology, once,
+for the report; no step before it visits every window point.  The
+argument is in ``_torus_blocks``; the repetition is checked on every
+build, not assumed, and a failed check raises StructureError naming
+the chamber, the translate and the degree.
 
 The torus model lists the monomials of one weight at a time, from the
 closed form ``pbw.monos_of_weight`` on the pair's root pairs (in a
@@ -102,7 +108,7 @@ from .exactla import ONE, ZERO, SparseMatrix, homology_dim
 from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
                     check_module_compatible, dual_module, lambda_top,
                     tensor_onedim)
-from .liealg import LieAlg, PairData, RootPair, StructureError, Vec, rep_of_vec
+from .liealg import LieAlg, PairData, RootPair, StructureError, Vec
 from .pbw import (Mono, UElt, bounded_exponents, monos_of_weight, reduce_block,
                   root_degree)
 
@@ -339,7 +345,7 @@ def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
     grid is needed, not the axes: t1 * t2 vanishes on both axes.  So
     ``_certify`` compares each translate of a grid with its outermost,
     keys shifted and boundaries entry by entry, and every farther point
-    of the chamber shares the outermost block.
+    of the chamber takes the outermost block's homology.
     """
     cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
     lie, roots, legs_of = pair.lie, pair.root_pairs, pair.hl_basis
@@ -405,7 +411,7 @@ class _OnRay(NamedTuple):
 
 
 def _torus_chambers(pair: PairData, mod: HModule, window: Window, margin: int,
-                    ) -> tuple[dict[Weight, int], list[tuple[int, ...]], list[tuple], int]:
+                    ) -> tuple[dict[Weight, int], list[dict[int, range]], list[tuple], int]:
     """Which torus blocks a build assembles, and what they prove.
 
     Per coordinate, a window value inside the grades' span (the box)
@@ -418,45 +424,50 @@ def _torus_chambers(pair: PairData, mod: HModule, window: Window, margin: int,
     residue no grade has holds no block with a basis, since no weight
     n - g on it divides by the root step (``root_degree``): its values
     stand for its first, which is built and found empty.  The points
-    built are the products of the values that stand for some window
-    value.  A point t steps out along its rays is cut at the cut of its
-    base (each ray at its first value) plus t, which is its own
-    ``weight_gap`` plus the margin (``_torus_blocks``).
+    built are the products of the values built.  A point t steps out
+    along its rays is cut at the cut of its base (each ray at its first
+    value) plus t, which is its own ``weight_gap`` plus the margin
+    (``_torus_blocks``).
 
     Returns the cut of each point to build, in window order; per
-    coordinate, the value each window value stands for; per built point
-    short of its chamber's outermost, (the point, the outermost built
-    point, the shift of the point's keys onto the outermost's, and per
-    coordinate its ``_OnRay`` or None), for ``_certify``; and the
-    window's largest proved cut, read at its corners since
-    ``weight_gap`` is convex.
+    coordinate, the runs: each value built, with the range of window
+    values it stands for (on a proved ray, stepping by the root step);
+    per built point short of its chamber's outermost, (the point, the
+    outermost built point, the shift of the point's keys onto the
+    outermost's, and per coordinate its ``_OnRay`` or None), for
+    ``_certify``; and the window's largest proved cut, read at its
+    corners since ``weight_gap`` is convex.
     """
     bound = _translate_degree(pair)
     grades = [g for gs in _grades(pair, mod).values() for _, g in gs]
     if not grades:      # the zero module: no block has a basis
-        return {}, [tuple(range(lo, hi + 1)) for lo, hi in zip(window.lo, window.hi)], [], margin
+        return {}, [{} for _ in window.lo], [], margin
     letters = {c: ((x, y) if s > 0 else (y, x), abs(s)) for x, y, c, s in pair.root_pairs}
-    reps: list[tuple[int, ...]] = []
+    runs: list[dict[int, range]] = []
     rays: list[dict[int, _OnRay]] = []
     for c, (lo, hi) in enumerate(zip(window.lo, window.hi)):
-        stands = {v: v for v in range(lo, hi + 1)}
+        high, low = max(g[c] for g in grades), min(g[c] for g in grades)
+        run = {v: range(v, v + 1) for v in range(max(lo, low), min(hi, high) + 1)}
         ray: dict[int, _OnRay] = {}
         (up, down), step = letters[c]
-        for sign, wall, letter in ((1, max(g[c] for g in grades), up),
-                                   (-1, min(g[c] for g in grades), down)):
+        for sign, wall, letter in ((1, high, up), (-1, low, down)):
             for first in range(wall + sign, wall + sign * (step + 1), sign):
-                line = [v for v in range(first, hi + 1 if sign > 0 else lo - 1, sign * step)
-                        if lo <= v <= hi]
+                # the window's values on first's residue, outward from first
+                near = (max(first, lo + (first - lo) % step) if sign > 0
+                        else min(first, hi - (hi - first) % step))
+                line = range(near, hi + 1 if sign > 0 else lo - 1, sign * step)
                 if line and all((first - g[c]) % step for g in grades):
-                    stands.update(dict.fromkeys(line, line[0]))
-                elif len(line) > bound + 1:
-                    stands.update(dict.fromkeys(line[bound + 1:], line[bound]))
+                    run[line[0]] = line
+                    continue
+                run.update((line[t], line[t:t + 1] if t < bound else line[t:])
+                           for t in range(min(len(line), bound + 1)))
+                if len(line) > bound + 1:
                     side = f"{'>' if sign > 0 else '<'}{wall}"
                     for t, v in enumerate(line[:bound + 1]):
                         ray[v] = _OnRay(side, letter, t, line[0], line[bound])
-        reps.append(tuple(stands.values()))
+        runs.append(run)
         rays.append(ray)
-    built = list(product(*(sorted(set(r)) for r in reps)))
+    built = list(product(*map(sorted, runs)))
     cuts = {n: mod.weight_gap(n) + margin for n in built}
     proofs: list[tuple[Weight, Weight, Mono, list]] = []
     for n in built if any(rays) else ():
@@ -474,7 +485,7 @@ def _torus_chambers(pair: PairData, mod: HModule, window: Window, margin: int,
         if any(shift):
             proofs.append((n, tuple(far), tuple(shift), on))
     cut = max(map(mod.weight_gap, product(*zip(window.lo, window.hi)))) + margin
-    return cuts, reps, proofs, cut
+    return cuts, runs, proofs, cut
 
 
 def _certify(kept: Mapping[Weight, tuple[list[dict], ChainBlock]],
@@ -571,8 +582,10 @@ def _sl2_blocks(pair: PairData, mod: HModule) -> dict[int, ChainBlock]:
     slice entry at column b carries grading m - 2b, and only the slots
     balancing the wedge and module gradings survive the l-part tensor.
     So in degree d a type-m block has one key per (legs, slot) grading w
-    with |w| <= m and m = w (mod 2), and needs no depth cut; a type no
-    grading reaches is left out, its irreducible not built.  Once m >=
+    with |w| <= m and m = w (mod 2), and needs no depth cut; the types
+    built are those some grading reaches, |w|, |w| + 2, ... up to the
+    largest |w|, and the row of a leg is read off the entries of the
+    irreducible's matrices, which are never built.  Once m >=
     every |w|, each slot of m's parity has a key in both degrees and, by
     weight, the boundary is triangular with +-1 on the diagonal (the leg
     f takes row slot b + 1 to b with coefficient 1 and lowers W's
@@ -592,14 +605,17 @@ def _sl2_blocks(pair: PairData, mod: HModule) -> dict[int, ChainBlock]:
     def parts(m: int, d: int, legs: tuple[int, ...]) -> list[tuple[int, int]]:
         return [((m - w) // 2, t) for t, (w,) in grades[legs] if reaches(m, w)]
 
-    def rmul(pms: list[SparseMatrix], b: int, leg: int) -> list:
-        return pms[leg].row(b)
+    def rmul(m: int, b: int, leg: int) -> list:
+        # row b of the leg's matrix on the type-m irreducible, from the
+        # entries of ``irrep_matrices``: e at b + 1, h at b, f at b - 1
+        e, h, f = leg_k[leg]
+        row = ((b - 1, f if b else 0), (b, h * (m - 2 * b)), (b + 1, e * (b + 1) * (m - b)))
+        return [(c, v) for c, v in row if v]
 
     weights = {w for ws in grades.values() for _, (w,) in ws}
-    return {m: _assemble(wedge, partial(parts, m),
-                         partial(rmul, [rep_of_vec(xk, m) for xk in leg_k]))[1]
-            for m in range(max(map(abs, weights), default=-1) + 1)
-            if any(reaches(m, w) for w in weights)}
+    top = max(map(abs, weights), default=-1)
+    return {m: _assemble(wedge, partial(parts, m), partial(rmul, m))[1]
+            for m in sorted({m for w in weights for m in range(abs(w), top + 1, 2)})}
 
 
 # ---------------------------------------------------------------------------
@@ -611,14 +627,16 @@ class StdComplex:
     """The reduced standard complex of a pair and a coefficient module.
 
     ``blocks`` maps the key (a weight, a parity class or a matrix type)
-    of each block with a basis to its ChainBlock; a left-out key has no
-    basis, and the weights past a torus chamber's certificate translates
-    share its outermost block, one object.  ``characters`` holds the
-    homology character of each degree 0..top, computed once per built
-    block, at two depths for the truncated models.  ``cut`` is the
-    largest block depth of a truncated model (for a torus window, the
-    largest ``weight_gap`` in it plus the margin) and None for the type
-    model.
+    of each block built with a basis to its ChainBlock; a left-out key
+    has no basis, and a torus window point past its chamber's
+    certificate translates is no key: it stands for the chamber's
+    outermost block.  ``characters`` holds the homology character of
+    each degree 0..top, computed once per built block, at two depths for
+    the truncated models, and expanded once to the window values each
+    built block stands for (a torus run, or a parity class's values).
+    ``cut`` is the largest block depth of a truncated model (for a torus
+    window, the largest ``weight_gap`` in it plus the margin) and None for
+    the type model.
     """
 
     blocks: dict
@@ -646,11 +664,13 @@ def build_standard_complex(pair: PairData, v: HModule,
     proved depth ``weight_gap`` and each parity class at dim(h/l), plus
     ``margin`` (see the module docstring); a torus build assembles a few
     blocks per chamber and proves the rest (``_torus_chambers``,
-    ``_certify``).  Truncated models are built once at depth cut+1 and
-    restricted to cut; the two must agree on homology, otherwise
-    WindowTooSmall names the first block and degree that differ.  Full
-    sl2 takes no window; its top type must have no homology, otherwise
-    StructureError names type, degree and value.
+    ``_certify``), and each degree's character is written by expanding
+    only the runs of built blocks with nonzero homology.  Truncated
+    models are built once at depth cut+1 and restricted to cut; the two
+    must agree on homology, otherwise WindowTooSmall names the first
+    block and degree that differ.  Full sl2 takes no window; its top
+    type must have no homology, otherwise StructureError names type,
+    degree and value.
     """
     w = tensor_onedim(v, lambda_top(pair))
     check_module_compatible(pair, w)
@@ -666,19 +686,26 @@ def build_standard_complex(pair: PairData, v: HModule,
     if window is None:
         raise ValueError("torus symmetry needs a window")
     if not pair.two_point:
-        cuts, reps, proofs, cut = _torus_chambers(pair, w, window, margin)
+        cuts, runs, proofs, cut = _torus_chambers(pair, w, window, margin)
         deep = _torus_blocks(pair, w, {n: k + 1 for n, k in cuts.items()})
-        spread = partial(Character, "torus-weight")
+
+        def spread(hd: Mapping[Weight, int]) -> Character:
+            # each built point's homology on the window values it stands for
+            return Character.normal("torus-weight", {
+                n: h for key, h in hd.items() if h
+                for n in product(*map(dict.__getitem__, runs, key))}, None)
     else:
         cut, proofs = top + margin, []
         cuts = dict.fromkeys((0, 1), cut)
         deep = _open_blocks(pair, w, cut + 1)
+        lo, hi = window.lo[0], window.hi[0]
 
-        def spread(per: Mapping[int, int]) -> Character:
-            dims = {n: per[n[0] % 2] for n in window.points() if per.get(n[0] % 2)}
-            live = {p for p, m in per.items() if m}
-            return Character("torus-weight", dims,
-                             parity=live.pop() if len(live) == 1 else None)
+        def spread(hd: Mapping[int, int]) -> Character:
+            # a parity class's homology on every window value of its parity
+            live = [p for p, h in hd.items() if h]
+            return Character.normal("torus-weight", {
+                (n,): hd[p] for p in live for n in range(lo + (lo - p) % 2, hi + 1, 2)},
+                live[0] if len(live) == 1 else None)
     blocks: dict = {}
     kept: dict = {}             # the keys and blocks the certificate reads
     proved = {key for n, far, _, _ in proofs for key in (n, far)}
@@ -697,21 +724,10 @@ def build_standard_complex(pair: PairData, v: HModule,
             kept[key] = cols, big
         if any(blk.dims):
             blocks[key] = blk
-    if proofs:
-        # every window point takes the block and homology of the point it
-        # stands for, once the certificate holds (with no proof, each
-        # point with a basis stands for itself)
-        _certify(kept, proofs)
-        built, blocks = blocks, {}
-        per_point: list[dict] = [{} for _ in hom]
-        for n, r in zip(window.points(), product(*reps)):
-            if r in built:
-                blocks[n] = built[r]
-                for hd, out in zip(hom, per_point):
-                    if hd[r]:
-                        out[n] = hd[r]
-        hom = per_point
-    return StdComplex(blocks, tuple(spread(hd) for hd in hom), cut)
+    # the window values past a chamber's translates take its outermost
+    # block's homology once the certificate holds
+    _certify(kept, proofs)
+    return StdComplex(blocks, tuple(map(spread, hom)), cut)
 
 
 def derived_p(pair: PairData, v: HModule, j: int,

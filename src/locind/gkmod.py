@@ -317,6 +317,15 @@ class Character:
             # the zero character carries no parity tag
             self.parity = None
 
+    @classmethod
+    def normal(cls, kind: str, data: dict, parity: int | None) -> "Character":
+        """A character from data already in the form ``__post_init__``
+        gives it (weight tuples or type ints as keys, no zero
+        multiplicity), taken as it is, with no pass over its entries."""
+        out = cls.__new__(cls)
+        out.kind, out.data, out.parity = kind, data, parity if data else None
+        return out
+
     def is_zero(self) -> bool:
         return not self.data
 

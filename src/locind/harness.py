@@ -161,7 +161,7 @@ def _product_character(a: Character, b: Character) -> Character:
     for (wa,), ma in a.data.items():
         for (wb,), mb in b.data.items():
             data[(wa, wb)] = ma * mb
-    return Character("torus-weight", data)
+    return Character.normal("torus-weight", data, None)
 
 
 # Module values per family as functions of the twist, and the (geometric

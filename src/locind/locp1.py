@@ -16,11 +16,13 @@ On top of that sit the orbit direct images used for the comparison.
 Three of them are spans of powers coordinate**a, one per torus weight,
 on which the chart operators act through one helper, ``_power_module``.
 It indexes each power by its doubled exponent 2a, an int even where a is
-half-integral, and applies each operator through one integer polynomial
-in 2a per exponent shift (``ChartOp.shift_polys``), built once per
-operator and evaluated per weight.  Each operator sends a power to a
-multiple of one other power, so such a model is a ``PowerModule``: its
-weights and one scalar per weight and operator.  The three are:
+half-integral, and keeps each operator as one integer polynomial in 2a
+(``ChartOp.shift_polys``), whose guards are checked once per module as
+identities of polynomials.  Each operator sends a power to a multiple
+of one other power, so such a model is a ``PowerModule``: the range of
+its weights and one polynomial per operator.  Its character is read off
+the range; the scalars are evaluated per weight only where they are
+read, by the jets.  The three are:
 
 * the Laurent module of sections on the open torus orbit (every a in
   one coset of the integers, with its two-point parity bookkeeping);
@@ -305,69 +307,70 @@ def power_scalar(poly: tuple[tuple[int, ...], int], a2: int) -> int | Fraction:
 class PowerModule:
     """Span of one power coordinate**a per weight, with named operators.
 
-    ``ops[name]`` is (shift, scalars): the operator sends the power of
-    weight wt to ``scalars[wt]`` times the power of weight wt + shift,
-    and to zero when wt is not a key.  The module stores a window's worth
-    of an often infinite object, so operator identities hold on interior
-    weights only.  ``parity`` tags the sign character of the Laurent
-    module and is None otherwise.
+    ``weights`` is the range of weights present; the power of weight wt
+    has the doubled exponent a2 = lambda0 - sign * wt.  ``polys[name]`` is
+    (shift, poly): the operator sends the power of weight wt to
+    ``power_scalar(poly, a2)`` times the power of weight wt + shift, and
+    to zero when that weight is not present.  ``ops`` evaluates them per
+    weight when read.  The module stores a window's worth of an often
+    infinite object, so operator identities hold on interior weights
+    only.  ``parity`` tags the sign character of the Laurent module and
+    is None otherwise.
     """
 
-    weights: tuple[int, ...]
-    ops: dict[str, tuple[int, dict[int, Fraction]]]
+    weights: range
+    lambda0: int
+    sign: int
+    polys: dict[str, tuple[int, tuple[tuple[int, ...], int]]]
     parity: int | None = None
 
+    @property
+    def ops(self) -> dict[str, tuple[int, dict[int, int | Fraction]]]:
+        """Per operator, (shift, the nonzero scalar of each weight whose
+        image is present)."""
+        return {name: (shift, {wt: v for wt in self.weights if wt + shift in self.weights
+                               and (v := power_scalar(poly, self.lambda0 - self.sign * wt))})
+                for name, (shift, poly) in self.polys.items()}
+
     def character(self) -> Character:
-        return Character("torus-weight", {wt: 1 for wt in self.weights},
-                         parity=self.parity)
+        return Character.normal("torus-weight", {(wt,): 1 for wt in self.weights},
+                                self.parity)
 
 
-def _power_module(lambda0: int, chart: str, weights,
-                  top: int | None = None, parity: int | None = None) -> PowerModule:
-    """Scalars of e, h, f and z on one power coordinate**a per weight.
+def _power_module(lambda0: int, chart: str, weights: range,
+                  parity: int | None = None) -> PowerModule:
+    """Polynomials of e, h, f and z on one power coordinate**a per weight.
 
     The power of weight wt has the doubled exponent a2 = 2a = lambda0 - wt
     on the z chart and lambda0 + wt on the w chart, so a power of doubled
-    exponent a2 has weight +-(lambda0 - a2).  Powers at an exponent of at
-    least ``top`` are dropped, and so are their images: top = 0 is the
-    quotient by regular functions, top = p the quotient by coordinate**p
-    and no top the Laurent sections; images leaving the weights given fall
-    outside the window.  The Cartan element must act on each power by its
-    weight, which is checked on the same values that give h's scalars.
-    A term that lands on the power of another weight than the target
-    means the operator is not weight-homogeneous.
+    exponent a2 has weight +-(lambda0 - a2).  ``weights`` is a range on
+    that coset, and images leaving it are dropped: a range that stops
+    short of exponent 0 is the quotient by regular functions, one that
+    stops short of exponent p the quotient by coordinate**p, and the
+    window's whole coset the Laurent sections.  Each operator is kept as
+    one polynomial in a2 (``ChartOp.shift_polys``), and both guards are
+    identities of polynomials, so they hold at every exponent, not only
+    at the window's: the Cartan element has the shift 0 alone, where it
+    acts by the weight +-(lambda0 - a2), and every other operator's
+    nonzero polynomials move the weight by its own shift; one that does
+    not is not weight-homogeneous.
     """
     rho = twisted_rep(lambda0, chart)
     sign = 1 if chart == "z" else -1
-    exps = {wt: lambda0 - sign * wt for wt in weights}
-    if top is not None:
-        exps = {wt: a2 for wt, a2 in exps.items() if a2 < 2 * top}
-
-    def images(op: ChartOp) -> dict[int, dict[int, int | Fraction]]:
-        # per weight, the nonzero image scalars by doubled exponent
-        polys = op.shift_polys().items()
-        return {wt: {a2 + s2: v for s2, poly in polys if (v := power_scalar(poly, a2))}
-                for wt, a2 in exps.items()}
-
-    on_h = images(rho["h"])
-    for wt, a2 in exps.items():
-        if on_h[wt] != ({a2: wt} if wt else {}):
-            raise ArithmeticError("Cartan action disagrees with the exponent")
-    chart_ops = {**rho, "z": ChartOp.mult((ZERO, ONE), chart)}
+    polys = {name: op.shift_polys()
+             for name, op in {**rho, "z": ChartOp.mult((ZERO, ONE), chart)}.items()}
+    # h at shift 0 alone: sign (lambda0 - a2) over h's own denominator
+    den = polys["h"].get(0, ((), 1))[1]
+    if polys["h"] != {0: ((-sign * den, sign * lambda0 * den), den)}:
+        raise ArithmeticError("Cartan action disagrees with the exponent")
     shifts = {"e": 2, "h": 0, "f": -2, "z": -2 * sign}
-    ops: dict[str, tuple[int, dict[int, int | Fraction]]] = {}
-    for name, op in chart_ops.items():
-        scalars = {}
-        for wt, image in (on_h if name == "h" else images(op)).items():
-            for b2, v in image.items():
-                hit = sign * (lambda0 - b2)
-                if hit not in exps:
-                    continue
-                if hit != wt + shifts[name]:
-                    raise ArithmeticError(f"operator {name!r} is not weight-homogeneous")
-                scalars[wt] = v
-        ops[name] = (shifts[name], scalars)
-    return PowerModule(tuple(exps), ops, parity)
+    for name, by_shift in polys.items():
+        if any(-sign * s2 != shifts[name] for s2, (coeffs, _) in by_shift.items() if any(coeffs)):
+            raise ArithmeticError(f"operator {name!r} is not weight-homogeneous")
+    # an operator with no term at its shift has the zero polynomial there
+    return PowerModule(weights, lambda0, sign,
+                       {name: (shifts[name], by_shift.get(-sign * shifts[name], ((), 1)))
+                        for name, by_shift in polys.items()}, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +388,14 @@ def delta_module(lambda0: int, window: Window, chart: str = "z") -> PowerModule:
     """
     if window.rank != 1:
         raise ValueError("the delta module is graded by a rank-1 torus")
-    weights = range(window.lo[0] + (window.lo[0] - lambda0) % 2, window.hi[0] + 1, 2)
-    return _power_module(lambda0, chart, weights, top=0)
+    lo, hi = window.lo[0], window.hi[0]
+    # the powers a <= -1: weights from lambda0 + 2 up on the z chart, and
+    # up to -lambda0 - 2 on the w chart
+    if chart == "z":
+        weights = range(max(lo + (lo - lambda0) % 2, lambda0 + 2), hi + 1, 2)
+    else:
+        weights = range(lo + (lo - lambda0) % 2, min(hi, -lambda0 - 2) + 1, 2)
+    return _power_module(lambda0, chart, weights)
 
 
 def laurent_module(lambda0: int, parity: int, window: Window,
@@ -510,16 +519,16 @@ def jet_associated_module(v: HModule, p: int) -> JetModule:
     if v.value(1) != 0:
         raise StructureError("lowering part of the isotropy must act by zero")
     lam = int(lam)
-    weights = tuple(lam - 2 * s for s in range(p))
-    pm = _power_module(lam, "z", weights, top=p)
+    weights = range(lam, lam - 2 * p, -2)
+    ops = _power_module(lam, "z", weights).ops
 
     def slots(name: str) -> SparseMatrix:
         # the power z^s of weight lam - 2s sits in slot s
-        shift, scalars = pm.ops[name]
+        shift, scalars = ops[name]
         return SparseMatrix(p, p, [((lam - wt - shift) // 2, (lam - wt) // 2, c)
                                    for wt, c in scalars.items()])
 
-    return JetModule(level=p, fiber=v, slot_weights=weights,
+    return JetModule(level=p, fiber=v, slot_weights=tuple(weights),
                      ops={lab: slots(lab) for lab in _LABELS}, mult=slots("z"))
 
 

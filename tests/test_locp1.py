@@ -153,7 +153,7 @@ def test_delta_module_weights_and_relations():
     lam = -4
     win = Window.segment(-30, 30)
     dm = delta_module(lam, win)
-    assert dm.weights == tuple(range(lam + 2, 31, 2))
+    assert tuple(dm.weights) == tuple(range(lam + 2, 31, 2))
     # f kills the lowest weight; f after e acts on the n-th weight space
     # by a scalar, whatever basis vector spans it
     assert lam + 2 not in dm.ops["f"][1]
@@ -183,7 +183,7 @@ def test_delta_module_mirror_chart():
     win = Window.segment(-30, 30)
     mw = delta_module(lam, win, chart="w")
     # the opposite chart supports the weight-negated ladder
-    assert mw.weights == tuple(range(-30, -lam - 1, 2))
+    assert tuple(mw.weights) == tuple(range(-30, -lam - 1, 2))
 
 
 @pytest.mark.parametrize("name, message", [
@@ -205,6 +205,25 @@ def test_power_module_guards(monkeypatch, name, message):
                   lambda: laurent_module(3, 0, win, chart="w")):
         with pytest.raises(ArithmeticError, match=message):
             build()
+
+
+@pytest.mark.parametrize("name, term, message", [
+    ("e", (2, 3), "operator 'e' is not weight-homogeneous"),
+    ("h", (2, 2), "Cartan action disagrees with the exponent"),
+])
+def test_power_module_guards_hold_off_the_window(monkeypatch, name, term, message):
+    # z^3 d^2 added to e, or z^2 d^2 added to h, acts by zero on the
+    # powers 1 and z of the 2-jets, so no scalar there shows it; the
+    # guards compare polynomials, which hold at every exponent
+    real = locp1.twisted_rep
+
+    def skewed(lambda0, chart="z"):
+        rho = real(lambda0, chart)
+        return {**rho, name: rho[name].add(ChartOp(chart, {term: ONE}))}
+
+    monkeypatch.setattr(locp1, "twisted_rep", skewed)
+    with pytest.raises(ArithmeticError, match=message):
+        jet_associated_module(one_dim_module(pair_by_name("A"), (-4, 0)), 2)
 
 
 def test_delta_module_twist_far_below_the_window():
@@ -232,7 +251,7 @@ def test_laurent_module_weights_and_coefficients():
         for chart in ("z", "w"):
             for par in (0, 1):
                 gm = laurent_module(lam, par, win, chart=chart)
-                ws = gm.weights
+                ws = tuple(gm.weights)
                 assert ws == tuple(w for w in range(-12, 13) if w % 2 == par)
                 assert gm.parity == par
                 for w in ws[1:-1]:

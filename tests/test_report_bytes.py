@@ -4,9 +4,11 @@ A refactoring must leave every character, verdict and report byte as it
 was; these digests were taken from ``verify --family X --json`` (default
 grid) and ``selftest --json`` before the refactorings they now guard.  A
 change that alters a report on purpose updates the digest here and says
-why.  Two wide windows are pinned too, where most torus blocks are
+why.  Wide windows are pinned too: A and D, where most torus blocks are
 proved from their chamber's rather than built (their digests were taken
-when every window point was still built on its own).
+when every window point was still built on its own), and B, whose
+parity classes and Laurent module state a character by ranges (its
+digest was taken when both were still written point by point).
 """
 
 import hashlib
@@ -35,6 +37,7 @@ def test_report_bytes_are_pinned(name, tmp_path, capsys):
 
 WIDE_SHA256 = {
     ("A", "-1000:1000"): "405fba2457ef9f83e5c66ad833cbca9d0f76fd59372e7b81085543a2915319ce",
+    ("B", "-120:120"): "2647957267d2bc0d328d16a687b9218a1e2e28d1383aded07dedbfda64a06dbe",
     ("D", "-64:64"): "b1e517ed6232a96c214e9df5b40f6e07d2d205aac1cfa785912dd4bc0aace086",
 }
 
