@@ -42,9 +42,9 @@ block.  Each of the three models gives it only two closures: the
 (part, slot) pairs that go with given legs in a degree, and the product
 of a part with a leg, reduced in the block.  The torus and type models
 grade each (legs, slot) key once per build, in one table ``_grades``.
-Torus tables and root pairs come from liealg, and the type model reads
-each row of an sl2 irreducible off the formulas of its matrices
-(``liealg.irrep_matrices``); nothing comes from the oracle or locp1.
+Torus tables, root pairs and the rows of sl2 irreducibles
+(``liealg.irrep_row``) come from liealg, nothing from the oracle or
+locp1.
 Most blocks have no basis in any degree.  Such a block is left out: it
 is not assembled where the model can tell in advance (the torus model
 compares its depth with the least degree of the weights it would read,
@@ -108,7 +108,10 @@ from .exactla import ONE, ZERO, SparseMatrix, homology_dim
 from .gkmod import (Character, HModule, Weight, Window, WindowTooSmall,
                     check_module_compatible, dual_module, lambda_top,
                     tensor_onedim)
-from .liealg import LieAlg, PairData, RootPair, StructureError, Vec
+# rep_of_vec is not called here: it stays bound for bench/tracing.py,
+# which wraps it at every name a locind module holds it under
+from .liealg import (LieAlg, PairData, RootPair, StructureError, Vec, irrep_row,
+                     rep_of_vec)
 from .pbw import (Mono, UElt, bounded_exponents, monos_of_weight, reduce_block,
                   root_degree)
 
@@ -584,8 +587,8 @@ def _sl2_blocks(pair: PairData, mod: HModule) -> dict[int, ChainBlock]:
     So in degree d a type-m block has one key per (legs, slot) grading w
     with |w| <= m and m = w (mod 2), and needs no depth cut; the types
     built are those some grading reaches, |w|, |w| + 2, ... up to the
-    largest |w|, and the row of a leg is read off the entries of the
-    irreducible's matrices, which are never built.  Once m >=
+    largest |w|, and each row of a leg is read by ``liealg.irrep_row``;
+    the irreducible's matrices are never built.  Once m >=
     every |w|, each slot of m's parity has a key in both degrees and, by
     weight, the boundary is triangular with +-1 on the diagonal (the leg
     f takes row slot b + 1 to b with coefficient 1 and lowers W's
@@ -606,11 +609,7 @@ def _sl2_blocks(pair: PairData, mod: HModule) -> dict[int, ChainBlock]:
         return [((m - w) // 2, t) for t, (w,) in grades[legs] if reaches(m, w)]
 
     def rmul(m: int, b: int, leg: int) -> list:
-        # row b of the leg's matrix on the type-m irreducible, from the
-        # entries of ``irrep_matrices``: e at b + 1, h at b, f at b - 1
-        e, h, f = leg_k[leg]
-        row = ((b - 1, f if b else 0), (b, h * (m - 2 * b)), (b + 1, e * (b + 1) * (m - b)))
-        return [(c, v) for c, v in row if v]
+        return irrep_row(leg_k[leg], m, b)
 
     weights = {w for ws in grades.values() for _, (w,) in ws}
     top = max(map(abs, weights), default=-1)

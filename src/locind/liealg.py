@@ -152,22 +152,26 @@ def sl2() -> LieAlg:
     })
 
 
-@lru_cache(maxsize=None)
-def irrep_matrices(n: int) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
-    """Matrices of (e, h, f) on the (n+1)-dimensional irreducible.
+def irrep_row(v: Vec, n: int, b: int) -> list[tuple[int, int | Fraction]]:
+    """Row b of v = xe + yh + zf on the type-n irreducible, as (column, entry).
 
     Basis u_0..u_n with u_k = f^k u_0: h u_k = (n-2k) u_k,
-    f u_k = u_{k+1}, e u_k = k(n-k+1) u_{k-1}; all entries integers.
+    f u_k = u_{k+1}, e u_k = k(n-k+1) u_{k-1}; so row b holds z at
+    column b-1, y(n-2b) at b and x(b+1)(n-b) at b+1, zeros left out.
     """
+    x, y, z = v
+    row = ((b - 1, z if b else 0), (b, y * (n - 2 * b)), (b + 1, x * (b + 1) * (n - b)))
+    return [(c, a) for c, a in row if a]
+
+
+@lru_cache(maxsize=None)
+def irrep_matrices(n: int) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
+    """Matrices of (e, h, f) on the (n+1)-dimensional irreducible, by ``irrep_row``."""
     if n < 0:
         raise ValueError("negative highest weight")
-    e = SparseMatrix(n + 1, n + 1,
-                     [(k - 1, k, scalar(k * (n - k + 1))) for k in range(1, n + 1)])
-    h = SparseMatrix(n + 1, n + 1,
-                     [(k, k, scalar(n - 2 * k)) for k in range(n + 1) if n != 2 * k])
-    f = SparseMatrix(n + 1, n + 1,
-                     [(k + 1, k, ONE) for k in range(n)])
-    return e, h, f
+    return tuple(SparseMatrix(n + 1, n + 1, [(b, c, a) for b in range(n + 1)
+                                             for c, a in irrep_row(u, n, b)])
+                 for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 @lru_cache(maxsize=None)
