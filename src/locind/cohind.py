@@ -41,7 +41,7 @@ legs, module slot) of each degree and builds the boundaries of every
 block.  Each of the three models gives it only two closures: the
 (part, slot) pairs that go with given legs in a degree, and the product
 of a part with a leg, reduced in the block.  The torus and type models
-grade each (legs, slot) key once per build, in one table ``_grades``.
+grade each (legs, slot) key once per module, in one table ``_grades``.
 Torus tables, root pairs and the rows of sl2 irreducibles
 (``liealg.irrep_row``) come from liealg, nothing from the oracle or
 locp1.
@@ -52,9 +52,9 @@ compares its depth with the least degree of the weights it would read,
 restriction to depth shows it.  A
 left-out key has homology 0 in every degree, as a Character reads a
 missing key.  The torus and parity models yield their blocks one at a
-time, and the build restricts and compares each before the next is
-assembled; a torus build keeps the keys of those it built for the
-certificate.
+time, each restricted when it is assembled, and the build compares
+each before the next is assembled; a torus build keeps the keys of
+those it read for the certificate.
 
 The torus model builds a few blocks per chamber, not one per window
 point.  A block's chamber is its side of every grade in each
@@ -86,8 +86,19 @@ module, and each is keyed by its inputs: a weight's listing to a degree
 product of a monomial with a wedge leg (``_leg_product``), by the
 algebra, the monomial and the leg vector.  A twist sweep reads mostly
 the same weights at the same degrees; a weight read at two degrees is
-listed once for each.  The oracle lists from the same closed form, per
-window point, and shares no memo with this module.
+listed once for each.  A third memo holds each torus block, built one
+deeper and restricted, with its homology at both depths
+(``_torus_block``, over the module's wedge data in ``_torus_model``),
+keyed by the pair, the module's leg actions and l-weights, the block's
+weight and its cut.  Where the pair proves that a block reads its
+weight only relative to the module (``_translation_invariant``, true
+on A and D), the weights are taken less the module's first l-weight,
+so the twists of a module share the blocks their weights place alike.
+A block whose restriction fails is not kept, so every build that reads
+it fails; every build compares the two depths' homology and certifies
+the blocks it reads, and names its own block's weight when one fails.
+The oracle lists from the same closed form, per window point, and
+shares no memo with this module.
 
 ``derived_p`` is the homology of this complex after the coefficient
 module is twisted by the top exterior power of the quotient;
@@ -169,7 +180,7 @@ class ChainBlock:
 
 @dataclass(frozen=True)
 class _WedgeData:
-    """The wedge legs of one build: ascending leg subsets per degree,
+    """The wedge legs of one module: ascending leg subsets per degree,
     the bracket classes of leg pairs, and each leg's action matrix on
     the coefficient module."""
 
@@ -178,7 +189,12 @@ class _WedgeData:
     acts: tuple[SparseMatrix, ...]
 
 
-def _wedge_data(pair: PairData, mod: HModule) -> _WedgeData:
+def _leg_actions(pair: PairData, mod: HModule) -> tuple[SparseMatrix, ...]:
+    """The matrix of each wedge leg on the coefficient module."""
+    return tuple(mod.matrix_of(pair.h.coords(xi)) for xi in pair.hl_basis)
+
+
+def _wedge_data(pair: PairData, acts: tuple[SparseMatrix, ...]) -> _WedgeData:
     k = pair.hl_dim()
     subsets = tuple(tuple(combinations(range(k), d)) for d in range(k + 1))
     # a basis of h (PairData checks it), which holds every bracket of legs
@@ -192,18 +208,17 @@ def _wedge_data(pair: PairData, mod: HModule) -> _WedgeData:
             cls = tuple(pair.lie.expand(b, span)[:k])
             if any(c != 0 for c in cls):
                 brackets[(i, j)] = cls
-    acts = tuple(mod.matrix_of(pair.h.coords(xi)) for xi in pair.hl_basis)
     return _WedgeData(subsets, brackets, acts)
 
 
-def _grades(pair: PairData, mod: HModule,
+def _grades(pair: PairData, l_weights: Sequence[Weight],
             ) -> dict[tuple[int, ...], list[tuple[int, Weight]]]:
     """Per ascending leg subset, [(slot, the legs' K weights plus the
     slot's l-weight)]: the grading of each (legs, slot) key.  Not a
     ``_WedgeData`` field, since family B's legs are not weight vectors."""
     wts = [pair.h_weight_of(xi) for xi in pair.hl_basis]
     return {legs: [(t, tuple(map(sum, zip(lw, *(wts[i] for i in legs)))))
-                   for t, lw in enumerate(mod.l_weights)]
+                   for t, lw in enumerate(l_weights)]
             for d in range(len(wts) + 1) for legs in combinations(range(len(wts)), d)}
 
 
@@ -302,23 +317,105 @@ def _leg_product(lie: LieAlg, mono: Mono, leg: Vec) -> Mapping[Mono, Fraction]:
     return (UElt(lie, {mono: ONE}) * UElt.from_vec(lie, leg)).terms
 
 
-def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
-                  ) -> Iterator[tuple[Weight, tuple[list[dict], ChainBlock]]]:
-    """Weight-block complexes, block n truncated at PBW depth depths[n].
+class _Built(NamedTuple):
+    """A block built one deeper than its cut: its basis keys per degree
+    and its complex at depth cut + 1, the restriction to the cut
+    (``_restrict``), and per degree the homology at the cut and at
+    cut + 1, taken once where the cut drops no key."""
 
-    Yields each live block with its basis keys per degree, for
-    ``_restrict``, in the order of ``depths``.  In degree d, block n
-    reads the monomials of weight n - grade (``_grades``) up to degree
-    depth - d, so it is live iff, for some grade and the least degree d
-    it comes in, the least degree of that weight (``root_degree``) is at
-    most depth - d; a block that is not is left out and not assembled.
-    The monomials come from the closed form ``monos_of_weight``,
-    lexicographic, through the per-process memo ``_monos``, one listing
-    per (weight, degree) read.  The product of a monomial with a wedge
-    leg does not depend on the block or the module, so it is
-    straightened once per (algebra, monomial, leg vector), in
-    ``_leg_product``; only the evaluation of its Cartan letters is per
-    block.
+    cols: list[dict]
+    deep: ChainBlock
+    block: ChainBlock
+    homology: tuple[tuple[int, int], ...]
+
+
+def _two_depths(cols: list[dict], deep: ChainBlock, cut: int) -> _Built:
+    block = _restrict(cols, deep, cut)
+    hom = []
+    for d in range(len(deep.dims)):
+        h = block.homology(d)
+        hom.append((h, h if block is deep else deep.homology(d)))
+    return _Built(cols, deep, block, tuple(hom))
+
+
+def _in_block(key, build: Callable, *args):
+    """build(*args), with a StructureError it raises naming block key."""
+    try:
+        return build(*args)
+    except StructureError as exc:
+        raise StructureError(f"block {key}: {exc}") from None
+
+
+@lru_cache(maxsize=None)
+def _torus_model(pair: PairData, acts: tuple[SparseMatrix, ...],
+                 l_weights: tuple[Weight, ...],
+                 ) -> tuple[_WedgeData, dict, dict[Weight, int]]:
+    """The wedge data and grades of a torus module given by its leg
+    actions and l-weights, and each grade of a (legs, slot) key with the
+    least degree it comes in; once per process for each input."""
+    wedge = _wedge_data(pair, acts)
+    grades = _grades(pair, l_weights)
+    least: dict[Weight, int] = {}
+    for d, subsets in enumerate(wedge.subsets):
+        for legs in subsets:
+            for _, g in grades[legs]:
+                least.setdefault(g, d)
+    return wedge, grades, least
+
+
+@lru_cache(maxsize=None)
+def _torus_block(pair: PairData, acts: tuple[SparseMatrix, ...],
+                 l_weights: tuple[Weight, ...], n: Weight, cut: int) -> _Built | None:
+    """Weight block n of the module with these leg actions and
+    l-weights, built at depth cut + 1 and restricted to cut, or None
+    when it has no basis at cut + 1.  Built once per process for each
+    input; callers only read it.
+
+    In degree d, block n reads the monomials of weight n - grade
+    (``_grades``) up to degree depth - d, so it is live iff, for some
+    grade and the least degree d it comes in, the least degree of that
+    weight (``root_degree``) is at most depth - d; a block that is not
+    is left out and not assembled.  The monomials come from the closed
+    form ``monos_of_weight``, lexicographic, through the per-process
+    memo ``_monos``, one listing per (weight, degree) read.  The product
+    of a monomial with a wedge leg does not depend on the block or the
+    module, so it is straightened once per (algebra, monomial, leg
+    vector), in ``_leg_product``; only the evaluation of its Cartan
+    letters reads n.
+    """
+    wedge, grades, least = _torus_model(pair, acts, l_weights)
+    lie, roots, depth = pair.lie, pair.root_pairs, cut + 1
+    for g, d in least.items():
+        r = root_degree(roots, tuple(map(sub, n, g)))
+        if r is not None and r <= depth - d:
+            break
+    else:
+        return None
+
+    def parts(d: int, legs: tuple[int, ...]) -> Iterable[tuple[Mono, int]]:
+        for t, g in grades[legs]:
+            for mono in _monos(roots, lie.dim, tuple(map(sub, n, g)), depth - d):
+                yield mono, t
+
+    def rmul(mono: Mono, leg: int) -> Iterable:
+        return reduce_block(pair.cartan_of, pair.k.adjoint_weights, n,
+                            _leg_product(lie, mono, pair.hl_basis[leg])).items()
+
+    return _two_depths(*_assemble(wedge, parts, rmul), cut)
+
+
+def _torus_blocks(pair: PairData, mod: HModule, cuts: Mapping[Weight, int],
+                  ) -> Iterator[tuple[Weight, _Built]]:
+    """Weight-block complexes, block n cut at PBW depth cuts[n].
+
+    Yields each live block, built one deeper and restricted
+    (``_torus_block``), in the order of ``cuts``; a StructureError names
+    the block's weight n.  Where ``_translation_invariant`` holds, a
+    block depends on n only through n minus the module's l-weights, so
+    the memo is read with the l-weights and n less the first l-weight:
+    the twists of one module share every block their weights place
+    alike, and each is built once per process.  Elsewhere it is read
+    with the weights as they are.
 
     A build asks for a few blocks per chamber, not for every window
     point (``_torus_chambers``), because past the grades the blocks
@@ -341,45 +438,41 @@ def _torus_blocks(pair: PairData, mod: HModule, depths: Mapping[Weight, int],
     evaluates the Cartan letter such a term may carry at n minus the
     weight to its left, affine in t, one degree more where some
     (ad x)^k(leg) has a Cartan part.  So N = 3 on A and D, whose entries
-    are in fact constant: each leg f comes last among the letters of its
-    coordinate, and passes only letters it commutes with.  A polynomial of degree at most N in each of
-    r variables that is constant on the grid {0..N}^r is constant: N + 1
-    values fix it in one variable, and induction does the rest.  The
-    grid is needed, not the axes: t1 * t2 vanishes on both axes.  So
-    ``_certify`` compares each translate of a grid with its outermost,
-    keys shifted and boundaries entry by entry, and every farther point
-    of the chamber takes the outermost block's homology.
+    are in fact constant (``_translation_invariant``).  A polynomial of
+    degree at most N in each of r variables that is constant on the
+    grid {0..N}^r is constant: N + 1 values fix it in one variable, and
+    induction does the rest.  The grid is needed, not the axes: t1 * t2
+    vanishes on both axes.  So ``_certify`` compares each translate of a
+    grid with its outermost, keys shifted and boundaries entry by entry,
+    and every farther point of the chamber takes the outermost block's
+    homology.
     """
-    cartan_of, adj = pair.cartan_of, pair.k.adjoint_weights
-    lie, roots, legs_of = pair.lie, pair.root_pairs, pair.hl_basis
-    wedge = _wedge_data(pair, mod)
-    grades = _grades(pair, mod)
-    # each grade of a (legs, slot) key, with the least degree it comes in
-    least: dict[Weight, int] = {}
-    for d, subsets in enumerate(wedge.subsets):
-        for legs in subsets:
-            for _, g in grades[legs]:
-                least.setdefault(g, d)
+    base = (mod.l_weights[0] if mod.l_weights and _translation_invariant(pair)
+            else (0,) * pair.k.rank)
+    acts = _leg_actions(pair, mod)
+    l_weights = tuple(tuple(map(sub, lw, base)) for lw in mod.l_weights)
+    for n, cut in cuts.items():
+        built = _in_block(n, _torus_block, pair, acts, l_weights, tuple(map(sub, n, base)), cut)
+        if built is not None:
+            yield n, built
 
-    def parts(n: Weight, cut: int, d: int,
-              legs: tuple[int, ...]) -> Iterable[tuple[Mono, int]]:
-        for t, g in grades[legs]:
-            for mono in _monos(roots, lie.dim, tuple(map(sub, n, g)), cut - d):
-                yield mono, t
 
-    def rmul(n: Weight, mono: Mono, leg: int) -> Iterable:
-        return reduce_block(cartan_of, adj, n, _leg_product(lie, mono, legs_of[leg])).items()
-
-    def live(n: Weight, cut: int) -> bool:
-        for g, d in least.items():
-            r = root_degree(roots, tuple(map(sub, n, g)))
-            if r is not None and r <= cut - d:
-                return True
-        return False
-
-    for n, cut in depths.items():
-        if live(n, cut):
-            yield n, _assemble(wedge, partial(parts, n, cut), partial(rmul, n))
+@lru_cache(maxsize=None)
+def _translation_invariant(pair: PairData) -> bool:
+    """Whether a torus block depends on its weight only through its
+    weight minus the module's l-weights: true when no wedge leg has a
+    Cartan component and each letter of a leg commutes with every
+    letter after it in PBW order.  Then a monomial on the root letters
+    times a leg is that monomial with the leg's letters raised, already
+    ordered and free of Cartan letters, so ``reduce_block`` never reads
+    the block's weight, and the keys read it only less a grade.  True on
+    A and D, whose leg f comes last in its factor; false on A's opposite
+    Borel, whose leg e must pass h.  Worked out once per process for
+    each pair."""
+    lie, cartan = pair.lie, pair.cartan_of
+    return all(cartan[i] is None
+               and not any(any(lie.bracket_basis(i, j)) for j in range(i + 1, lie.dim))
+               for leg in pair.hl_basis for i, c in enumerate(leg) if c)
 
 
 @lru_cache(maxsize=None)
@@ -388,7 +481,9 @@ def _translate_degree(pair: PairData) -> int:
     block in the number of steps it is translated by (``_torus_blocks``):
     the largest k with (ad x)^k(leg) nonzero, x a root letter, plus one
     if such a bracket has a Cartan part for ``reduce_block`` to evaluate.
-    Worked out once per process for each pair."""
+    A bound, read off the brackets: where ``_translation_invariant``
+    holds, no such term arises and the entries are constant.  Worked
+    out once per process for each pair."""
     lie, cartan = pair.lie, pair.cartan_of
     nil = cartan_part = 0
     for x in (lie.basis_vector(i) for i, c in enumerate(cartan) if c is None):
@@ -442,7 +537,7 @@ def _torus_chambers(pair: PairData, mod: HModule, window: Window, margin: int,
     corners since ``weight_gap`` is convex.
     """
     bound = _translate_degree(pair)
-    grades = [g for gs in _grades(pair, mod).values() for _, g in gs]
+    grades = [g for gs in _grades(pair, mod.l_weights).values() for _, g in gs]
     if not grades:      # the zero module: no block has a basis
         return {}, [{} for _ in window.lo], [], margin
     letters = {c: ((x, y) if s > 0 else (y, x), abs(s)) for x, y, c, s in pair.root_pairs}
@@ -491,7 +586,7 @@ def _torus_chambers(pair: PairData, mod: HModule, window: Window, margin: int,
     return cuts, runs, proofs, cut
 
 
-def _certify(kept: Mapping[Weight, tuple[list[dict], ChainBlock]],
+def _certify(kept: Mapping[Weight, _Built],
              proofs: Iterable[tuple[Weight, Weight, Mono, list]]) -> None:
     """Check that each certificate translate is its chamber's outermost
     block, shifted: the same keys in the same order once shifted, and
@@ -502,12 +597,12 @@ def _certify(kept: Mapping[Weight, tuple[list[dict], ChainBlock]],
         got, want = kept.get(n), kept.get(far)
         if got is None or want is None:
             bad = None if got is want else \
-                min(d for d, cd in enumerate((got or want)[0]) if cd)
+                min(d for d, cd in enumerate((got or want).cols) if cd)
         else:
-            bad = next((d for d, cd in enumerate(want[0])
+            bad = next((d for d, cd in enumerate(want.cols)
                         if [(tuple(map(add, mono, shift)), legs, t)
-                            for mono, legs, t in got[0][d]] != list(cd)
-                        or d and got[1].boundaries[d - 1] != want[1].boundaries[d - 1]),
+                            for mono, legs, t in got.cols[d]] != list(cd)
+                        or d and got.deep.boundaries[d - 1] != want.deep.boundaries[d - 1]),
                        None)
         if bad is not None:
             chamber = ", ".join(str(v) if r is None else r.side for v, r in zip(n, on))
@@ -516,7 +611,7 @@ def _certify(kept: Mapping[Weight, tuple[list[dict], ChainBlock]],
 
 
 def _open_blocks(pair: PairData, mod: HModule,
-                 cut: int) -> Iterator[tuple[int, tuple[list[dict], ChainBlock]]]:
+                 cut: int) -> Iterator[tuple[int, _Built]]:
     """Parity-class complexes for the two-point stabilizer.
 
     Here g = k + h, so by PBW U(g) = U(k) (x) U(h), and a block evaluates
@@ -525,28 +620,28 @@ def _open_blocks(pair: PairData, mod: HModule,
     weight block of that class.  The nontrivial stabilizer component is
     central, hence acts trivially on the wedge legs, and the parity
     bookkeeping reduces to the module slots alone.  Yields each class
-    with its basis keys per degree, for ``_restrict``.
+    built at depth cut + 1 and restricted to cut (``_Built``); a
+    StructureError names the class.
     """
-    halg = pair.halg
+    halg, depth = pair.halg, cut + 1
     leg_u = [UElt.from_vec(halg, pair.h.coords(xi)) for xi in pair.hl_basis]
-    wedge = _wedge_data(pair, mod)
-    monos = bounded_exponents(halg.dim, cut)
+    wedge = _wedge_data(pair, _leg_actions(pair, mod))
+    monos = bounded_exponents(halg.dim, depth)
 
     def rmul(mono: Mono, leg: int) -> Iterable:
         return (UElt(halg, {mono: ONE}) * leg_u[leg]).terms.items()
 
     def parts(ts: list[int], d: int,
               legs: tuple[int, ...]) -> list[tuple[Mono, int]]:
-        return [(mono, t) for mono in monos if sum(mono) <= cut - d for t in ts]
+        return [(mono, t) for mono in monos if sum(mono) <= depth - d for t in ts]
 
     for p in (0, 1):
         ts = [t for t in range(mod.dim) if mod.parity[t] == p]
         if ts:
-            yield p, _assemble(wedge, partial(parts, ts), rmul)
+            yield p, _in_block(p, _two_depths, *_assemble(wedge, partial(parts, ts), rmul), cut)
 
 
-def _restrict(key, cols: Sequence[Mapping], blk: ChainBlock,
-              cut: int) -> ChainBlock:
+def _restrict(cols: Sequence[Mapping], blk: ChainBlock, cut: int) -> ChainBlock:
     """The truncation at depth cut of a block built at a greater depth.
 
     ``cols[d]`` maps the basis keys (algebra part, legs, slot) of degree d
@@ -555,7 +650,7 @@ def _restrict(key, cols: Sequence[Mapping], blk: ChainBlock,
     itself, so the caller can tell that the two depths share one complex.
     Because the truncation is a subcomplex, no kept column may have an
     entry in a dropped row; one that does raises StructureError naming
-    the block and the degree.
+    the degree (the caller adds the block, ``_in_block``).
     """
     if all(sum(mono) <= cut - d for d, cd in enumerate(cols) for mono, _, _ in cd):
         return blk
@@ -571,8 +666,7 @@ def _restrict(key, cols: Sequence[Mapping], blk: ChainBlock,
                 continue
             if r not in rows:
                 raise StructureError(
-                    f"block {key}: boundary of degree {d + 1} leaves the "
-                    f"truncation at depth {cut}")
+                    f"boundary of degree {d + 1} leaves the truncation at depth {cut}")
             entries.append((rows[r], kept[c], v))
         bnds.append(SparseMatrix(len(rows), len(kept), entries))
     return ChainBlock(tuple(len(ix) for ix in index), tuple(bnds))
@@ -595,8 +689,8 @@ def _sl2_blocks(pair: PairData, mod: HModule) -> dict[int, ChainBlock]:
     weight), so the block is exact (Bott 1957; Knapp-Vogan 1995).  The
     build checks this on the top type.
     """
-    wedge = _wedge_data(pair, mod)
-    grades = _grades(pair, mod)
+    wedge = _wedge_data(pair, _leg_actions(pair, mod))
+    grades = _grades(pair, mod.l_weights)
     # the irreducibles act through K's (e, h, f), so a leg is read in the
     # coordinates of the K embedding, not of the ambient basis
     leg_k = [pair.lie.expand(xi, pair.k.embedding) for xi in pair.hl_basis]
@@ -665,9 +759,11 @@ def build_standard_complex(pair: PairData, v: HModule,
     blocks per chamber and proves the rest (``_torus_chambers``,
     ``_certify``), and each degree's character is written by expanding
     only the runs of built blocks with nonzero homology.  Truncated
-    models are built once at depth cut+1 and restricted to cut; the two
-    must agree on homology, otherwise WindowTooSmall names the first
-    block and degree that differ.  Full sl2 takes no window; its top
+    models are built once at depth cut+1 and restricted to cut (a torus
+    block once per process for its inputs, ``_torus_block``); the two
+    must agree on homology, checked on every build, otherwise
+    WindowTooSmall names the build's first block and degree that
+    differ.  Full sl2 takes no window; its top
     type must have no homology, otherwise StructureError names type,
     degree and value.
     """
@@ -686,7 +782,7 @@ def build_standard_complex(pair: PairData, v: HModule,
         raise ValueError("torus symmetry needs a window")
     if not pair.two_point:
         cuts, runs, proofs, cut = _torus_chambers(pair, w, window, margin)
-        deep = _torus_blocks(pair, w, {n: k + 1 for n, k in cuts.items()})
+        built = _torus_blocks(pair, w, cuts)
 
         def spread(hd: Mapping[Weight, int]) -> Character:
             # each built point's homology on the window values it stands for
@@ -696,7 +792,7 @@ def build_standard_complex(pair: PairData, v: HModule,
     else:
         cut, proofs = top + margin, []
         cuts = dict.fromkeys((0, 1), cut)
-        deep = _open_blocks(pair, w, cut + 1)
+        built = _open_blocks(pair, w, cut)
         lo, hi = window.lo[0], window.hi[0]
 
         def spread(hd: Mapping[int, int]) -> Character:
@@ -709,20 +805,17 @@ def build_standard_complex(pair: PairData, v: HModule,
     kept: dict = {}             # the keys and blocks the certificate reads
     proved = {key for n, far, _, _ in proofs for key in (n, far)}
     hom: list[dict] = [{} for _ in range(top + 1)]     # per degree, per key
-    for key, (cols, big) in deep:
-        blk = _restrict(key, cols, big, cuts[key])
-        for d, hd in enumerate(hom):
-            h = blk.homology(d)
-            h_big = h if blk is big else big.homology(d)
-            if h != h_big:
+    for key, got in built:
+        for d, (hd, (h, h_deep)) in enumerate(zip(hom, got.homology)):
+            if h != h_deep:
                 raise WindowTooSmall(
                     f"block {key}, degree {d}: homology {h} at depth {cuts[key]} but "
-                    f"{h_big} at depth {cuts[key] + 1}, past the proved cut")
+                    f"{h_deep} at depth {cuts[key] + 1}, past the proved cut")
             hd[key] = h
         if key in proved:
-            kept[key] = cols, big
-        if any(blk.dims):
-            blocks[key] = blk
+            kept[key] = got
+        if any(got.block.dims):
+            blocks[key] = got.block
     # the window values past a chamber's translates take its outermost
     # block's homology once the certificate holds
     _certify(kept, proofs)

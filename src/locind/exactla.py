@@ -55,7 +55,7 @@ def scalar(x: int | str | Fraction) -> int | Fraction:
 class SparseMatrix:
     """Immutable sparse matrix over the rationals."""
 
-    __slots__ = ("rows", "cols", "_data", "_rank", "_by_row")
+    __slots__ = ("rows", "cols", "_data", "_rank", "_by_row", "_hash")
 
     def __init__(self, rows: int, cols: int,
                  entries: Iterable[tuple[int, int, int | str | Fraction]] = ()):
@@ -74,6 +74,7 @@ class SparseMatrix:
         self.cols = cols
         self._data = data
         self._rank: int | None = None
+        self._hash: int | None = None
         self._by_row: dict[int, list[tuple[int, int | Fraction]]] | None = None
 
     # -- construction helpers ------------------------------------------
@@ -139,7 +140,10 @@ class SparseMatrix:
         return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, tuple(sorted(self._data.items()))))
+        """Taken on the first call and kept, since memos key on matrices."""
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, tuple(sorted(self._data.items()))))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self._data)} entries)"

@@ -319,7 +319,7 @@ def _check_boundary_squares() -> Report:
 def _check_brackets() -> Report:
     for lam in (-3, 0, 2):
         for chart in ("z", "w"):
-            rep = twisted_rep(lam, chart)   # solver re-checks all brackets
+            rep = twisted_rep(lam, chart)   # its brackets checked when built
             e, h, f = rep["e"], rep["h"], rep["f"]
             if not (h.commutator(e).sub(e.scale(2)).is_zero()
                     and h.commutator(f).sub(f.scale(-2)).is_zero()

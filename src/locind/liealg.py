@@ -314,6 +314,15 @@ class PairData:
                     == rank(_columns(self.lie.dim, carts + self.l_basis))):
                 raise UnsupportedK("l_basis must span K's Cartan generators")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The fields' hash, taken once per pair, since memos key on pairs."""
+        return hash((self.name, self.lie, self.k, self.h, self.h_labels,
+                     self.l_basis, self.hl_basis))
+
     @property
     def two_point(self) -> bool:
         """True when L is K's two-point group: no stabilizer torus."""

@@ -10,15 +10,15 @@ fields, prescribed scalars on the isotropy at the chart origin) and
 the solver asserts uniqueness.  The twist enters only the right-hand
 side, linearly, so the system is solved once per chart and process, at
 twist 1, and scaled; the bracket homomorphism is re-checked on the
-operators of every twist asked for.
+operators of every twist asked for, once per twist and process.
 
 On top of that sit the orbit direct images used for the comparison.
 Three of them are spans of powers coordinate**a, one per torus weight,
 on which the chart operators act through one helper, ``_power_module``.
 It indexes each power by its doubled exponent 2a, an int even where a is
 half-integral, and keeps each operator as one integer polynomial in 2a
-(``ChartOp.shift_polys``), whose guards are checked once per module as
-identities of polynomials.  Each operator sends a power to a multiple
+(``ChartOp.shift_polys``), whose guards are checked as identities of
+polynomials once per process for each input.  Each operator sends a power to a multiple
 of one other power, so such a model is a ``PowerModule``: the range of
 its weights and one polynomial per operator.  Its character is read off
 the range; the scalars are evaluated per weight only where they are
@@ -269,14 +269,16 @@ def _unit_action(chart: str) -> tuple[LieAlg, dict[str, ChartOp], dict[str, Char
     return alg, fields, unit
 
 
+@lru_cache(maxsize=None)
 def twisted_rep(lambda0: int, chart: str = "z") -> dict[str, ChartOp]:
     """The unique twisted first-order action on the chart.
 
     Returns the operator of each sl2 basis label "e", "h" and "f": its
     vector field plus lambda0 times the multiplication part solved once
     per chart and process (``_unit_action``).  The bracket homomorphism
-    is re-checked on the operators returned, at this lambda0, on every
-    call.
+    is re-checked on the operators returned, at this lambda0, when they
+    are built: once per process for each input.  Callers only read the
+    operators.
     """
     lam = scalar(lambda0)
     alg, fields, unit = _unit_action(chart)
@@ -337,6 +339,7 @@ class PowerModule:
                                 self.parity)
 
 
+@lru_cache(maxsize=None)
 def _power_module(lambda0: int, chart: str, weights: range,
                   parity: int | None = None) -> PowerModule:
     """Polynomials of e, h, f and z on one power coordinate**a per weight.
@@ -353,7 +356,8 @@ def _power_module(lambda0: int, chart: str, weights: range,
     at the window's: the Cartan element has the shift 0 alone, where it
     acts by the weight +-(lambda0 - a2), and every other operator's
     nonzero polynomials move the weight by its own shift; one that does
-    not is not weight-homogeneous.
+    not is not weight-homogeneous.  Built, and its guards checked, once
+    per process for each input; callers only read the module.
     """
     rho = twisted_rep(lambda0, chart)
     sign = 1 if chart == "z" else -1

@@ -19,8 +19,8 @@ from locind.gkmod import (Character, HModule, Window, WindowTooSmall,
                           tensor_onedim)
 from locind.harness import VerificationCase, default_cases, run_case
 from locind.hecke import p_deg0_oracle
-from locind.liealg import (StructureError, Subalg, UnsupportedK, pair_by_name,
-                           product_pair, vec_add, vec_scale)
+from locind.liealg import (KDescriptor, LieAlg, PairData, StructureError, Subalg,
+                           UnsupportedK, pair_by_name, product_pair, vec_add, vec_scale)
 from locind.locp1 import delta_module, laurent_module
 from locind.pbw import UElt
 
@@ -38,6 +38,15 @@ def _stands_for(pair, v, win):
     stands = dict(pairs)
     assert len(stands) == len(pairs) and set(stands) == set(win.points())
     return stands
+
+
+@pytest.fixture
+def cold_blocks():
+    """Each torus block is built anew, and no block a patched build leaves
+    in the per-process memo leaks into a later test."""
+    cohind._torus_block.cache_clear()
+    yield
+    cohind._torus_block.cache_clear()
 
 
 def _lower_the_proved_cut(monkeypatch):
@@ -106,21 +115,25 @@ def test_restriction_refuses_a_non_subcomplex():
     # degree-0 key that depth 1 drops
     cols = [{((2,), (), 0): 0}, {((0,), (0,), 0): 0}]
     blk = ChainBlock((1, 1), (SparseMatrix.from_rows([[1]]),))
-    with pytest.raises(StructureError, match=r"block \(3,\).*degree 1"):
-        _restrict((3,), cols, blk, 1)
-    assert _restrict((3,), cols, blk, 2) == blk
-    assert _restrict((3,), cols, blk, 0).dims == (0, 0)
+    with pytest.raises(StructureError, match=r"^boundary of degree 1 leaves the truncation at depth 1$"):
+        _restrict(cols, blk, 1)
+    # a build names the block
+    with pytest.raises(StructureError, match=r"^block \(3,\): boundary of degree 1"):
+        cohind._in_block((3,), _restrict, cols, blk, 1)
+    assert _restrict(cols, blk, 2) == blk
+    assert _restrict(cols, blk, 0).dims == (0, 0)
 
 
 def test_restriction_that_keeps_every_key_is_the_block_itself(pa):
     w = tensor_onedim(one_dim_module(pa, (-4, 0)), lambda_top(pa))
     n = (2,)
     gap = w.weight_gap(n)
-    cols, big = dict(_torus_blocks(pa, w, {n: gap + 1}))[n]
-    assert _restrict(n, cols, big, gap) is big
+    cols, big, blk, _ = dict(_torus_blocks(pa, w, {n: gap}))[n]
+    assert _restrict(cols, big, gap) is big is blk
     # one deeper than a margin of 5 adds keys, and the cut drops them
-    cols, big = dict(_torus_blocks(pa, w, {n: gap + 6}))[n]
-    small = _restrict(n, cols, big, gap + 5)
+    cols, big, blk, _ = dict(_torus_blocks(pa, w, {n: gap + 5}))[n]
+    small = _restrict(cols, big, gap + 5)
+    assert small == blk
     assert small is not big
     assert all(a <= b for a, b in zip(small.dims, big.dims))
     assert sum(small.dims) < sum(big.dims)
@@ -148,18 +161,19 @@ def test_restricted_blocks_match_direct_builds(fam, values, win, keys):
     cx = build_standard_complex(pair, v, win)
     stands = {} if fam == "B" else _stands_for(pair, v, win)
     for n in keys:
+        # a direct build at the cut: the deep block of a build cut one less
         if fam == "B":      # one parity class serves the whole window
             blk = cx.blocks.get(n)
-            direct = dict(_open_blocks(pair, w, cx.cut)).get(n)
+            direct = dict(_open_blocks(pair, w, cx.cut - 1)).get(n)
         else:
             blk = cx.blocks.get(stands[n])
             cut = build_standard_complex(pair, v, Window.box(n, n)).cut
-            direct = dict(_torus_blocks(pair, w, {n: cut})).get(n)
+            direct = dict(_torus_blocks(pair, w, {n: cut - 1})).get(n)
         # a block with no basis is left out by both
         assert (blk is not None) == (direct is not None)
         if direct is None:
             continue
-        direct = direct[1]
+        direct = direct.deep
         assert any(direct.dims)
         assert blk.dims == direct.dims
         assert [blk.homology(d) for d in range(blk.top + 1)] == \
@@ -195,11 +209,12 @@ def _rescale_degree_one(monkeypatch, factor):
     """Scale the degree-1 boundary of each built torus block n by factor(n)."""
     real = cohind._torus_blocks
 
-    def scaled(pair, mod, depths):
-        for n, (cols, blk) in real(pair, mod, depths):
+    def scaled(pair, mod, cuts):
+        for n, got in real(pair, mod, cuts):
+            blk = got.deep
             b, c = blk.boundaries[0], factor(n)
             b = SparseMatrix(b.rows, b.cols, [(r, k, c * v) for r, k, v in b.entries()])
-            yield n, (cols, ChainBlock(blk.dims, (b,) + blk.boundaries[1:]))
+            yield n, got._replace(deep=ChainBlock(blk.dims, (b,) + blk.boundaries[1:]))
 
     monkeypatch.setattr(cohind, "_torus_blocks", scaled)
 
@@ -210,13 +225,93 @@ def test_translate_degree_is_read_off_the_pair(pa, pd):
     assert cohind._translate_degree(pa) == cohind._translate_degree(pd) == 3
 
 
+def _opposite_borel(pa):
+    """A's pair with isotropy span(h, e) and the leg e, which must pass h."""
+    e, h = pa.lie.basis_vector(0), pa.lie.basis_vector(1)
+    return replace(pa, h=Subalg(pa.lie, (h, e)), h_labels=("h", "e"), hl_basis=(e,))
+
+
+def test_translation_invariance_is_checked_per_pair(pa, pd):
+    assert cohind._translation_invariant(pa) and cohind._translation_invariant(pd)
+    # e . e = e^2, but f . e = e . f - h puts a Cartan letter in the product
+    assert not cohind._translation_invariant(_opposite_borel(pa))
+    # sl2 plus a central torus letter z, last in PBW order: the leg f + z
+    # commutes with every letter after each of its own, but z is a Cartan
+    # letter that reduce_block evaluates at the block's weight
+    g = LieAlg(("e", "h", "f", "z"), {(0, 1): (-2, 0, 0, 0), (0, 2): (0, 1, 0, 0),
+                                      (1, 2): (0, 0, -2, 0)})
+    h, f, z = g.basis_vector(1), g.basis_vector(2), g.basis_vector(3)
+    k = KDescriptor("torus", 2, (h, z), ((2, 0), (0, 0), (-2, 0), (0, 0)))
+    central = PairData(name="central", lie=g, k=k, h=Subalg(g, (h, z, f)),
+                       h_labels=("h", "z", "f"), l_basis=(h, z), hl_basis=(f,))
+    assert cohind._translation_invariant(central)
+    assert not cohind._translation_invariant(replace(central, hl_basis=(vec_add(f, z),)))
+
+
+def test_twists_share_blocks_only_where_the_pair_proves_it(pa, cold_blocks, monkeypatch):
+    # A's twists -5 and -7 place their blocks alike on a wide window, and
+    # the second assembles none; the opposite Borel's blocks read their
+    # absolute weight, and each twist assembles its own
+    calls = []
+    real = cohind._assemble
+    monkeypatch.setattr(cohind, "_assemble", lambda *args: calls.append(1) or real(*args))
+    win = Window.segment(-40, 40)
+    for pair, shared in ((pa, True), (_opposite_borel(pa), False)):
+        counts = []
+        for lam in (-5, -7):
+            calls.clear()
+            v = one_dim_module(pair, (lam, 0))
+            cx = build_standard_complex(pair, v, win)
+            counts.append(len(calls))
+            want = p_deg0_oracle(pair, tensor_onedim(v, lambda_top(pair)), win)
+            assert cx.homology_character(0) == want and not want.is_zero()
+        assert counts == [counts[0], 0 if shared else counts[0]] and counts[0]
+
+
+def test_a_block_read_from_the_memo_names_its_own_weight(pa, cold_blocks, monkeypatch):
+    # twists -5 and -7 share their first block; a two-depth mismatch held
+    # in the memo and read at the second twist names that twist's block
+    win = Window.segment(-40, 40)
+    first = {lam: next(iter(build_standard_complex(
+        pa, one_dim_module(pa, (lam, 0)), win).blocks)) for lam in (-5, -7)}
+    assert first[-7] == (first[-5][0] - 2,)
+    cohind._torus_block.cache_clear()
+    real, restricted = cohind._restrict, []
+
+    def one_key_more(cols, blk, cut):
+        # one more degree-0 key at the cut than one deeper: H_0 grows by one
+        restricted.append(cut)
+        out = real(cols, blk, cut)
+        b = out.boundaries[0]
+        return ChainBlock((out.dims[0] + 1,) + out.dims[1:],
+                          (SparseMatrix(b.rows + 1, b.cols, b.entries()),) + out.boundaries[1:])
+
+    monkeypatch.setattr(cohind, "_restrict", one_key_more)
+    for lam in (-5, -7):
+        with pytest.raises(WindowTooSmall, match=rf"^block \({first[lam][0]},\), degree 0: "):
+            build_standard_complex(pa, one_dim_module(pa, (lam, 0)), win)
+        assert bool(restricted) == (lam == -5)
+        restricted.clear()
+    # a restriction that fails is not kept, and names each twist's block
+    cohind._torus_block.cache_clear()
+
+    def refuse(cols, blk, cut):
+        raise StructureError(f"boundary of degree 1 leaves the truncation at depth {cut}")
+
+    monkeypatch.setattr(cohind, "_restrict", refuse)
+    for lam in (-5, -7):
+        with pytest.raises(StructureError, match=(
+                rf"^block \({first[lam][0]},\): boundary of degree 1 leaves the truncation")):
+            build_standard_complex(pa, one_dim_module(pa, (lam, 0)), win)
+
+
 def test_chambers_build_the_box_and_n_plus_one_translates_past_it(pa, monkeypatch):
     built = {}
     real = cohind._torus_blocks
 
-    def spy(pair, mod, depths):
-        built.update(depths)
-        return real(pair, mod, depths)
+    def spy(pair, mod, cuts):
+        built.update(cuts)
+        return real(pair, mod, cuts)
 
     monkeypatch.setattr(cohind, "_torus_blocks", spy)
     v = one_dim_module(pa, (-5, 0))
@@ -229,7 +324,7 @@ def test_chambers_build_the_box_and_n_plus_one_translates_past_it(pa, monkeypatc
     # value alone
     assert sorted(built) == [(n,) for n in sorted(
         [*range(-5, -2), -6, -2, *range(-7, -7 - 2 * big, -2), *range(-1, -1 + 2 * big, 2)])]
-    assert all(depth == w.weight_gap(n) + 1 for n, depth in built.items())
+    assert all(cut == w.weight_gap(n) for n, cut in built.items())
     # every farther point takes the outermost block of its ray, and only
     # the built blocks are kept
     _, (runs,), _, _ = cohind._torus_chambers(pa, w, Window.segment(-120, 120), 0)
@@ -289,9 +384,11 @@ def test_the_certificate_reads_the_whole_grid(pd, monkeypatch):
 D_WIN = Window.box((-4, -4), (4, 4))
 
 
-def test_a_second_build_straightens_nothing(pd, monkeypatch):
+def test_a_second_build_straightens_nothing(pd, cold_blocks, monkeypatch):
     v = one_dim_module(pd, (-4, 0, -2, 0))
     first = build_standard_complex(pd, v, D_WIN)
+    # the second build assembles its blocks again, from the kept products
+    cohind._torus_block.cache_clear()
     calls = []
     mul = UElt.__mul__
 
@@ -341,9 +438,9 @@ def _listing_run(fam, lam, win):
     pair = pair_by_name(fam)
     v = _module(pair, fam, lam)
     w = tensor_onedim(v, lambda_top(pair))
-    deep = _torus_blocks(pair, w, {n: w.weight_gap(n) + 1 for n in win.points()})
-    keys = {n: ([list(cd.items()) for cd in cols], blk.boundaries)
-            for n, (cols, blk) in deep}
+    deep = _torus_blocks(pair, w, {n: w.weight_gap(n) for n in win.points()})
+    keys = {n: ([list(cd.items()) for cd in got.cols], got.deep.boundaries)
+            for n, got in deep}
     return report, build_standard_complex(pair, v, win).blocks, keys
 
 
@@ -351,6 +448,7 @@ def test_kept_listings_leak_no_state_between_cases():
     def forget():
         cohind._monos.cache_clear()
         cohind._leg_product.cache_clear()
+        cohind._torus_block.cache_clear()
 
     cold = []
     for case in LISTING_CASES:
@@ -373,8 +471,8 @@ def test_a_shallow_read_of_a_deep_listing_keeps_the_live_blocks(pa):
     # a listing that deep, a read at depth 0 must still leave it out
     w = tensor_onedim(one_dim_module(pa, (-4, 0)), lambda_top(pa))
     n = (12,)
-    assert dict(_torus_blocks(pa, w, {n: w.weight_gap(n) + 1}))
-    assert dict(_torus_blocks(pa, w, {n: 0})) == {}
+    assert dict(_torus_blocks(pa, w, {n: w.weight_gap(n)}))
+    assert dict(_torus_blocks(pa, w, {n: -1})) == {}
 
 
 def test_the_oracle_keeps_off_the_kept_listings(monkeypatch):
@@ -454,7 +552,8 @@ def test_open_orbit_block_reads_the_twist(pb, lam, par):
     # -lam and lam beside the bracket's -1 and 1
     v = one_dim_module(pb, harness._VALUES["B"](lam), parity=par)
     w = tensor_onedim(v, lambda_top(pb))
-    (key, (_, blk)), = _open_blocks(pb, w, pb.hl_dim())
+    (key, got), = _open_blocks(pb, w, pb.hl_dim())
+    blk = got.block
     column = {r: x for r, c, x in blk.boundaries[1].entries() if c == 0}
     want = {0: -lam, 1: -1, 3: lam, 5: 1}
     assert key == par
@@ -550,7 +649,7 @@ def test_full_sl2_keeps_only_the_live_type_blocks(pc):
     ("A", (-5, 0), Window.segment(-120, 120)),
     ("D", (-2, 0, -3, 0), Window.box((-6, -6), (6, 6))),
 ])
-def test_blocks_with_no_basis_are_left_out(fam, values, win, monkeypatch):
+def test_blocks_with_no_basis_are_left_out(fam, values, win, cold_blocks, monkeypatch):
     # a window point whose block has no basis has no key and carries no
     # multiplicity in any degree, and every block assembled has a basis
     pair = pair_by_name(fam)
@@ -577,7 +676,8 @@ def test_blocks_with_no_basis_are_left_out(fam, values, win, monkeypatch):
     ("A", (-5, 0), Window.segment(-120, 120), Window.segment(-1000, 1000)),
     ("D", (-2, 0, -3, 0), Window.box((-16, -16), (16, 16)), Window.box((-32, -32), (32, 32))),
 ])
-def test_a_wider_window_assembles_no_more_blocks(fam, values, win, wider, monkeypatch):
+def test_a_wider_window_assembles_no_more_blocks(fam, values, win, wider, cold_blocks,
+                                                 monkeypatch):
     # past its certificate translates a chamber's blocks are shared, so
     # the blocks assembled stop growing with the window
     pair = pair_by_name(fam)
@@ -588,6 +688,7 @@ def test_a_wider_window_assembles_no_more_blocks(fam, values, win, wider, monkey
     narrow = len(calls)
     assert 0 < len(cx.blocks) <= narrow < sum(1 for _ in win.points())
     calls.clear()
+    cohind._torus_block.cache_clear()
     build_standard_complex(pair, one_dim_module(pair, values), wider)
     assert len(calls) == narrow
 
@@ -615,9 +716,9 @@ def test_torus_blocks_are_exactly_the_live_blocks(fam, values, win):
     live = [n for n in win.points()
             if any(low.get(tuple(a - b for a, b in zip(n, g)), depths[n] + 1) <= depths[n] - d
                    for d, g in grades)]
-    blocks = dict(_torus_blocks(pair, w, depths))
+    blocks = dict(_torus_blocks(pair, w, {n: depth - 1 for n, depth in depths.items()}))
     assert list(blocks) == live
-    assert all(any(blk.dims) for _, blk in blocks.values())
+    assert all(any(got.deep.dims) for got in blocks.values())
     assert 0 < len(live) < len(depths)
 
 
@@ -632,7 +733,7 @@ def test_full_sl2_checks_its_top_type(pc, monkeypatch):
         build_standard_complex(pc, one_dim_module(pc, (-60, 0)))
 
 
-def test_homology_runs_only_at_nonzero_terms(pa, pc, monkeypatch):
+def test_homology_runs_only_at_nonzero_terms(pa, pc, cold_blocks, monkeypatch):
     calls = []
     real = cohind.homology_dim
 
@@ -653,9 +754,9 @@ def test_homology_runs_only_at_nonzero_terms(pa, pc, monkeypatch):
     v = one_dim_module(pa, (-4, 0))
     cx = build_standard_complex(pa, v, WIN)
     w = tensor_onedim(v, lambda_top(pa))
-    deep = dict(_torus_blocks(pa, w, {n: w.weight_gap(n) + 1 for n in WIN.points()}))
+    deep = dict(_torus_blocks(pa, w, {n: w.weight_gap(n) for n in WIN.points()}))
     assert 0 < len(calls) <= (nonzero_terms(cx.blocks.values())
-                              + nonzero_terms(blk for _, blk in deep.values()))
+                              + nonzero_terms(got.deep for got in deep.values()))
     assert all(calls)
 
 
@@ -663,7 +764,8 @@ def test_homology_runs_only_at_nonzero_terms(pa, pc, monkeypatch):
     ("A", (-4, 0), WIN),
     ("D", (-2, 0, -3, 0), Window.box((-4, -4), (4, 4))),
 ])
-def test_a_block_the_cut_keeps_whole_is_eliminated_once(fam, values, win, monkeypatch):
+def test_a_block_the_cut_keeps_whole_is_eliminated_once(fam, values, win, cold_blocks,
+                                                        monkeypatch):
     pair = pair_by_name(fam)
     calls = []
     real = cohind.homology_dim
@@ -678,12 +780,12 @@ def test_a_block_the_cut_keeps_whole_is_eliminated_once(fam, values, win, monkey
     assert 0 < len(calls) <= terms
 
 
-def test_a_margin_build_still_restricts(pa, monkeypatch):
+def test_a_margin_build_still_restricts(pa, cold_blocks, monkeypatch):
     seen = []
     real = cohind._restrict
 
-    def spy(key, cols, blk, cut):
-        out = real(key, cols, blk, cut)
+    def spy(cols, blk, cut):
+        out = real(cols, blk, cut)
         seen.append((out is blk, out.dims == blk.dims))
         return out
 

@@ -112,22 +112,46 @@ def test_twisted_rep_brackets_and_casimir():
             assert omega == ChartOp.mult((Fraction(lam * lam + 2 * lam, 2),), chart)
 
 
+# the geometric side's per-process memos, as defined (not as a test patches them)
+CHART_MEMOS = (locp1._unit_action, locp1.twisted_rep, locp1._power_module)
+
+
 @pytest.fixture
 def fresh_chart_cache():
-    """Each chart is solved anew, and nothing a test leaves cached leaks out."""
-    locp1._unit_action.cache_clear()
+    """Each chart is solved anew, each twist and power module is built
+    anew, and nothing a test leaves cached leaks out."""
+    for memo in CHART_MEMOS:
+        memo.cache_clear()
     yield
-    locp1._unit_action.cache_clear()
+    for memo in CHART_MEMOS:
+        memo.cache_clear()
 
 
-def test_twisted_rep_checks_brackets_on_every_call(fresh_chart_cache, monkeypatch):
+def test_twisted_rep_checks_brackets_on_each_input(fresh_chart_cache, monkeypatch):
     alg, fields, unit = locp1._unit_action("z")
     assert twisted_rep(3, "z")["h"].terms == {(0, 0): 3, (1, 1): -2}
     # h's constant term off by one: [e, f] = h fails for every nonzero twist
     bad = {**unit, "h": unit["h"].add(ChartOp.mult((ONE,), "z"))}
     monkeypatch.setattr(locp1, "_unit_action", lambda chart: (alg, fields, bad))
-    with pytest.raises(ArithmeticError, match="bracket check"):
-        twisted_rep(3, "z")
+    # a twist already built is read from the memo; each new one is checked
+    assert twisted_rep(3, "z")["h"].terms == {(0, 0): 3, (1, 1): -2}
+    for lam in (4, -3):
+        with pytest.raises(ArithmeticError, match="bracket check"):
+            twisted_rep(lam, "z")
+
+
+def test_the_geometric_side_is_built_once_per_input(fresh_chart_cache, monkeypatch):
+    # seven twists, each asked for twice: each action and each module is
+    # built once, and a repeated module is the same object
+    win = Window.segment(-12, 12)
+    first = [delta_module(lam, win) for lam in range(-3, 4)]
+    assert all(delta_module(lam, win) is m for lam, m in zip(range(-3, 4), first))
+    assert locp1.twisted_rep.cache_info().currsize == 7
+    assert locp1._power_module.cache_info().currsize == 7
+    # a wider window is a new module over an action already built
+    delta_module(0, Window.segment(-20, 20))
+    assert locp1.twisted_rep.cache_info().currsize == 7
+    assert locp1._power_module.cache_info().currsize == 8
 
 
 def test_each_chart_is_solved_once_per_process(fresh_chart_cache, monkeypatch, capsys):
@@ -190,7 +214,7 @@ def test_delta_module_mirror_chart():
     ("e", "operator 'e' is not weight-homogeneous"),
     ("h", "Cartan action disagrees with the exponent"),
 ])
-def test_power_module_guards(monkeypatch, name, message):
+def test_power_module_guards(fresh_chart_cache, monkeypatch, name, message):
     # a constant term added to e keeps each power's exponent, off e's
     # shift; added to h, it acts on each power by its weight plus one
     real = locp1.twisted_rep
@@ -211,7 +235,8 @@ def test_power_module_guards(monkeypatch, name, message):
     ("e", (2, 3), "operator 'e' is not weight-homogeneous"),
     ("h", (2, 2), "Cartan action disagrees with the exponent"),
 ])
-def test_power_module_guards_hold_off_the_window(monkeypatch, name, term, message):
+def test_power_module_guards_hold_off_the_window(fresh_chart_cache, monkeypatch, name, term,
+                                                 message):
     # z^3 d^2 added to e, or z^2 d^2 added to h, acts by zero on the
     # powers 1 and z of the 2-jets, so no scalar there shows it; the
     # guards compare polynomials, which hold at every exponent

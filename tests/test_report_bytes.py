@@ -12,10 +12,13 @@ digest was taken when both were still written point by point).
 """
 
 import hashlib
+from collections import Counter
+from itertools import product
 
 import pytest
 
-from locind.harness import main
+from locind.gkmod import Window
+from locind.harness import VerificationCase, main, run_case
 
 REPORT_SHA256 = {
     "A": "df096044458f05072ed0fc7d575d2a13ef5602e6a9fdd8671db632dd68108b84",
@@ -49,3 +52,31 @@ def test_wide_window_report_bytes_are_pinned(family, window, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_SHA256[(family, window)]
+
+
+# Every twist in a range, in one process: A and both B parities for each
+# lambda in [-60, 60] on the window -40:40, and D for each pair in
+# [-8, 8]^2 on the box -8:8.  The digest is of the concatenated report
+# bytes, taken when no torus block was shared between twists.
+SWEEP_SHA256 = "fec1d9db3f90e48105cb6945a30383035c12a4e0250b6d565b1bca787c47ca0e"
+
+
+def _sweep_cases():
+    line = Window.segment(-40, 40)
+    for lam in range(-60, 61):
+        yield VerificationCase("A", lam, window=line)
+        for parity in (0, 1):
+            yield VerificationCase("B", lam, window=line, parity=parity)
+    box = Window.box((-8, -8), (8, 8))
+    for lam in product(range(-8, 9), repeat=2):
+        yield VerificationCase("D", lam, window=box)
+
+
+def test_a_twist_sweep_matches_and_its_report_bytes_are_pinned():
+    digest, verdicts = hashlib.sha256(), Counter()
+    for case in _sweep_cases():
+        report = run_case(case)
+        verdicts[report.verdict] += 1
+        digest.update(report.to_json_bytes())
+    assert verdicts == {"exact-match": 121 * 3 + 17 * 17}
+    assert digest.hexdigest() == SWEEP_SHA256
